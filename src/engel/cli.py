@@ -42,8 +42,17 @@ def _json_ready(obj):
     return obj
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n"
+
+
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(_json_ready(payload), indent=2, sort_keys=True))
+    sys.stdout.write(_json_text(payload))
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _load_document(path: str) -> frontlang.Document:
@@ -70,20 +79,20 @@ def _closure_payload(loop, tol_closure: float) -> dict:
     }
 
 
-def _embedding_payload(loop, tol_embed: float) -> dict:
-    report = lifting.embedding_check(loop)
+def _embedding_payload(loop, tol_embed: float, pairs=None) -> dict:
+    report = lifting.embedding_check(loop, pairs=pairs)
     payload = report.to_dict()
     payload["embedded"] = report.margin > tol_embed
     return payload
 
 
-def _invariants_payload(loop, closed: bool) -> dict:
+def _invariants_payload(gen, loop=None) -> dict:
     """Rotation numbers: the winding form always exists, the cusp form
-    needs a closed front."""
-    if closed:
+    needs the closed lift `loop`."""
+    if loop is not None:
         return invariants.invariant_report(loop)
     return {
-        "rot_winding": invariants.rot_winding(loop.generator),
+        "rot_winding": invariants.rot_winding(gen),
         "rot_cusp": None,
         "c_plus": None,
         "c_minus": None,
@@ -99,19 +108,15 @@ def _cmd_lift(args) -> int:
         "name": args.name,
         "samples": args.samples,
         "closure": closure,
-        "invariants": _invariants_payload(loop, closure["closed"]),
+        "invariants": _invariants_payload(gen, loop if closure["closed"] else None),
         "embedding": (
             _embedding_payload(loop, args.tol_embed) if closure["closed"] else None
         ),
     }
     os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "%s.csv" % args.name)
-    with open(csv_path, "w", encoding="utf-8") as handle:
-        handle.write(render.loop_csv_text(loop))
-    json_path = os.path.join(args.out, "%s.json" % args.name)
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(_json_ready(payload), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    stem = os.path.join(args.out, args.name)
+    _write_text(stem + ".csv", render.loop_csv_text(loop))
+    _write_text(stem + ".json", _json_text(payload))
     _emit_json(payload)
     return EXIT_OK
 
@@ -122,15 +127,7 @@ def _cmd_rot(args) -> int:
     dz = lifting.z_closure_defect(gen)
     dw = lifting.w_closure_defect(gen)
     closed = max(abs(dz), abs(dw)) <= args.tol_closure
-    if closed:
-        payload = invariants.invariant_report(lifting.lift(gen))
-    else:
-        payload = {
-            "rot_winding": invariants.rot_winding(gen),
-            "rot_cusp": None,
-            "c_plus": None,
-            "c_minus": None,
-        }
+    payload = _invariants_payload(gen, lifting.lift(gen) if closed else None)
     _emit_json({"name": args.name, **payload})
     return EXIT_OK
 
@@ -177,16 +174,15 @@ def _cmd_model(args) -> int:
         "samples": args.samples,
         "closure": _closure_payload(loop, args.tol_closure),
         "invariants": invariants.invariant_report(loop),
-        "embedding": _embedding_payload(loop, args.tol_embed),
+        "embedding": _embedding_payload(
+            loop, args.tol_embed, pairs=front.self_tangencies
+        ),
     }
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, "model_rot%d_seed%d" % (args.n, seed))
-    with open(stem + ".csv", "w", encoding="utf-8") as handle:
-        handle.write(render.loop_csv_text(loop))
+    _write_text(stem + ".csv", render.loop_csv_text(loop))
     render.render_svg(front, stem + ".svg")
-    with open(stem + ".json", "w", encoding="utf-8") as handle:
-        json.dump(_json_ready(payload), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_text(stem + ".json", _json_text(payload))
     _emit_json(payload)
     return EXIT_OK
 
@@ -208,29 +204,18 @@ def _cmd_homotopy(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     for idx, loop in enumerate(trace.frames):
         path = os.path.join(out_dir, "frame_%04d.csv" % idx)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(render.loop_csv_text(loop))
-    with open(os.path.join(out_dir, "events.json"), "w", encoding="utf-8") as handle:
-        json.dump(
-            _json_ready(
-                {
-                    "times": list(trace.times),
-                    "events": [{"t": t, "kind": kind} for t, kind in trace.events],
-                    "frames": [dict(entry) for entry in trace.report],
-                }
-            ),
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
-        handle.write("\n")
+        _write_text(path, render.loop_csv_text(loop))
+    events = {
+        "times": list(trace.times),
+        "events": [{"t": t, "kind": kind} for t, kind in trace.events],
+        "frames": [dict(entry) for entry in trace.report],
+    }
+    _write_text(os.path.join(out_dir, "events.json"), _json_text(events))
     report = homotopy.verify_isotopy(
         trace, tol_closure=args.tol_closure, tol_embed=args.tol_embed
     )
     verification = report.to_dict()
-    with open(os.path.join(out_dir, "verification.json"), "w", encoding="utf-8") as handle:
-        json.dump(_json_ready(verification), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_text(os.path.join(out_dir, "verification.json"), _json_text(verification))
     _emit_json(verification)
     return EXIT_OK if report.ok else EXIT_CERTIFICATE
 

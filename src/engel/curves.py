@@ -9,14 +9,13 @@ holds by construction instead of being a 0/0 limit.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
-from . import fourier
+from . import fourier, pairscan
 from .errors import BadDescription, DegenerateCusp, NotClosed, NotImmersed
 
 TOL_CLOSURE = 1e-9
@@ -27,10 +26,6 @@ SPEED_FLOOR = 1e-6
 # Cusp-free zone around each root of x' for the vertical-tangency check:
 # one finite-difference stencil width on either side.
 CUSP_NEIGHBORHOOD_CELLS = 2
-
-
-def _float_repr(v: float) -> str:
-    return repr(float(v))
 
 
 @dataclass(frozen=True)
@@ -85,45 +80,6 @@ class TrigSeries:
         for k, v in other.sin.items():
             sin[k] = sin.get(k, 0.0) + factor * v
         return TrigSeries(self.constant + factor * other.constant, cos, sin).pruned()
-
-
-class StandardStructures:
-    """The ambient plane fields, fixed once and for all.
-
-    On R^4 the rank-2 distribution is cut out by dz - y dx = 0 and
-    dw - z dx = 0 and framed by e1 = d/dx + y d/dz + z d/dw, e2 = d/dy.
-    Forgetting w leaves the contact structure ker(dz - y dx) on R^3 with
-    the frame (d/dx + y d/dz, d/dy).  A velocity satisfying both equations
-    has frame coordinates equal to (x', y') on the nose.
-    """
-
-    @staticmethod
-    def e1(y: float, z: float) -> np.ndarray:
-        return np.array([1.0, 0.0, y, z])
-
-    @staticmethod
-    def e2() -> np.ndarray:
-        return np.array([0.0, 1.0, 0.0, 0.0])
-
-    @staticmethod
-    def contact_e1(y: float) -> np.ndarray:
-        return np.array([1.0, 0.0, y])
-
-    @staticmethod
-    def contact_e2() -> np.ndarray:
-        return np.array([0.0, 1.0, 0.0])
-
-    @staticmethod
-    def frame_coordinates(velocity, y: float, z: float):
-        """Split a 4-velocity as a*e1 + b*e2; returns (a, b, residual).
-
-        The residual is the sup-norm defect of the reconstruction; it
-        vanishes exactly when the velocity is horizontal at (y, z).
-        """
-        v = np.asarray(velocity, dtype=float)
-        a, b = float(v[0]), float(v[1])
-        recon = a * StandardStructures.e1(y, z) + b * StandardStructures.e2()
-        return a, b, float(np.max(np.abs(v - recon)))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -312,14 +268,34 @@ class Cusp:
 
 @dataclass
 class FrontDiagram:
-    """The (x, z) projection with its singular/self-intersection data."""
+    """The (x, z) projection of a closed Legendrian loop.
 
-    s: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
+    cusps is found when the diagram is built (front_of); x and z are read
+    from the loop.  double_points and self_tangencies are lazy: each runs
+    its O(m^2) pair scan on first read and caches the result, so a caller
+    that wants only the cusps pays for neither scan.
+    """
+
+    loop: LegendrianLoop
     cusps: list
-    double_points: list  # transverse front crossings, (s0, s1)
-    self_tangencies: list  # shared position and slope, (s0, s1)
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.loop.x
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.loop.z
+
+    @functools.cached_property
+    def double_points(self) -> list:
+        """Transverse front crossings, (s0, s1)."""
+        return pairscan.front_crossings(self.loop)
+
+    @functools.cached_property
+    def self_tangencies(self) -> list:
+        """Shared position and slope, (s0, s1)."""
+        return pairscan.coincident_pairs(self.loop)
 
 
 def sample_generator(description, n: int) -> LegendrianGenerator:
@@ -508,17 +484,7 @@ def front_of(loop) -> FrontDiagram:
         pos = (float(g.x_at(s_c)), float(loop.z_at(s_c)))
         up = float(g.yp_at(s_c)) * direction > 0
         cusps.append(Cusp(s_c, pos, Orientation.UP if up else Orientation.DOWN))
-
-    from . import pairscan  # local import: pairscan has no curves dependency
-
-    return FrontDiagram(
-        s=fourier.grid(g.n),
-        x=g.x,
-        z=loop.z,
-        cusps=cusps,
-        double_points=pairscan.front_crossings(loop),
-        self_tangencies=pairscan.coincident_pairs(loop),
-    )
+    return FrontDiagram(loop, cusps)
 
 
 def horizontality_residual(loop: HorizontalLoop):
@@ -540,27 +506,3 @@ def horizontality_residual(loop: HorizontalLoop):
     r_w = float(np.max(np.abs(dw - leg.z * dx)))
     return r_z, r_w
 
-
-def write_csv(loop, path):
-    """Dump samples as `s,x,y,z,w` (w column empty for Legendrian data)."""
-    if isinstance(loop, HorizontalLoop):
-        leg = loop.legendrian
-        w_col = [_float_repr(v) for v in loop.w]
-    else:
-        leg = loop
-        w_col = [""] * leg.n
-    g = leg.generator
-    s = fourier.grid(g.n)
-    with open(path, "w") as fh:
-        fh.write("s,x,y,z,w\n")
-        for k in range(g.n):
-            fh.write(
-                "%s,%s,%s,%s,%s\n"
-                % (
-                    _float_repr(s[k]),
-                    _float_repr(g.x[k]),
-                    _float_repr(g.y[k]),
-                    _float_repr(leg.z[k]),
-                    w_col[k],
-                )
-            )

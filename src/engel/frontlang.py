@@ -22,7 +22,7 @@ from canonical series.  All rejection paths raise a FrontlangError
 subclass; no input crashes or hangs the process.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .curves import TrigSeries
 from .errors import DuplicateName, FrontSyntaxError, UnknownMoveKind

@@ -21,12 +21,11 @@ from . import fourier, invariants, lifting
 from .curves import (
     SPEED_FLOOR,
     TOL_CLOSURE,
-    HorizontalLoop,
     LegendrianGenerator,
     find_cusps,
 )
 from .lifting import TOL_EMBED
-from .errors import ImmersionLost, SingularSystem, UnsupportedOverlap
+from .errors import ImmersionLost, UnsupportedOverlap
 
 DEFAULT_FRAMES = 64
 
@@ -213,25 +212,12 @@ def tangency_profile(g: LegendrianGenerator, center: float, width: float, suppor
     Subtracting the right mix of the two balancing bumps orthogonalizes
     the profile against the z and w closure functionals, so adding any
     multiple of the result to y slides a strand without opening the
-    lifted loop.  Returns the profile sampled on the generator's grid.
+    lifted loop.  Returns the profile sampled on the generator's grid;
+    raises SingularSystem when the balancing supports cannot absorb it.
     """
-    if supports is None:
-        supports = lifting.balance_supports(g)
-    s = fourier.grid(g.n)
-    psi = lifting.bump_samples(s, center, width)
-    (c1, w1), (c2, w2) = supports
-    phi1 = lifting.bump_samples(s, c1, w1)
-    phi2 = lifting.bump_samples(s, c2, w2)
-    col1 = lifting._closure_functionals(g, phi1)
-    col2 = lifting._closure_functionals(g, phi2)
-    rhs = lifting._closure_functionals(g, psi)
-    matrix = np.array([[col1[0], col2[0]], [col1[1], col2[1]]])
-    if np.linalg.cond(matrix) > lifting.CONDITION_LIMIT:
-        raise SingularSystem(
-            "balancing supports cannot absorb the tangency profile "
-            "(condition %.3e)" % np.linalg.cond(matrix)
-        )
-    alpha = np.linalg.solve(matrix, np.array(rhs))
+    phi1, phi2, matrix = lifting.balancing_system(g, supports)
+    psi = lifting.bump_samples(fourier.grid(g.n), center, width)
+    alpha = np.linalg.solve(matrix, np.array(lifting.closure_functionals(g, psi)))
     return psi - alpha[0] * phi1 - alpha[1] * phi2
 
 

@@ -41,15 +41,21 @@ def z_closure_defect(g: LegendrianGenerator) -> float:
 
 
 def w_closure_defect(g: LegendrianGenerator) -> float:
-    """∮ z dx for the z induced by g (independent of z0).
+    """∮ z dx for the z induced by g (independent of z0)."""
+    return closure_functionals(g, g.y)[1]
 
-    Writing z(s) = z0 + m s + P(s) with P periodic, the full-period
-    integral is m (x(0) - mean x) + ∮ P x'; this stays exact even when
-    the z defect m is large.
+
+def closure_functionals(g: LegendrianGenerator, phi: np.ndarray):
+    """(∮ phi dx, ∮ Φ dx) with Φ(s) = ∫₀ˢ phi dx.
+
+    For phi = y these are the two closure integrals; for a bump they are
+    the per-unit changes of both when the bump is added to y.  Writing
+    Φ(s) = m s + P(s) with P periodic, the second is
+    m (x(0) - mean x) + ∮ P x', which stays exact even when m is large.
     """
-    f_z, m = fourier.antiderivative(g.y * g.xp)
-    periodic = f_z - m * fourier.grid(g.n)
-    return float(
+    f, m = fourier.antiderivative(phi * g.xp)
+    periodic = f - m * fourier.grid(g.n)
+    return float(m), float(
         m * (g.x[0] - np.mean(g.x)) + fourier.loop_integral(periodic * g.xp)
     )
 
@@ -114,15 +120,6 @@ def area_integral(loop, s0: float, s1: float) -> float:
     return float(total)
 
 
-def self_tangencies(loop: LegendrianLoop):
-    """Parameter pairs where x, z, and the slope y all coincide.
-
-    Equality of all three is the same as a self-intersection of the
-    space curve, so this is exactly the coincidence scan.
-    """
-    return pairscan.coincident_pairs(_legendrian_of(loop))
-
-
 @dataclass(frozen=True)
 class EmbeddingReport:
     double_points: tuple  # (s0, s1, dw) triples
@@ -182,15 +179,6 @@ def bump_samples(s, center: float, width: float) -> np.ndarray:
     p = bump_power(width)
     s = np.asarray(s, dtype=float)
     return ((1.0 + np.cos(fourier.TAU * (s - center))) / 2.0) ** p
-
-
-def _closure_functionals(g: LegendrianGenerator, phi: np.ndarray):
-    """Per-unit changes of (∮ y dx, ∮ z dx) when phi is added to y."""
-    f, m = fourier.antiderivative(phi * g.xp)
-    periodic = f - m * fourier.grid(g.n)
-    dz = m
-    dw = m * (g.x[0] - np.mean(g.x)) + fourier.loop_integral(periodic * g.xp)
-    return float(dz), float(dw)
 
 
 def _refine_edge(interp, s_in: float, s_out: float, half: float) -> float:
@@ -254,6 +242,37 @@ def balance_supports(g: LegendrianGenerator):
     return tuple(picks)
 
 
+def balancing_system(g: LegendrianGenerator, supports=None):
+    """(phi1, phi2, M): the two balancing bumps sampled on g's grid and
+    the 2x2 matrix whose columns are their closure functionals.
+
+    supports defaults to balance_supports(g).  Raises SingularSystem when
+    the bumps decouple from the closure constraints (M numerically zero)
+    or M is too ill-conditioned to solve.
+    """
+    if supports is None:
+        supports = balance_supports(g)
+    (c1, w1), (c2, w2) = supports
+    s = fourier.grid(g.n)
+    phi1 = bump_samples(s, c1, w1)
+    phi2 = bump_samples(s, c2, w2)
+    matrix = np.column_stack(
+        (closure_functionals(g, phi1), closure_functionals(g, phi2))
+    )
+    scale = max(1.0, float(np.max(np.abs(g.xp))))
+    if float(np.max(np.abs(matrix))) <= 1e-12 * scale:
+        raise SingularSystem(
+            "bump supports decouple from the closure constraints "
+            "(functional matrix is numerically zero)"
+        )
+    if np.linalg.cond(matrix) > CONDITION_LIMIT:
+        raise SingularSystem(
+            "closure system condition number %.3e exceeds %g; "
+            "move the bump supports" % (np.linalg.cond(matrix), CONDITION_LIMIT)
+        )
+    return phi1, phi2, matrix
+
+
 def balance_closure(g: LegendrianGenerator, supports=None) -> LegendrianGenerator:
     """Adjust y by two localized bumps so both closure integrals vanish.
 
@@ -268,27 +287,7 @@ def balance_closure(g: LegendrianGenerator, supports=None) -> LegendrianGenerato
     if abs(defect_z) <= EXACT_CLOSURE and abs(defect_w) <= EXACT_CLOSURE:
         return g
 
-    if supports is None:
-        supports = balance_supports(g)
-    (c1, w1), (c2, w2) = supports
-    s = fourier.grid(g.n)
-    phi1 = bump_samples(s, c1, w1)
-    phi2 = bump_samples(s, c2, w2)
-    col1 = _closure_functionals(g, phi1)
-    col2 = _closure_functionals(g, phi2)
-    matrix = np.array([[col1[0], col2[0]], [col1[1], col2[1]]])
-
-    scale = max(1.0, float(np.max(np.abs(g.xp))))
-    if float(np.max(np.abs(matrix))) <= 1e-12 * scale:
-        raise SingularSystem(
-            "bump supports decouple from the closure constraints "
-            "(functional matrix is numerically zero)"
-        )
-    if np.linalg.cond(matrix) > CONDITION_LIMIT:
-        raise SingularSystem(
-            "closure system condition number %.3e exceeds %g; "
-            "move the bump supports" % (np.linalg.cond(matrix), CONDITION_LIMIT)
-        )
+    phi1, phi2, matrix = balancing_system(g, supports)
     a, b = np.linalg.solve(matrix, -np.array([defect_z, defect_w]))
 
     out = LegendrianGenerator(g.x, g.y + a * phi1 + b * phi2)

@@ -80,6 +80,45 @@ def mirror_w(s):
             + 9.0 / 352.0 * np.sin(11 * TAU * s))
 
 
+class StandardStructures:
+    """The ambient plane fields, fixed once and for all.
+
+    On R^4 the rank-2 distribution is cut out by dz - y dx = 0 and
+    dw - z dx = 0 and framed by e1 = d/dx + y d/dz + z d/dw, e2 = d/dy.
+    Forgetting w leaves the contact structure ker(dz - y dx) on R^3 with
+    the frame (d/dx + y d/dz, d/dy).  A velocity satisfying both equations
+    has frame coordinates equal to (x', y') on the nose.
+    """
+
+    @staticmethod
+    def e1(y: float, z: float) -> np.ndarray:
+        return np.array([1.0, 0.0, y, z])
+
+    @staticmethod
+    def e2() -> np.ndarray:
+        return np.array([0.0, 1.0, 0.0, 0.0])
+
+    @staticmethod
+    def contact_e1(y: float) -> np.ndarray:
+        return np.array([1.0, 0.0, y])
+
+    @staticmethod
+    def contact_e2() -> np.ndarray:
+        return np.array([0.0, 1.0, 0.0])
+
+    @staticmethod
+    def frame_coordinates(velocity, y: float, z: float):
+        """Split a 4-velocity as a*e1 + b*e2; returns (a, b, residual).
+
+        The residual is the sup-norm defect of the reconstruction; it
+        vanishes exactly when the velocity is horizontal at (y, z).
+        """
+        v = np.asarray(velocity, dtype=float)
+        a, b = float(v[0]), float(v[1])
+        recon = a * StandardStructures.e1(y, z) + b * StandardStructures.e2()
+        return a, b, float(np.max(np.abs(v - recon)))
+
+
 # A closed loop whose front has exactly one transverse crossing, at the
 # parameter pair (1/4, 3/4) and position (0, 0), with slopes -1 and +1:
 #     x = cos(2 pi s), y = sin(6 pi s),

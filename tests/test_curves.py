@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from engel import fourier
+from engel import fourier, pairscan
 from engel.curves import (
     Cusp,
     FrontDiagram,
@@ -9,18 +9,17 @@ from engel.curves import (
     LegendrianLoop,
     HorizontalLoop,
     Orientation,
-    StandardStructures,
     TrigSeries,
     find_cusps,
     front_of,
     horizontality_residual,
     sample_generator,
-    write_csv,
 )
 from engel.errors import BadDescription, DegenerateCusp, NotClosed, NotImmersed
 
 from helpers import (
     TAU,
+    StandardStructures,
     fish_arrays,
     mirror_loop,
     mirror_w,
@@ -204,6 +203,28 @@ def test_front_of_mirror_fixture_census():
     assert s1 == pytest.approx(0.5, abs=1e-6)
 
 
+def test_front_pair_scans_run_lazily_and_once(monkeypatch):
+    calls = {"coincident_pairs": 0, "front_crossings": 0}
+
+    def counted(name):
+        real = getattr(pairscan, name)
+
+        def scan(loop):
+            calls[name] += 1
+            return real(loop)
+
+        return scan
+
+    for name in calls:
+        monkeypatch.setattr(pairscan, name, counted(name))
+    front = front_of(mirror_loop(1024))
+    assert len(front.cusps) == 6
+    assert calls == {"coincident_pairs": 0, "front_crossings": 0}
+    assert front.self_tangencies is front.self_tangencies
+    assert front.double_points is front.double_points
+    assert calls == {"coincident_pairs": 1, "front_crossings": 1}
+
+
 def test_horizontality_residual_accepts_true_lift_and_flags_fakes():
     n = 1024
     loop = mirror_loop(n)
@@ -228,25 +249,3 @@ def test_frame_coordinates_reconstruct_horizontal_vectors():
         assert res < 1e-14
     _, _, res = StandardStructures.frame_coordinates([1.0, 0.0, 0.0, 0.0], 2.0, 3.0)
     assert res == pytest.approx(3.0)
-
-
-def test_write_csv_round_trips_and_blanks_w(tmp_path):
-    n = 64
-    loop = mirror_loop(n)
-    path = tmp_path / "leg.csv"
-    write_csv(loop, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "s,x,y,z,w"
-    assert len(lines) == n + 1
-    row = lines[1 + 7].split(",")
-    assert float(row[0]) == 7 / 64
-    assert float(row[1]) == loop.x[7]
-    assert float(row[3]) == loop.z[7]
-    assert row[4] == ""
-
-    s = fourier.grid(n)
-    horiz = HorizontalLoop(loop, mirror_w(s), 0.0, 0.0)
-    path2 = tmp_path / "hor.csv"
-    write_csv(horiz, path2)
-    row = path2.read_text().strip().split("\n")[1 + 7].split(",")
-    assert float(row[4]) == horiz.w[7]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from engel import fourier, invariants, lifting
+from engel import fourier, invariants, lifting, pairscan
 from engel.curves import (
     FrontDiagram,
     LegendrianGenerator,
@@ -62,6 +62,17 @@ def test_balanced_circle_report():
     assert report == {"rot_winding": 1, "rot_cusp": 1, "c_plus": 0, "c_minus": 2}
 
 
+def test_invariant_report_runs_no_pair_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("invariant_report ran a pair scan")
+
+    monkeypatch.setattr(pairscan, "coincident_pairs", refuse)
+    monkeypatch.setattr(pairscan, "front_crossings", refuse)
+    g = lifting.balance_closure(circle_cover(1, n=1024))
+    report = invariants.invariant_report(lifting.lift(g))
+    assert report == {"rot_winding": 1, "rot_cusp": 1, "c_plus": 0, "c_minus": 2}
+
+
 def test_rot_invariant_under_balancing():
     for k in (1, 2):
         g = circle_cover(k, n=2048)
@@ -93,16 +104,12 @@ def test_fish_front_consistency():
 
 def test_rot_cusp_rejects_odd_imbalance():
     fake = FrontDiagram(
-        s=np.zeros(0),
-        x=np.zeros(0),
-        z=np.zeros(0),
+        loop=None,
         cusps=[
             Cusp(0.1, (0.0, 0.0), Orientation.UP),
             Cusp(0.5, (0.0, 0.0), Orientation.DOWN),
             Cusp(0.9, (0.0, 0.0), Orientation.DOWN),
         ],
-        double_points=[],
-        self_tangencies=[],
     )
     assert invariants.classify_cusps(fake) == (1, 2)
     with pytest.raises(OddCuspImbalance):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from engel import fourier, lifting
+from engel import fourier, lifting, pairscan
 from engel.curves import (
     HorizontalLoop,
     LegendrianGenerator,
@@ -12,6 +12,7 @@ from engel.curves import (
     sample_generator,
 )
 from engel.errors import NotClosed, SingularSystem, ZNotClosed
+from engel.homotopy import tangency_profile
 
 from helpers import (
     TAU,
@@ -176,14 +177,14 @@ def test_area_integral_rejects_reversed_interval():
 
 def test_self_tangencies_spec_examples():
     x, y, z = plain_arrays(1024)
-    assert lifting.self_tangencies(raw_loop(x, y, z)) == []
+    assert pairscan.coincident_pairs(raw_loop(x, y, z)) == []
     x, y, z = fish_arrays(1024)
-    assert lifting.self_tangencies(raw_loop(x, y, z)) == []
+    assert pairscan.coincident_pairs(raw_loop(x, y, z)) == []
     # mirror-glued curve with (x, y, z)(1/4) = (x, y, z)(3/4)
     n = 1024
     s = fourier.grid(n)
     shifted = raw_loop(mirror_x(s + 0.25), mirror_y(s + 0.25), mirror_z(s + 0.25))
-    pairs = lifting.self_tangencies(shifted)
+    pairs = pairscan.coincident_pairs(shifted)
     assert len(pairs) == 1
     assert pairs[0][0] == pytest.approx(0.25, abs=1e-6)
     assert pairs[0][1] == pytest.approx(0.75, abs=1e-6)
@@ -302,15 +303,22 @@ def test_balance_closure_decoupled_supports_raise():
     x, m = fourier.antiderivative(xp)
     assert abs(m) < 1e-15
     g = LegendrianGenerator(x, np.sin(TAU * s))
+    supports = ((0.0, 0.08), (0.5, 0.08))
     with pytest.raises(SingularSystem):
-        lifting.balance_closure(g, supports=((0.0, 0.08), (0.5, 0.08)))
+        lifting.balance_closure(g, supports=supports)
+    # tangency profiles solve the same system and share its guards
+    with pytest.raises(SingularSystem):
+        tangency_profile(g, 0.25, 0.08, supports=supports)
 
 
 def test_balance_closure_symmetric_centers_raise():
     # Dead-center bumps on the round generator cancel in the w row;
     # this is the reason balance_supports offsets its centers.
+    supports = ((0.25, 0.08), (0.75, 0.08))
     with pytest.raises(SingularSystem):
-        lifting.balance_closure(circle(), supports=((0.25, 0.08), (0.75, 0.08)))
+        lifting.balance_closure(circle(), supports=supports)
+    with pytest.raises(SingularSystem):
+        tangency_profile(circle(), 0.55, 0.08, supports=supports)
 
 
 def test_balance_closure_fixes_w_only_defect():

@@ -6,6 +6,8 @@ import numpy as np
 
 from engel import curves, fourier, lifting, models, render
 
+from helpers import mirror_loop, mirror_w
+
 
 def balanced_circle(n=1024):
     s = fourier.grid(n)
@@ -76,3 +78,17 @@ def test_csv_values_round_trip_exactly():
         assert y_v == g.y[k]
         assert z_v == z[k]
         assert w_v == w[k]
+
+
+def test_csv_round_trips_hand_built_loop():
+    n = 64
+    s = fourier.grid(n)
+    loop = curves.HorizontalLoop(mirror_loop(n), mirror_w(s), 0.0, 0.0)
+    lines = render.loop_csv_text(loop).strip().split("\n")
+    assert lines[0] == "s,x,y,z,w"
+    assert len(lines) == n + 1
+    row = lines[1 + 7].split(",")
+    assert float(row[0]) == 7 / 64
+    assert float(row[1]) == loop.x[7]
+    assert float(row[3]) == loop.z[7]
+    assert float(row[4]) == loop.w[7]
