@@ -107,26 +107,34 @@ class LegendrianGenerator:
         self.x = x
         self.y = y
         self.n = x.shape[0]
-        self.xp = _readonly(fourier.derivative(x))
-        self.yp = _readonly(fourier.derivative(y))
-        self._interp = {}
 
-    def _get_interp(self, name: str, values) -> fourier.Interpolant:
-        if name not in self._interp:
-            self._interp[name] = fourier.Interpolant(values)
-        return self._interp[name]
+    @functools.cached_property
+    def xp(self) -> np.ndarray:
+        return _readonly(fourier.derivative(self.x))
+
+    @functools.cached_property
+    def yp(self) -> np.ndarray:
+        return _readonly(fourier.derivative(self.y))
+
+    @functools.cached_property
+    def x_interp(self) -> fourier.Interpolant:
+        return fourier.Interpolant(self.x)
+
+    @functools.cached_property
+    def y_interp(self) -> fourier.Interpolant:
+        return fourier.Interpolant(self.y)
 
     def x_at(self, s):
-        return self._get_interp("x", self.x).value(s)
+        return self.x_interp.value(s)
 
     def y_at(self, s):
-        return self._get_interp("y", self.y).value(s)
+        return self.y_interp.value(s)
 
     def xp_at(self, s):
-        return self._get_interp("x", self.x).derivative(s)
+        return self.x_interp.derivative(s)
 
     def yp_at(self, s):
-        return self._get_interp("y", self.y).derivative(s)
+        return self.y_interp.derivative(s)
 
     @property
     def speed(self) -> np.ndarray:
@@ -168,9 +176,6 @@ class LegendrianLoop:
     z: np.ndarray
     z0: float
     closure_defect_z: float
-    _zi: fourier.DriftingInterpolant = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         self.z = _readonly(self.z)
@@ -191,16 +196,18 @@ class LegendrianLoop:
     def closed(self) -> bool:
         return abs(self.closure_defect_z) <= TOL_CLOSURE
 
-    def _z_interp(self) -> fourier.DriftingInterpolant:
-        if self._zi is None:
-            self._zi = fourier.DriftingInterpolant(self.z, self.closure_defect_z)
-        return self._zi
+    @functools.cached_property
+    def z_interp(self) -> fourier.Interpolant:
+        return fourier.Interpolant(self.z, self.closure_defect_z)
+
+    @functools.cached_property
+    def curve(self) -> fourier.Interpolant:
+        """(x, y, z) as one evaluator: one phase matrix for all channels."""
+        g = self.generator
+        return fourier.Interpolant.stack([g.x_interp, g.y_interp, self.z_interp])
 
     def z_at(self, s):
-        return self._z_interp().value(s)
-
-    def zp_at(self, s):
-        return self._z_interp().derivative(s)
+        return self.z_interp.value(s)
 
 
 @dataclass
@@ -211,9 +218,6 @@ class HorizontalLoop:
     w: np.ndarray
     w0: float
     closure_defect_w: float
-    _wi: fourier.DriftingInterpolant = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         self.w = _readonly(self.w)
@@ -241,17 +245,6 @@ class HorizontalLoop:
     @property
     def closed(self) -> bool:
         return self.legendrian.closed and abs(self.closure_defect_w) <= TOL_CLOSURE
-
-    def _w_interp(self) -> fourier.DriftingInterpolant:
-        if self._wi is None:
-            self._wi = fourier.DriftingInterpolant(self.w, self.closure_defect_w)
-        return self._wi
-
-    def w_at(self, s):
-        return self._w_interp().value(s)
-
-    def wp_at(self, s):
-        return self._w_interp().derivative(s)
 
 
 class Orientation(enum.Enum):
@@ -393,7 +386,6 @@ def find_cusps(g: LegendrianGenerator):
     """
     n = g.n
     xp = g.xp
-    interp = fourier.Interpolant(g.x)
     sg = np.sign(xp)
     on_grid = np.abs(xp) <= TOL_ROOT
 
@@ -420,10 +412,10 @@ def find_cusps(g: LegendrianGenerator):
     if brackets:
         lo = np.array([b[0] for b in brackets])
         hi = np.array([b[1] for b in brackets])
-        flo = interp.derivative(lo)
+        flo = g.xp_at(lo)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            fmid = np.asarray(interp.derivative(mid))
+            fmid = np.asarray(g.xp_at(mid))
             move_lo = np.sign(fmid) == np.sign(flo)
             lo = np.where(move_lo, mid, lo)
             flo = np.where(move_lo, fmid, flo)
@@ -441,11 +433,11 @@ def find_cusps(g: LegendrianGenerator):
             d = np.abs(got - s_extra)
             d = np.minimum(d, 1.0 - d)
             if d.size == 0 or float(np.min(d)) > 2.0 / n:
-                if abs(float(interp.derivative(s_extra))) > 1e-7:
+                if abs(float(g.xp_at(s_extra))) > 1e-7:
                     continue  # spurious companion eigenvalue
                 eps = 0.25 / n
-                a = float(interp.derivative(s_extra - eps))
-                b = float(interp.derivative(s_extra + eps))
+                a = float(g.xp_at(s_extra - eps))
+                b = float(g.xp_at(s_extra + eps))
                 if np.sign(a) == np.sign(b):
                     raise DegenerateCusp(
                         "vertical tangency without sign change at s=%.6f"
@@ -458,7 +450,7 @@ def find_cusps(g: LegendrianGenerator):
     out = []
     for s_c, direction in sorted(found):
         s_c = float(np.mod(s_c, 1.0))
-        if abs(float(interp.derivative(s_c))) > TOL_ROOT:
+        if abs(float(g.xp_at(s_c))) > TOL_ROOT:
             raise DegenerateCusp("cusp refinement stalled at s=%.6f" % s_c)
         ypc = float(g.yp_at(s_c))
         if abs(ypc) < Y_PRIME_FLOOR:
@@ -493,9 +485,7 @@ def horizontality_residual(loop: HorizontalLoop):
     Derivatives here are second-order centered differences, independent of
     the spectral antiderivatives that built the loop, so the residual is a
     genuine consistency check rather than an algebraic identity.  It decays
-    like N^-2 on smooth closed loops.  Pointwise statements at cusps (x'=0
-    forces z'=w'=0) are checked with the spectral interpolant instead,
-    via zp_at/wp_at.
+    like N^-2 on smooth closed loops.
     """
     leg = loop.legendrian
     g = leg.generator

@@ -69,6 +69,10 @@ class UnsupportedOverlap(EngelError):
     """A move support collides with existing cusps."""
 
 
+class MoveRefused(EngelError):
+    """A swallowtail cannot fold the generator as asked (numerical refusal)."""
+
+
 class FrontlangError(EngelError):
     """Base class for parser failures (never an uncontrolled crash)."""
 

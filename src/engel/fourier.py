@@ -11,6 +11,15 @@ Convention for even N: the Nyquist mode is represented as a pure cosine,
 cos(pi*N*s), which matches the samples and keeps the interpolant real.  Its
 derivative term vanishes at grid points, so grid derivatives simply zero the
 Nyquist bin.
+
+Spectral chop: an :class:`Interpolant` keeps each spectrum up to its last
+harmonic whose rfft magnitude exceeds eps * sqrt(N) * peak, with eps the
+unit roundoff and peak the largest magnitude.  That is the roundoff floor
+an N-point FFT leaves on data known to unit roundoff (the rule of Aurentz
+and Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017); there is
+no knob.  Dropping rfft coefficients c_k moves the interpolant by at most
+(2/N) * sum |c_k| over the dropped k, on the grid and off it, and its q-th
+derivative by at most (2/N) * sum (2 pi k)^q |c_k|.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 TAU = 2.0 * np.pi
+EPS = np.finfo(float).eps
 
 
 def grid(n: int) -> np.ndarray:
@@ -50,91 +60,111 @@ def _coeffs(values: np.ndarray):
     return n, np.fft.rfft(values)
 
 
-def _trig_sum(n: int, c: np.ndarray, s, order: int):
-    """Shared core: interpolant (order 0) or its derivative (order 1).
-
-    c may be a truncated rfft array; only the harmonics present are summed,
-    and the Nyquist correction applies only when the array is full length.
-    """
-    s = np.asarray(s, dtype=float)
-    flat = np.atleast_1d(s).ravel()
-    top = min((n + 1) // 2, c.shape[0])  # harmonics 1..top-1
-    has_nyquist = n % 2 == 0 and c.shape[0] == n // 2 + 1
-    k = np.arange(1, top)
-    coef = c[1:top] if order == 0 else c[1:top] * (2j * np.pi * k)
-    # Cap the phase matrix at a few million entries so bulk evaluation
-    # (quadrature oracles, dense scans) cannot exhaust memory.
-    out = np.empty(flat.shape[0])
-    block = max(1, (1 << 22) // max(1, k.shape[0]))
-    for lo in range(0, flat.shape[0], block):
-        part = flat[lo:lo + block]
-        phase = np.exp(2j * np.pi * part[:, None] * k[None, :])
-        out[lo:lo + block] = (2.0 / n) * (phase * coef).real.sum(axis=1)
-    if order == 0:
-        out = out + c[0].real / n
-        if has_nyquist:
-            out = out + (c[n // 2].real / n) * np.cos(np.pi * n * flat)
-    elif has_nyquist:
-        out = out - (c[n // 2].real / n) * (np.pi * n) * np.sin(np.pi * n * flat)
-    return out.reshape(s.shape) if s.ndim else float(out[0])
+def _weights(n: int, c: np.ndarray, orders) -> np.ndarray:
+    """(orders * channels, 2K) real weights W such that W times the real
+    view of the phase matrix exp(2 pi i k s), k < K, sums
+    (2/n) Re(c_k (2 pi i k)^order exp(2 pi i k s)) for each truncated rfft
+    row c and order: columns of W interleave (Re, -Im) of the coefficients.
+    The mean, and the Nyquist cosine (c/n) cos(pi n s) when the rows are
+    full length, enter as half harmonics."""
+    keep = c.shape[1]
+    coef = c.copy()
+    coef[:, 0] *= 0.5
+    if n % 2 == 0 and keep == n // 2 + 1:
+        coef[:, -1] = 0.5 * coef[:, -1].real
+    by_order = [coef]
+    for _ in range(max(orders)):
+        by_order.append(by_order[-1] * (2j * np.pi * np.arange(keep)))
+    coef = np.concatenate([by_order[q] for q in orders])
+    weights = np.empty((coef.shape[0], 2 * coef.shape[1]))
+    weights[:, 0::2] = coef.real
+    weights[:, 1::2] = -coef.imag
+    return (2.0 / n) * weights
 
 
 def evaluate(values: np.ndarray, s) -> np.ndarray:
     """Trigonometric interpolant of the samples, at arbitrary parameters."""
-    n, c = _coeffs(values)
-    return _trig_sum(n, c, s, 0)
+    return Interpolant(values).value(s)
 
 
 def evaluate_derivative(values: np.ndarray, s) -> np.ndarray:
     """Derivative of the trigonometric interpolant at arbitrary parameters."""
-    n, c = _coeffs(values)
-    return _trig_sum(n, c, s, 1)
+    return Interpolant(values).derivative(s)
 
 
 class Interpolant:
-    """Reusable evaluator for one set of periodic samples.
+    """Reusable evaluator for one or more channels of periodic samples.
 
-    Computes the FFT once; repeated off-grid evaluation (root refinement,
-    pair scans) then skips the transform.  Trailing harmonics below 1e-15
-    of the spectral peak are dropped, which keeps evaluation proportional
-    to the true bandwidth of the data rather than the grid size.
+    ``values`` is one sample vector, or a (channels, N) stack of them; each
+    channel may carry a linear ramp, ``drift`` * s, on top of its periodic
+    part (the shape of an antiderivative such as z or w when its closure
+    defect is nonzero).  The FFT is computed once and each spectrum is
+    chopped at its noise floor (see the module docstring), so evaluation
+    costs the true bandwidth of the data rather than the grid size.
+    Evaluation unwraps the ramps, so it is valid for any real s.
     """
 
-    def __init__(self, values: np.ndarray):
-        self.n, c = _coeffs(values)
+    def __init__(self, values: np.ndarray, drift=0.0):
+        values = np.asarray(values, dtype=float)
+        self.n = values.shape[-1]
+        self.shape = values.shape[:-1]
+        self.drift = np.zeros(self.shape) + drift
+        if np.any(self.drift):
+            values = values - self.drift[..., None] * grid(self.n)
+        c = np.fft.rfft(values, axis=-1).reshape(-1, self.n // 2 + 1)
+        # Each row keeps its harmonics through the last one above the floor
+        # (the mean always stays).
         mag = np.abs(c)
-        peak = float(np.max(mag)) if mag.size else 0.0
-        alive = np.nonzero(mag > 1e-15 * peak)[0]
-        keep = int(alive[-1]) + 1 if alive.size else 1
-        self._c = c[:keep]
+        alive = mag > EPS * np.sqrt(self.n) * mag.max(axis=1, keepdims=True)
+        alive[:, 0] = True
+        self.kept = c.shape[1] - np.argmax(alive[:, ::-1], axis=1)
+        for row, kept in zip(c, self.kept):
+            row[kept:] = 0.0
+        self._c = c[:, : self.kept.max()]
+        self._weights = {}
 
-    def value(self, s):
-        return _trig_sum(self.n, self._c, s, 0)
+    @classmethod
+    def stack(cls, parts) -> "Interpolant":
+        """One evaluator over the channels of single-channel ones (no FFT)."""
+        out = cls.__new__(cls)
+        out.n, out.shape = parts[0].n, (len(parts),)
+        out.drift = np.array([float(p.drift) for p in parts])
+        out.kept = np.concatenate([p.kept for p in parts])
+        out._c = np.zeros((len(parts), int(np.max(out.kept))), dtype=complex)
+        for row, p in zip(out._c, parts):
+            row[: p._c.shape[1]] = p._c[0]
+        out._weights = {}
+        return out
 
-    def derivative(self, s):
-        return _trig_sum(self.n, self._c, s, 1)
+    def value(self, s, order=0):
+        """Derivative of the given order (0 is the value itself) at s.
 
+        The result has shape channels + s.shape (a float for one channel
+        and scalar s).  A tuple of orders stacks one such result per order
+        along a new leading axis; every channel and every order comes from
+        one phase matrix.
+        """
+        orders = order if isinstance(order, tuple) else (order,)
+        weights = self._weights.get(orders)
+        if weights is None:
+            weights = self._weights[orders] = _weights(self.n, self._c, orders)
+        s = np.asarray(s, dtype=float)
+        flat = s.reshape(-1)
+        k = np.arange(self._c.shape[1])
+        phase = np.exp(2j * np.pi * flat[:, None] * k[None, :])
+        out = (weights @ phase.view(float).T).reshape(len(orders), -1, flat.shape[0])
+        for row, q in zip(out, orders):
+            if q == 0:
+                row += self.drift.reshape(-1, 1) * flat
+            elif q == 1:
+                row += self.drift.reshape(-1, 1)
+        out = out.reshape((len(orders),) + self.shape + s.shape)
+        if orders is not order:
+            out = out[0]
+        return float(out) if out.ndim == 0 else out
 
-class DriftingInterpolant:
-    """Evaluator for samples of base + drift*s + periodic part.
-
-    This is the shape of an antiderivative such as z or w: the samples carry
-    a linear ramp when the closure defect is nonzero.  Evaluation unwraps the
-    ramp, so it is valid for any real s, not just [0, 1).
-    """
-
-    def __init__(self, samples: np.ndarray, drift: float):
-        n = np.asarray(samples).shape[0]
-        self.drift = float(drift)
-        self._periodic = Interpolant(samples - self.drift * grid(n))
-
-    def value(self, s):
-        out = self.drift * np.asarray(s, dtype=float) + self._periodic.value(s)
-        return out if np.ndim(s) else float(out)
-
-    def derivative(self, s):
-        out = self.drift + np.asarray(self._periodic.derivative(s))
-        return out if np.ndim(s) else float(out)
+    def derivative(self, s, order=1):
+        return self.value(s, order)
 
 
 def antiderivative(values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -161,9 +191,8 @@ def evaluate_antiderivative(values: np.ndarray, s) -> np.ndarray:
     """Integral of the interpolant from 0 to s, at arbitrary parameters."""
     n, c = _coeffs(values)
     f_samples, mean = antiderivative(values)
-    p = f_samples - mean * grid(n)
     s = np.asarray(s, dtype=float)
-    out = mean * s + np.asarray(evaluate(p, s))
+    out = Interpolant(f_samples, drift=mean).value(s)
     if n % 2 == 0:
         out = out + (c[n // 2].real / n) * np.sin(np.pi * n * s) / (np.pi * n)
     return out if s.ndim else float(out)

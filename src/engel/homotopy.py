@@ -25,7 +25,7 @@ from .curves import (
     find_cusps,
 )
 from .lifting import TOL_EMBED
-from .errors import ImmersionLost, UnsupportedOverlap
+from .errors import ImmersionLost, MoveRefused, UnsupportedOverlap
 
 DEFAULT_FRAMES = 64
 
@@ -155,11 +155,11 @@ def _birth_threshold(g: LegendrianGenerator, center: float, width: float) -> flo
     ss = center + np.linspace(-0.75 * width, 0.75 * width, 1601)
     xp = np.asarray(g.xp_at(ss), dtype=float)
     bp = _bump_derivative(ss, center, width)
-    safe = np.where(bp == 0.0, 1.0, bp)
-    ratio = np.where(bp == 0.0, np.inf, xp / safe)
+    moving = bp != 0.0
+    ratio = xp[moving] / bp[moving]
     positive = ratio[ratio > 0.0]
     if positive.size == 0:
-        raise ValueError("no fold direction inside the swallowtail support")
+        raise MoveRefused("no fold direction inside the swallowtail support")
     return float(np.min(positive))
 
 
@@ -175,19 +175,19 @@ def _death_threshold(g, center: float, width: float, cusps):
     mid = 0.5 * (s1 + s2)
     sign_out = -float(np.sign(g.xp_at(mid)))
     if sign_out == 0.0:
-        raise ValueError("degenerate dip between the cusps to annihilate")
+        raise MoveRefused("degenerate dip between the cusps to annihilate")
 
     inner = np.linspace(s1, s2, 801)[1:-1]
     xp_in = sign_out * np.asarray(g.xp_at(inner), dtype=float)
     bp_in = sign_out * _bump_derivative(inner, center, width)
     if np.any(bp_in <= 0.0):
-        raise ValueError(
+        raise MoveRefused(
             "support cannot annihilate the cusp pair; recenter it so the "
             "rising flank of the bump covers both cusps"
         )
     threshold = float(np.max(-xp_in / bp_in))
     if threshold <= 0.0:
-        raise ValueError("cusp pair is not a dip of x' inside the support")
+        raise MoveRefused("cusp pair is not a dip of x' inside the support")
 
     span = np.linspace(center - 0.75 * width, center + 0.75 * width, 1601)
     outside = (span < s1) | (span > s2)
@@ -199,7 +199,7 @@ def _death_threshold(g, center: float, width: float, cusps):
     else:
         ceiling = math.inf
     if ceiling <= threshold:
-        raise ValueError(
+        raise MoveRefused(
             "annihilating the pair would fold the opposite flank first "
             "(threshold %.6g, ceiling %.6g)" % (threshold, ceiling)
         )
@@ -269,7 +269,7 @@ def _swallowtail_path(g: LegendrianGenerator, move: Move, direction: int):
                 % (final, crossing)
             )
         if final >= ceiling:
-            raise ValueError(
+            raise MoveRefused(
                 "amplitude %.6g would fold the opposite flank (limit %.6g)"
                 % (final, ceiling)
             )
@@ -308,9 +308,10 @@ def apply_move(g: LegendrianGenerator, move: Move, supports=None):
     so the fold threshold lands there.  `supports`, when given, pins the
     balancing bumps a tangency profile is orthogonalized against.
 
-    Raises ImmersionLost (with the frame index) if any frame stalls, and
+    Raises ImmersionLost (with the frame index) if any frame stalls,
     UnsupportedOverlap when a swallowtail support disagrees with the
-    cusps already present.
+    cusps already present, and MoveRefused when a swallowtail cannot fold
+    the generator as asked.  Malformed moves raise ValueError.
     """
     _check_move(move)
     g.require_immersed()

@@ -108,10 +108,9 @@ def area_integral(loop, s0: float, s1: float) -> float:
         q, s0
     )
     if m != 0.0:
-        x_interp = fourier.Interpolant(g.x)
         total += m * (
-            s1 * x_interp.value(s1)
-            - s0 * x_interp.value(s0)
+            s1 * g.x_at(s1)
+            - s0 * g.x_at(s0)
             - (
                 fourier.evaluate_antiderivative(g.x, s1)
                 - fourier.evaluate_antiderivative(g.x, s0)
@@ -181,13 +180,13 @@ def bump_samples(s, center: float, width: float) -> np.ndarray:
     return ((1.0 + np.cos(fourier.TAU * (s - center))) / 2.0) ** p
 
 
-def _refine_edge(interp, s_in: float, s_out: float, half: float) -> float:
+def _refine_edge(g: LegendrianGenerator, s_in: float, s_out: float, half: float) -> float:
     """Continuous support-edge location: bisect |x'| - half between a
     sample inside the region and its neighbor outside."""
     lo, hi = s_in, s_out
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if abs(float(interp.derivative(mid))) >= half:
+        if abs(float(g.xp_at(mid))) >= half:
             lo = mid
         else:
             hi = mid
@@ -200,7 +199,6 @@ def _half_max_runs(g: LegendrianGenerator):
     n = g.n
     half = 0.5 * float(np.max(np.abs(g.xp)))
     inside = np.abs(g.xp) >= half
-    interp = fourier.Interpolant(g.x)
     if np.all(inside):
         return [(0.0, 1.0)]
     starts = np.nonzero(inside & ~np.roll(inside, 1))[0]
@@ -209,8 +207,8 @@ def _half_max_runs(g: LegendrianGenerator):
         k1 = k0
         while inside[(k1 + 1) % n]:
             k1 += 1
-        lo = _refine_edge(interp, k0 / n, (k0 - 1) / n, half)
-        hi = _refine_edge(interp, k1 / n, (k1 + 1) / n, half)
+        lo = _refine_edge(g, k0 / n, (k0 - 1) / n, half)
+        hi = _refine_edge(g, k1 / n, (k1 + 1) / n, half)
         if hi < lo:
             hi += 1.0
         runs.append((lo, hi))

@@ -75,12 +75,10 @@ def _dedupe(pairs, radius: float):
     return out
 
 
-def _eval3(loop, u: np.ndarray):
-    """Points and velocities of the space curve at a parameter vector."""
-    g = loop.generator
-    p = np.stack([g.x_at(u), g.y_at(u), loop.z_at(u)], axis=-1)
-    v = np.stack([g.xp_at(u), g.yp_at(u), loop.zp_at(u)], axis=-1)
-    return p, v
+def _eval3(loop, u: np.ndarray, orders=(0, 1)):
+    """Points and velocities (and accelerations, with orders=(0, 1, 2)) of
+    the space curve at a parameter vector, shaped (orders, len(u), 3)."""
+    return np.swapaxes(loop.curve.value(u, orders), 1, 2)
 
 
 def _refine_coincidences(loop, seeds, tol: float):
@@ -143,52 +141,36 @@ def _refine_coincidences(loop, seeds, tol: float):
     # touch direction (the cost is quartic there), so close near-misses
     # stall above the target.  Polish those with the exact curvature.
     stalled = [i for i in range(k) if target < cost[i] <= POLISH_COST]
-    if stalled:
-        second = _second_derivative_interps(loop)
-        for i in stalled:
-            u[i], cost[i] = _newton_polish(loop, second, u[i], cost[i], target)
+    for i in stalled:
+        u[i], cost[i] = _newton_polish(loop, u[i], cost[i], target)
     return [(float(u[i, 0]), float(u[i, 1]), float(np.sqrt(cost[i]))) for i in range(k)]
 
 
-def _second_derivative_interps(loop):
-    """Interpolants of (x'', y'', z''), consistent with the loop samples."""
-    g = loop.generator
-    xpp = fourier.Interpolant(fourier.derivative(np.asarray(g.xp)))
-    ypp = fourier.Interpolant(fourier.derivative(np.asarray(g.yp)))
-    zpp = fourier.Interpolant(fourier.derivative(_zp_samples(loop)))
-    return xpp, ypp, zpp
-
-
-def _newton_polish(loop, second, u0, c0, target: float):
+def _newton_polish(loop, u0, c0, target: float):
     """Full Newton descent on the squared gap of one pair.
 
     Unlike the Gauss-Newton step above, the Hessian here keeps the
     d . gamma'' terms, which carry the only signal along a tangency
     valley.  The damping weight mu handles indefinite regions.
     """
-    xpp, ypp, zpp = second
 
     def measure(u):
-        p, v = _eval3(loop, u)
+        p, v, acc = _eval3(loop, u, (0, 1, 2))
         d = p[0] - p[1]
-        return p, v, d, float(d @ d)
+        return v, acc, d, float(d @ d)
 
     u = np.array(u0, dtype=float)
-    p, v, d, c = measure(u)
+    v, acc, d, c = measure(u)
     if c >= c0:
         u, c = np.array(u0, dtype=float), c0
-        p, v, d, _ = measure(u)
+        v, acc, d, _ = measure(u)
     mu = 1e-9
     for _ in range(80):
         if c <= target:
             break
-        acc0 = np.array([float(xpp.value(u[0])), float(ypp.value(u[0])),
-                         float(zpp.value(u[0]))])
-        acc1 = np.array([float(xpp.value(u[1])), float(ypp.value(u[1])),
-                         float(zpp.value(u[1]))])
         grad = 2.0 * np.array([d @ v[0], -(d @ v[1])])
-        h00 = v[0] @ v[0] + d @ acc0
-        h11 = v[1] @ v[1] - d @ acc1
+        h00 = v[0] @ v[0] + d @ acc[0]
+        h11 = v[1] @ v[1] - d @ acc[1]
         h01 = -(v[0] @ v[1])
         scale = abs(h00) + abs(h11) + 1.0
         improved = False
@@ -199,9 +181,9 @@ def _newton_polish(loop, second, u0, c0, target: float):
             except np.linalg.LinAlgError:
                 mu *= 10.0
                 continue
-            p_t, v_t, d_t, c_t = measure(u + step)
+            v_t, acc_t, d_t, c_t = measure(u + step)
             if c_t < c:
-                u, p, v, d, c = u + step, p_t, v_t, d_t, c_t
+                u, v, acc, d, c = u + step, v_t, acc_t, d_t, c_t
                 mu = max(mu / 3.0, 1e-12)
                 improved = True
                 break
@@ -209,6 +191,32 @@ def _newton_polish(loop, second, u0, c0, target: float):
         if not improved:
             break
     return u, c
+
+
+def _coarse_candidates(pts: np.ndarray, speed: np.ndarray):
+    """Coarse cells (i, j), i < j, of the m samples pts (speeds speed)
+    that may hold a coincidence, as row-major arrays (i, j, distance)."""
+    m = pts.shape[0]
+    # Squared distances summed one component at a time: the same bits as
+    # summing the (m, m, 3) difference cube, without building it.
+    dist = np.zeros((m, m))
+    for col in pts.T:
+        diff = col[:, None] - col[None, :]
+        dist += diff * diff
+    dist = np.sqrt(dist)
+    # Only cells that are 8-neighbourhood minima of the sampled distance
+    # can hold a basin bottom; without this filter every cell along a pair
+    # of nearby strands passes the radius test and floods the refiner.
+    # Being no larger than any neighbour is being the minimum of the 3x3
+    # window, which separates into a row pass and a column pass.
+    window = np.minimum(np.minimum(np.roll(dist, 1, 0), dist), np.roll(dist, -1, 0))
+    window = np.minimum(np.minimum(np.roll(window, 1, 1), window), np.roll(window, -1, 1))
+    ci, cj = np.nonzero(dist == window)
+    cd = dist[ci, cj]
+    gap = cj - ci
+    radius = (CATCH_COARSE_CELLS / m) * np.maximum(speed[ci], speed[cj])
+    keep = (gap > 0) & (np.minimum(gap, m - gap) > EXCLUDE_COARSE_CELLS) & (cd < radius)
+    return ci[keep], cj[keep], cd[keep]
 
 
 def coincident_pairs(loop, tol: float = COINCIDENCE_TOL):
@@ -219,27 +227,10 @@ def coincident_pairs(loop, tol: float = COINCIDENCE_TOL):
     g = loop.generator
     n = g.n
     idx, m, stride = _coarse_indices(n)
-    pts = np.stack(
-        [g.x[idx], g.y[idx], np.asarray(loop.z)[idx]], axis=1
-    )
+    pts = np.stack([g.x[idx], g.y[idx], np.asarray(loop.z)[idx]], axis=1)
     speed = np.hypot(np.hypot(g.xp, g.yp), _zp_samples(loop))[idx]
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    i_all, j_all = np.triu_indices(m, k=1)
-    circ = np.minimum(j_all - i_all, m - (j_all - i_all))
-    radius = (CATCH_COARSE_CELLS / m) * np.maximum(speed[i_all], speed[j_all])
-    # Only cells that are 8-neighbourhood minima of the sampled distance
-    # can hold a basin bottom; without this filter every cell along a pair
-    # of nearby strands passes the radius test and floods the refiner.
-    neigh = np.full_like(dist, np.inf)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di or dj:
-                neigh = np.minimum(neigh, np.roll(np.roll(dist, di, 0), dj, 1))
-    flat = dist[i_all, j_all] <= neigh[i_all, j_all]
-    mask = (circ > EXCLUDE_COARSE_CELLS) & (dist[i_all, j_all] < radius) & flat
-    ci, cj, cd = i_all[mask], j_all[mask], dist[i_all, j_all][mask]
+    ci, cj, cd = _coarse_candidates(pts, speed)
 
     # Greedy cluster merge, nearest first.  Binning on the coarse index
     # keeps the membership test O(1) per candidate: an accepted seed can
@@ -284,13 +275,9 @@ def _cross2(u, v):
 
 
 def _refine_crossing(loop, s0: float, s1: float, scale: float):
-    g = loop.generator
     u = np.array([s0, s1], dtype=float)
     for _ in range(40):
-        xv = np.asarray(g.x_at(u))
-        zv = np.asarray(loop.z_at(u))
-        xpv = np.asarray(g.xp_at(u))
-        zpv = np.asarray(loop.zp_at(u))
+        (xv, _, zv), (xpv, _, zpv) = loop.curve.value(u, (0, 1))
         rhs = np.array([xv[0] - xv[1], zv[0] - zv[1]])
         jac = np.array([[xpv[0], -xpv[1]], [zpv[0], -zpv[1]]])
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
@@ -302,8 +289,7 @@ def _refine_crossing(loop, s0: float, s1: float, scale: float):
         u = u + step
         if float(np.max(np.abs(step))) < 1e-13:
             break
-    xv = np.asarray(g.x_at(u))
-    zv = np.asarray(loop.z_at(u))
+    xv, _, zv = loop.curve.value(u)
     if max(abs(xv[0] - xv[1]), abs(zv[0] - zv[1])) > 1e-11 * scale:
         return None
     return float(u[0]), float(u[1])

@@ -17,24 +17,15 @@ _GLYPH = {
 
 
 def _fmt(v: float) -> str:
-    out = "%.6f" % float(v)
-    return out
+    return "%.6f" % float(v)
 
 
 def loop_csv_text(loop) -> str:
     """CSV table s,x,y,z,w of a horizontal loop, full decimal precision."""
     g = loop.generator
-    s = fourier.grid(g.n)
-    z = np.asarray(loop.legendrian.z)
-    w = np.asarray(loop.w)
-    lines = ["s,x,y,z,w"]
-    for k in range(g.n):
-        lines.append(
-            "%s,%s,%s,%s,%s"
-            % (repr(float(s[k])), repr(float(g.x[k])), repr(float(g.y[k])),
-               repr(float(z[k])), repr(float(w[k])))
-        )
-    return "\n".join(lines) + "\n"
+    columns = (fourier.grid(g.n), g.x, g.y, loop.legendrian.z, loop.w)
+    rows = zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in columns))
+    return "s,x,y,z,w\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
 def front_svg_text(front) -> str:
@@ -46,8 +37,7 @@ def front_svg_text(front) -> str:
     """
     x = np.asarray(front.x, dtype=float)
     z = np.asarray(front.z, dtype=float)
-    xi = fourier.Interpolant(x)
-    zi = fourier.Interpolant(z)
+    x_at, z_at = front.loop.generator.x_at, front.loop.z_at
 
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
     z_lo, z_hi = float(np.min(z)), float(np.max(z))
@@ -86,13 +76,13 @@ def front_svg_text(front) -> str:
         parts.append('<path class="cusp-%s" d="%s"/>' % (kind, d))
 
     for s0, _s1 in front.double_points:
-        cx, cz = float(xi.value(s0)), float(zi.value(s0))
+        cx, cz = x_at(s0), z_at(s0)
         parts.append(
             '<circle class="crossing" cx="%s" cy="%s" r="%s"/>'
             % (_fmt(cx), _fmt(-cz), _fmt(r))
         )
     for s0, _s1 in front.self_tangencies:
-        cx, cz = float(xi.value(s0)), float(zi.value(s0))
+        cx, cz = x_at(s0), z_at(s0)
         parts.append(
             '<path class="tangency" d="M %s %s L %s %s L %s %s L %s %s Z"/>'
             % (

@@ -184,3 +184,31 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["embedding"]["embedded"] is False
+
+
+def run_script_doc(tmp_path, capsys, script):
+    doc = tmp_path / "doc.front"
+    doc.write_text("generator circ { x: cos(1); y: sin(1); }\nscript s { %s }\n" % script)
+    return run_cli(capsys, "homotopy", "run", str(doc), "circ", "s", "--out", str(tmp_path))
+
+
+def test_fold_past_the_ceiling_is_a_certificate_failure_exit_3(tmp_path, capsys):
+    code, _, err = run_script_doc(
+        tmp_path, capsys,
+        "swallowtail_birth at=0.12 width=0.06 frames=2; "
+        "swallowtail_death at=0.12 width=0.06 amplitude=50 frames=2;",
+    )
+    assert code == 3
+    assert "fold the opposite flank" in err
+
+
+@pytest.mark.parametrize("script, message", [
+    ("slide at=0.3;", "unknown move kind"),
+    ("deform at=0.3 width=0.1 amplitude=1 frames=2;", "amplitude"),
+    ("tangency_pass at=0.55 width=0.08 frames=2;", "needs a 'amplitude'"),
+    ("deform at=0.3 width=0.1 ax=0.05 frames=3;", "even count"),
+])
+def test_malformed_moves_are_usage_errors_exit_2(tmp_path, capsys, script, message):
+    code, _, err = run_script_doc(tmp_path, capsys, script)
+    assert code == 2
+    assert message in err

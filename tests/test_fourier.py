@@ -193,3 +193,107 @@ def test_resample_roundtrip_after_truncation():
     down = fourier.resample(values, 32)
     again = fourier.resample(fourier.resample(down, 128), 32)
     assert np.max(np.abs(again - down)) < 1e-13
+
+
+# ------------------------------------------------ chopped shared evaluator
+
+
+def direct_sum(c, n, s, order):
+    """Slow oracle: (2/n) Re sum_k c_k (2 pi i k)^order exp(2 pi i k s),
+    one np.exp per harmonic, plus the mean and the half-weight Nyquist
+    cosine, over exactly the rfft coefficients c given."""
+    s = np.asarray(s, dtype=float)
+    out = np.full(s.shape, c[0].real / n if order == 0 else 0.0)
+    for k in range(1, c.shape[0]):
+        ck = 0.5 * c[k].real if 2 * k == n else c[k]
+        out += (2.0 / n) * (ck * (2j * np.pi * k) ** order * np.exp(2j * np.pi * k * s)).real
+    return out
+
+
+def test_shared_evaluator_matches_the_direct_sum_at_full_bandwidth():
+    # Noise keeps every harmonic up to Nyquist, the largest the chop can keep.
+    n = 16384
+    rng = np.random.default_rng(41)
+    values = rng.normal(size=n)
+    interp = fourier.Interpolant(values)
+    assert int(interp.kept[0]) == n // 2 + 1
+    c = np.fft.rfft(values)
+    s = np.concatenate([rng.uniform(-1.0, 2.0, size=9), fourier.grid(n)[[0, 1, 4097]]])
+    got = interp.value(s, (0, 1, 2))
+    assert got.shape == (3,) + s.shape
+    assert np.allclose(got[0][-3:], values[[0, 1, 4097]], rtol=0.0, atol=1e-12)
+    for order in (0, 1, 2):
+        scale = (2.0 / n) * np.sum((2 * np.pi * np.arange(c.shape[0])) ** order * np.abs(c))
+        want = direct_sum(c, n, s, order)
+        assert np.max(np.abs(got[order] - want)) <= 1e-10 * scale
+        assert np.max(np.abs(interp.derivative(s, order) - want)) <= 1e-10 * scale
+
+
+def test_stacked_channels_match_the_direct_sum_with_exact_drift():
+    n = 16384
+    s_grid = fourier.grid(n)
+    rng = np.random.default_rng(43)
+    const, cos_t, sin_t = random_series(rng, max_harmonic=300)
+    periodic = trig_series(s_grid, const, cos_t, sin_t)
+    channels = [
+        fourier.Interpolant(np.cos(fourier.TAU * 7 * s_grid)),
+        fourier.Interpolant(periodic + 0.75 * s_grid, drift=0.75),
+    ]
+    assert [int(p.kept[0]) for p in channels] == [8, 301]
+    both = fourier.Interpolant.stack(channels)
+    s = rng.uniform(-2.0, 3.0, size=17)
+    got = both.value(s, (0, 1, 2))
+    assert got.shape == (3, 2, 17)
+    for ch, (interp, drift) in enumerate(zip(channels, (0.0, 0.75))):
+        c = interp._c[0]
+        ramp = (drift * s, np.full_like(s, drift), np.zeros_like(s))
+        for order in (0, 1, 2):
+            scale = (2.0 / n) * np.sum((2 * np.pi * np.arange(c.shape[0])) ** order * np.abs(c))
+            want = direct_sum(c, n, s, order) + ramp[order]
+            tol = 1e-12 * max(scale, 1.0)
+            assert np.max(np.abs(got[order, ch] - want)) <= tol
+            assert np.max(np.abs(interp.value(s, order) - want)) <= tol
+    # the drifting channel is the closed-form series plus its exact ramp
+    assert np.allclose(got[0, 1], trig_series(s, const, cos_t, sin_t) + 0.75 * s,
+                       rtol=0.0, atol=1e-11)
+    assert np.allclose(got[1, 1], trig_series_derivative(s, cos_t, sin_t) + 0.75,
+                       rtol=0.0, atol=1e-9)
+
+
+def test_chop_error_on_the_grid_is_bounded_by_the_dropped_coefficients():
+    n = 4096
+    s = fourier.grid(n)
+    smooth = np.exp(np.sin(fourier.TAU * s))
+    c_smooth = np.fft.rfft(smooth)
+    floor = np.finfo(float).eps * np.sqrt(n) * np.max(np.abs(c_smooth))
+    # A cosine whose rfft magnitude sits at half the floor must be dropped.
+    amp = 0.5 * floor * 2.0 / n
+    values = smooth + amp * np.cos(fourier.TAU * 300 * s)
+    interp = fourier.Interpolant(values)
+    kept = int(interp.kept[0])
+    assert kept < 300
+    c = np.fft.rfft(values)
+    dropped = (2.0 / n) * np.sum(np.abs(c[kept:]))
+    assert dropped >= amp
+    err = np.max(np.abs(interp.value(s) - values))
+    assert err <= dropped + 8 * np.finfo(float).eps * np.max(np.abs(values))
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 16384])
+def test_trig_polynomial_of_degree_d_keeps_at_most_d_plus_one(n):
+    # Samples accurate to unit roundoff: each phase k*j is reduced mod n
+    # in integers before the cosine sees it (TAU * k * s_j would carry an
+    # argument error of k * eps, far above the FFT floor at high degree).
+    j = np.arange(n)
+    rng = np.random.default_rng(n)
+    for degree in (0, 1, 7, 60, 200):
+        for _ in range(3):
+            values = np.full(n, rng.normal())
+            for k in range(1, degree + 1):
+                a, b = rng.normal(size=2)
+                phase = fourier.TAU * ((k * j) % n) / n
+                values += a * np.cos(phase) + b * np.sin(phase)
+            kept = int(fourier.Interpolant(values).kept[0])
+            assert kept <= degree + 1
+            # and the chop never cuts into the signal itself
+            assert kept == degree + 1

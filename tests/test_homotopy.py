@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from engel import curves, fourier, invariants, lifting, models, pairscan
-from engel.errors import ImmersionLost, UnsupportedOverlap
+from engel import homotopy
+from engel.errors import EngelError, ImmersionLost, MoveRefused, UnsupportedOverlap
 from engel.homotopy import (
     HomotopyTrace,
     Move,
@@ -171,6 +172,25 @@ def test_amplitude_below_the_fold_threshold_is_rejected():
     )
     with pytest.raises(ValueError, match="fold threshold"):
         apply_move(lifting.balance_closure(circle()), move)
+
+
+def test_no_fold_direction_is_a_refusal_not_a_usage_error():
+    # x' vanishes on the whole support, so no amplitude folds it.
+    n = 256
+    s = fourier.grid(n)
+    g = curves.LegendrianGenerator(np.full(n, 0.5), np.sin(fourier.TAU * s))
+    with pytest.raises(MoveRefused, match="no fold direction") as err:
+        homotopy._birth_threshold(g, 0.12, 0.06)
+    assert isinstance(err.value, EngelError)
+    assert not isinstance(err.value, ValueError)
+
+
+def test_death_amplitude_past_the_ceiling_is_refused():
+    sc = [Move("swallowtail_birth", {"at": 0.12, "width": 0.06, "frames": 2})]
+    g = run_script(circle(), sc).frames[-1].generator
+    move = Move("swallowtail_death", {"at": 0.12, "width": 0.06, "amplitude": 50.0, "frames": 2})
+    with pytest.raises(MoveRefused, match="opposite flank"):
+        apply_move(g, move)
 
 
 # ------------------------------------------------------------ tangencies

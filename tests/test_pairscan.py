@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,45 @@ def test_scans_are_stable_under_resolution_changes():
         assert len(got) == 1
         assert got[0][0] == pytest.approx(0.25, abs=1e-8)
         assert got[0][1] == pytest.approx(0.75, abs=1e-8)
+
+
+def coarse_oracle(pts, speed):
+    """The coarse-pass definition, one cell at a time: i < j more than
+    EXCLUDE_COARSE_CELLS apart around the loop, distance below the catch
+    radius, and no larger than any of the 8 (cyclic) neighbour cells."""
+    m = len(pts)
+
+    def dist(i, j):
+        p, q = pts[i % m], pts[j % m]
+        d0, d1, d2 = p[0] - q[0], p[1] - q[1], p[2] - q[2]
+        return math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+
+    out = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            if min(j - i, m - (j - i)) <= pairscan.EXCLUDE_COARSE_CELLS:
+                continue
+            d = dist(i, j)
+            if not d < (pairscan.CATCH_COARSE_CELLS / m) * max(speed[i], speed[j]):
+                continue
+            if all(d <= dist(i + a, j + b)
+                   for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b):
+                out.append((i, j, d))
+    return out
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.25])
+def test_coarse_candidates_match_a_double_loop_oracle(beta):
+    # n = 512 decimates to m = 64 coarse cells (stride 8); the mirror
+    # tangency (0, 1/2) sits on the coarse cell (0, 32).
+    loop = mirror_loop(512, beta=beta)
+    g = loop.generator
+    idx, m, _ = pairscan._coarse_indices(g.n)
+    assert m == 64
+    pts = np.stack([g.x[idx], g.y[idx], np.asarray(loop.z)[idx]], axis=1)
+    speed = np.hypot(np.hypot(g.xp, g.yp), pairscan._zp_samples(loop))[idx]
+    ci, cj, cd = pairscan._coarse_candidates(pts, speed)
+    got = list(zip(ci.tolist(), cj.tolist(), cd.tolist()))
+    want = coarse_oracle(pts.tolist(), speed.tolist())
+    assert got == want
+    assert (0, 32) in [(i, j) for i, j, _ in want]

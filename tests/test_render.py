@@ -92,3 +92,24 @@ def test_csv_round_trips_hand_built_loop():
     assert float(row[1]) == loop.x[7]
     assert float(row[3]) == loop.z[7]
     assert float(row[4]) == loop.w[7]
+
+
+def test_csv_matches_a_per_value_repr_oracle_byte_for_byte():
+    n = 16
+    x = np.linspace(-3.0, 3.0, n)
+    x[[0, 3]] = -0.0
+    x[5] = 7.25e-5
+    y = np.cos(np.arange(n)) * 1e-9
+    y[2] = 3.0e17
+    z = np.arange(n) * 1e16 + 0.1
+    w = -np.exp(-np.arange(n, dtype=float))
+    w[9] = -1.5e-300
+    leg = curves.LegendrianLoop(curves.LegendrianGenerator(x, y), z, 0.1, 0.0)
+    loop = curves.HorizontalLoop(leg, w, 0.0, 0.0)
+    want = "s,x,y,z,w\n"
+    for k in range(n):
+        values = (k / n, x[k], y[k], z[k], w[k])
+        want += ",".join(repr(float(v)) for v in values) + "\n"
+    got = render.loop_csv_text(loop)
+    assert got == want
+    assert "-0.0," in got and "e-05," in got and "e+17," in got
