@@ -79,8 +79,8 @@ def _closure_payload(loop, tol_closure: float) -> dict:
     }
 
 
-def _embedding_payload(loop, tol_embed: float, pairs=None) -> dict:
-    report = lifting.embedding_check(loop, pairs=pairs)
+def _embedding_payload(loop, tol_embed: float) -> dict:
+    report = lifting.embedding_check(loop)
     payload = report.to_dict()
     payload["embedded"] = report.margin > tol_embed
     return payload
@@ -174,9 +174,7 @@ def _cmd_model(args) -> int:
         "samples": args.samples,
         "closure": _closure_payload(loop, args.tol_closure),
         "invariants": invariants.invariant_report(loop),
-        "embedding": _embedding_payload(
-            loop, args.tol_embed, pairs=front.self_tangencies
-        ),
+        "embedding": _embedding_payload(loop, args.tol_embed),
     }
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, "model_rot%d_seed%d" % (args.n, seed))

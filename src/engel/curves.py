@@ -209,6 +209,36 @@ class LegendrianLoop:
     def z_at(self, s):
         return self.z_interp.value(s)
 
+    # The front's data lives here, computed on first read, so that every
+    # FrontDiagram of this loop shares it; a diagram holding the loop that
+    # holds the diagram would be a reference cycle, and loops in cycles
+    # wait for the cyclic collector instead of being freed when dropped.
+    @functools.cached_property
+    def cusps(self) -> list:
+        """The front's cusps (see front_of)."""
+        if not self.closed:
+            raise NotClosed(
+                "front projection needs |closure defect| <= %g, got %.3e"
+                % (TOL_CLOSURE, self.closure_defect_z)
+            )
+        g = self.generator
+        cusps = []
+        for s_c, direction in find_cusps(g):
+            pos = (float(g.x_at(s_c)), float(self.z_at(s_c)))
+            up = float(g.yp_at(s_c)) * direction > 0
+            cusps.append(Cusp(s_c, pos, Orientation.UP if up else Orientation.DOWN))
+        return cusps
+
+    @functools.cached_property
+    def double_points(self) -> list:
+        """Transverse front crossings, (s0, s1)."""
+        return pairscan.front_crossings(self)
+
+    @functools.cached_property
+    def self_tangencies(self) -> list:
+        """Shared position and slope, (s0, s1)."""
+        return pairscan.coincident_pairs(self)
+
 
 @dataclass
 class HorizontalLoop:
@@ -263,10 +293,10 @@ class Cusp:
 class FrontDiagram:
     """The (x, z) projection of a closed Legendrian loop.
 
-    cusps is found when the diagram is built (front_of); x and z are read
-    from the loop.  double_points and self_tangencies are lazy: each runs
-    its O(m^2) pair scan on first read and caches the result, so a caller
-    that wants only the cusps pays for neither scan.
+    A view of the loop: x, z, double_points and self_tangencies are read
+    from it.  The loop finds each on first read and keeps it, so the
+    diagrams of one loop share one cusp search and one run of each pair
+    scan, and a caller that wants only the cusps pays for neither scan.
     """
 
     loop: LegendrianLoop
@@ -280,15 +310,15 @@ class FrontDiagram:
     def z(self) -> np.ndarray:
         return self.loop.z
 
-    @functools.cached_property
+    @property
     def double_points(self) -> list:
         """Transverse front crossings, (s0, s1)."""
-        return pairscan.front_crossings(self.loop)
+        return self.loop.double_points
 
-    @functools.cached_property
+    @property
     def self_tangencies(self) -> list:
         """Shared position and slope, (s0, s1)."""
-        return pairscan.coincident_pairs(self.loop)
+        return self.loop.self_tangencies
 
 
 def sample_generator(description, n: int) -> LegendrianGenerator:
@@ -465,18 +495,7 @@ def front_of(loop) -> FrontDiagram:
     """Project a closed loop (Legendrian or horizontal) to its front diagram."""
     if isinstance(loop, HorizontalLoop):
         loop = loop.legendrian
-    if not loop.closed:
-        raise NotClosed(
-            "front projection needs |closure defect| <= %g, got %.3e"
-            % (TOL_CLOSURE, loop.closure_defect_z)
-        )
-    g = loop.generator
-    cusps = []
-    for s_c, direction in find_cusps(g):
-        pos = (float(g.x_at(s_c)), float(loop.z_at(s_c)))
-        up = float(g.yp_at(s_c)) * direction > 0
-        cusps.append(Cusp(s_c, pos, Orientation.UP if up else Orientation.DOWN))
-    return FrontDiagram(loop, cusps)
+    return FrontDiagram(loop, loop.cusps)
 
 
 def horizontality_residual(loop: HorizontalLoop):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fourier, pairscan
+from . import fourier
 from .curves import (
     SPEED_FLOOR,
     TOL_CLOSURE,
@@ -135,13 +135,12 @@ class EmbeddingReport:
         }
 
 
-def embedding_check(loop: HorizontalLoop, pairs=None) -> EmbeddingReport:
+def embedding_check(loop: HorizontalLoop) -> EmbeddingReport:
     """Certify embeddedness: every self-meeting of the Legendrian curve
     must be separated in w by more than tol_embed.
 
-    pairs, when given, is a precomputed result of the coincidence scan
-    (e.g. lifted from a FrontDiagram's self_tangencies) to avoid scanning
-    the same loop twice.
+    The self-meetings are the Legendrian loop's self_tangencies, which
+    the loop scans for once and shares with its front diagrams.
     """
     if not loop.legendrian.closed:
         raise NotClosed(
@@ -149,10 +148,8 @@ def embedding_check(loop: HorizontalLoop, pairs=None) -> EmbeddingReport:
         )
     if abs(loop.closure_defect_w) > TOL_CLOSURE:
         raise NotClosed("w does not close up (defect %.3e)" % loop.closure_defect_w)
-    if pairs is None:
-        pairs = pairscan.coincident_pairs(loop.legendrian)
     triples = []
-    for s0, s1 in pairs:
+    for s0, s1 in loop.legendrian.self_tangencies:
         dw = area_integral(loop, s0, s1)
         triples.append((s0, s1, dw))
     margin = min((abs(dw) for _, _, dw in triples), default=math.inf)

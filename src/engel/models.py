@@ -72,7 +72,7 @@ def model_front(n_rot: int, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> Ho
             if cusp_rot != n_rot:
                 last = "cusp count gives rot %d instead of %d" % (cusp_rot, n_rot)
                 continue
-            report = lifting.embedding_check(loop, pairs=front.self_tangencies)
+            report = lifting.embedding_check(loop)
             if report.margin <= MARGIN_HEADROOM * lifting.TOL_EMBED:
                 last = "embedding margin %.3e too small" % report.margin
                 continue

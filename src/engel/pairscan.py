@@ -8,6 +8,20 @@ where the slopes differ.  Both do a coarse pass on a decimated grid and
 polish every seed against the trigonometric interpolants, so the reported
 parameters do not degrade with the sampling rate.
 
+Neither coarse pass visits all m^2 cells of the m decimated samples.
+Both hand per-item intervals to one sort-and-sweep (Bentley and Ottmann,
+IEEE Trans. Computers, 1979): sorted by their lower ends, the intervals
+that overlap item p form one run that searchsorted finds, so only
+overlapping pairs are built.  A coincidence candidate lies within the
+catch radius of the faster of its two samples, so sample i gets the
+interval p_i +- (CATCH_COARSE_CELLS / m) speed_i on a coordinate axis,
+the axis whose sweep yields the fewest pairs.  A front crossing needs
+its two segments to meet, so each segment gets its x-extent.  Each
+prefilter is a superset of the cells its exact test accepts (rounding is
+padded for; the arguments sit beside the code), and the exact tests run
+unchanged on the swept pairs.  When every interval overlaps, the sweep
+builds the m (m - 1) / 2 pairs a dense pass would.
+
 Intended for closed loops; on an unclosed loop the z values used here
 include the defect ramp and the notion of "same point" is murky.
 """
@@ -193,29 +207,69 @@ def _newton_polish(loop, u0, c0, target: float):
     return u, c
 
 
+def _overlapping_pairs(lo: np.ndarray, hi: np.ndarray):
+    """Index pairs (a, b), a < b, in row-major order, whose closed
+    intervals [lo, hi] overlap.
+
+    lo and hi are (axes, items): each row bounds the items one way, and a
+    caller passes rows whose overlaps it may use interchangeably.  Each row
+    is sorted by lo; the items after item p in that order that overlap it
+    are exactly those whose lo is at most hi[p], a contiguous run that
+    searchsorted finds.  The run lengths count a row's pairs before any
+    pair is built, so only the row with the fewest pairs is expanded.
+    """
+    items = lo.shape[1]
+    best = None
+    for row_lo, row_hi in zip(lo, hi):
+        order = np.argsort(row_lo)
+        end = np.searchsorted(row_lo[order], row_hi[order], side="right")
+        runs = end - np.arange(1, items + 1)
+        if best is None or runs.sum() < best[1].sum():
+            best = (order, runs)
+    order, runs = best
+    first = np.repeat(np.arange(items), runs)
+    step = np.arange(first.size) - np.repeat(np.cumsum(runs) - runs, runs)
+    a, b = order[first], order[first + 1 + step]
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    row_major = np.argsort(a * items + b)
+    return a[row_major], b[row_major]
+
+
 def _coarse_candidates(pts: np.ndarray, speed: np.ndarray):
     """Coarse cells (i, j), i < j, of the m samples pts (speeds speed)
     that may hold a coincidence, as row-major arrays (i, j, distance)."""
     m = pts.shape[0]
-    # Squared distances summed one component at a time: the same bits as
-    # summing the (m, m, 3) difference cube, without building it.
-    dist = np.zeros((m, m))
-    for col in pts.T:
-        diff = col[:, None] - col[None, :]
-        dist += diff * diff
-    dist = np.sqrt(dist)
+    reach = (CATCH_COARSE_CELLS / m) * speed
+
+    def dist(i, j):
+        # Components summed in x, y, z order, so every distance has the
+        # same bits wherever it is computed.
+        total = 0.0
+        for col in pts.T:
+            diff = col[i] - col[j]
+            total = total + diff * diff
+        return np.sqrt(total)
+
+    # A candidate lies within max(reach_i, reach_j) <= reach_i + reach_j,
+    # so on every axis the intervals p_i +- reach_i and p_j +- reach_j
+    # overlap.  The pad covers the rounding of the distance and of the
+    # interval ends, so no cell passing the float radius test is missed.
+    pad = 4.0 * np.finfo(float).eps * (np.max(np.abs(pts)) + np.max(reach))
+    ci, cj = _overlapping_pairs(pts.T - reach - pad, pts.T + reach + pad)
+    gap = cj - ci
+    keep = np.minimum(gap, m - gap) > EXCLUDE_COARSE_CELLS
+    ci, cj = ci[keep], cj[keep]
+    cd = dist(ci, cj)
+    keep = cd < np.maximum(reach[ci], reach[cj])
+    ci, cj, cd = ci[keep], cj[keep], cd[keep]
     # Only cells that are 8-neighbourhood minima of the sampled distance
     # can hold a basin bottom; without this filter every cell along a pair
     # of nearby strands passes the radius test and floods the refiner.
-    # Being no larger than any neighbour is being the minimum of the 3x3
-    # window, which separates into a row pass and a column pass.
-    window = np.minimum(np.minimum(np.roll(dist, 1, 0), dist), np.roll(dist, -1, 0))
-    window = np.minimum(np.minimum(np.roll(window, 1, 1), window), np.roll(window, -1, 1))
-    ci, cj = np.nonzero(dist == window)
-    cd = dist[ci, cj]
-    gap = cj - ci
-    radius = (CATCH_COARSE_CELLS / m) * np.maximum(speed[ci], speed[cj])
-    keep = (gap > 0) & (np.minimum(gap, m - gap) > EXCLUDE_COARSE_CELLS) & (cd < radius)
+    keep = np.ones(ci.shape, dtype=bool)
+    for a in (-1, 0, 1):
+        for b in (-1, 0, 1):
+            if a or b:
+                keep &= cd <= dist((ci + a) % m, (cj + b) % m)
     return ci[keep], cj[keep], cd[keep]
 
 
@@ -274,6 +328,43 @@ def _cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
+def _crossing_hits(q: np.ndarray):
+    """Proper intersections between the segments q_i q_{i+1} of the closed
+    polyline q, as row-major arrays (i, j, d1, d2, d3, d4), i < j at least
+    EXCLUDE_COARSE_CELLS apart around the loop.
+
+    d1, d2 are the orientations of q_j and q_{j+1} against segment i, d3,
+    d4 those of q_i and q_{i+1} against segment j; a hit has both pairs of
+    opposite sign.  Only segments whose padded x-extents overlap are
+    tested, and the pad is what makes that safe.  In exact arithmetic a
+    hit implies the segments meet, so their extents overlap.  In floating
+    point a d can take the wrong sign only for a vertex within
+    rho = 3 eps L of the other segment's line, where L is the larger of
+    q's x and z ranges.  A hit between segments whose x-extents lie g
+    apart then needs all four vertices within rho (1 + 3 L / g) of one
+    line.  With a pad of 2^-20 max(L, max|q|) per side that is about
+    1e-9 L: two strands straight and aligned to that accuracy, which
+    curved fronts do not have, so every hit the sign test flags is swept.
+    """
+    m = q.shape[0]
+    q_next = np.roll(q, -1, axis=0)
+    e = q_next - q
+    x0 = np.minimum(q[:, 0], q_next[:, 0])
+    x1 = np.maximum(q[:, 0], q_next[:, 0])
+    pad = 2.0**-20 * max(float(np.max(np.abs(q))), float(np.max(np.ptp(q, axis=0))))
+    i, j = _overlapping_pairs((x0 - pad)[None], (x1 + pad)[None])
+    circ = np.minimum(j - i, m - (j - i))
+    keep = circ >= EXCLUDE_COARSE_CELLS
+    i, j = i[keep], j[keep]
+    ca = q[j] - q[i]  # C - A
+    d1 = _cross2(e[i], ca)
+    d2 = _cross2(e[i], q_next[j] - q[i])  # D - A
+    d3 = _cross2(e[j], -ca)  # cross(D - C, A - C)
+    d4 = _cross2(e[j], q_next[i] - q[j])
+    hit = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+    return i[hit], j[hit], d1[hit], d2[hit], d3[hit], d4[hit]
+
+
 def _refine_crossing(loop, s0: float, s1: float, scale: float):
     u = np.array([s0, s1], dtype=float)
     for _ in range(40):
@@ -303,7 +394,7 @@ def front_crossings(loop, slope_tol: float = SLOPE_TOL):
     """
     g = loop.generator
     n = g.n
-    idx, m, stride = _coarse_indices(n)
+    idx, _, stride = _coarse_indices(n)
     # Half-cell offset: a crossing sitting exactly on a polyline vertex
     # (common for hand-built loops with crossings at dyadic parameters)
     # zeroes out the orientation products and slips through a strict
@@ -311,34 +402,18 @@ def front_crossings(loop, slope_tol: float = SLOPE_TOL):
     shift = stride // 2
     idx = idx + shift
     q = np.stack([g.x[idx], np.asarray(loop.z)[idx]], axis=1)
-    q_next = np.roll(q, -1, axis=0)
-    e = q_next - q
     scale = max(
         1.0,
         float(np.max(g.x) - np.min(g.x)),
         float(np.max(loop.z) - np.min(loop.z)),
     )
 
-    # All-pairs proper-intersection test between coarse polyline segments.
-    ca = q[None, :, :] - q[:, None, :]  # C - A at [i, j]
-    da = q_next[None, :, :] - q[:, None, :]  # D - A
-    d1 = _cross2(e[:, None, :], ca)
-    d2 = _cross2(e[:, None, :], da)
-    d3 = _cross2(e[None, :, :], -ca)  # cross(D - C, A - C)
-    d4 = _cross2(e[None, :, :], q_next[:, None, :] - q[None, :, :])
-    hit = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-
-    i_all, j_all = np.nonzero(hit)
-    keep = j_all > i_all
-    i_all, j_all = i_all[keep], j_all[keep]
-    circ = np.minimum(j_all - i_all, m - (j_all - i_all))
-    keep = circ >= EXCLUDE_COARSE_CELLS
-    i_all, j_all = i_all[keep], j_all[keep]
+    i_all, j_all, d1, d2, d3, d4 = _crossing_hits(q)
 
     pairs = []
-    for i, j in zip(i_all.tolist(), j_all.tolist()):
-        t = d3[i, j] / (d3[i, j] - d4[i, j])
-        v = d1[i, j] / (d1[i, j] - d2[i, j])
+    t_all = d3 / (d3 - d4)
+    v_all = d1 / (d1 - d2)
+    for i, j, t, v in zip(i_all.tolist(), j_all.tolist(), t_all.tolist(), v_all.tolist()):
         seed0 = ((i + t) * stride + shift) / n
         seed1 = ((j + v) * stride + shift) / n
         refined = _refine_crossing(loop, seed0, seed1, scale)

@@ -155,3 +155,27 @@ def raw_loop(x, y, z, defect=0.0):
     from engel.curves import LegendrianGenerator, LegendrianLoop
 
     return LegendrianLoop(LegendrianGenerator(x, y), np.asarray(z, float), float(np.asarray(z, float)[0]), defect)
+
+
+def dense_crossing_hits(q, exclude):
+    """The all-pairs proper-intersection test between the segments
+    q_i q_{i+1} of a closed polyline: every (i, j) cell at once, then the
+    cells i < j at least `exclude` apart around the loop, row-major, as
+    (i, j, d1, d2, d3, d4)."""
+    m = len(q)
+    q_next = np.roll(q, -1, axis=0)
+    e = q_next - q
+
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    ca = q[None, :, :] - q[:, None, :]  # C - A at [i, j]
+    d1 = cross(e[:, None, :], ca)
+    d2 = cross(e[:, None, :], q_next[None, :, :] - q[:, None, :])  # D - A
+    d3 = cross(e[None, :, :], -ca)  # cross(D - C, A - C)
+    d4 = cross(e[None, :, :], q_next[:, None, :] - q[None, :, :])
+    hit = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+    i, j = np.nonzero(hit)
+    keep = (j > i) & (np.minimum(j - i, m - (j - i)) >= exclude)
+    i, j = i[keep], j[keep]
+    return i, j, d1[i, j], d2[i, j], d3[i, j], d4[i, j]

@@ -13,7 +13,7 @@ from importlib import resources
 
 import pytest
 
-from engel import cli
+from engel import cli, curves, pairscan
 
 DEMO = str(resources.files("engel.data").joinpath("demo.front"))
 ZERO_AREA = str(resources.files("engel.data").joinpath("zero_area.front"))
@@ -76,6 +76,29 @@ def test_model_writes_artifacts_and_reports_invariants(tmp_path, capsys):
     assert stem.with_suffix(".json").exists()
     on_disk = json.loads(stem.with_suffix(".json").read_text())
     assert on_disk == json.loads(out)
+
+
+def test_model_builds_one_front(tmp_path, capsys, monkeypatch):
+    # The synthesis, the invariants and the SVG share the loop's one front:
+    # one cusp search and one coincidence scan for a first-try model.
+    calls = {"find_cusps": 0, "coincident_pairs": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(arg):
+            calls[name] += 1
+            return real(arg)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(curves, "find_cusps")
+    counted(pairscan, "coincident_pairs")
+    code, _, _ = run_cli(
+        capsys, "model", "-n", "3", "--samples", "2048", "--out", str(tmp_path)
+    )
+    assert code == 0
+    assert calls == {"find_cusps": 1, "coincident_pairs": 1}
 
 
 def test_env_seed_is_the_default(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from engel import fourier, pairscan
+from engel import curves, fourier, pairscan
 from engel.curves import (
     Cusp,
     FrontDiagram,
@@ -223,6 +223,23 @@ def test_front_pair_scans_run_lazily_and_once(monkeypatch):
     assert front.self_tangencies is front.self_tangencies
     assert front.double_points is front.double_points
     assert calls == {"coincident_pairs": 1, "front_crossings": 1}
+
+
+def test_fronts_of_one_loop_share_one_cusp_search_and_scan(monkeypatch):
+    searches = []
+    real = curves.find_cusps
+
+    def counted(g):
+        searches.append(g)
+        return real(g)
+
+    monkeypatch.setattr(curves, "find_cusps", counted)
+    loop = mirror_loop(1024)
+    front = front_of(loop)
+    again = front_of(HorizontalLoop(loop, np.zeros(loop.n), 0.0, 0.0))
+    assert again.cusps is front.cusps
+    assert again.self_tangencies is front.self_tangencies
+    assert len(searches) == 1
 
 
 def test_horizontality_residual_accepts_true_lift_and_flags_fakes():

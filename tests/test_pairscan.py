@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from engel import pairscan
+from engel import models, pairscan
 
-from helpers import fish_arrays, mirror_loop, plain_arrays, raw_loop
+from helpers import (
+    dense_crossing_hits,
+    fish_arrays,
+    mirror_loop,
+    plain_arrays,
+    raw_loop,
+)
 
 
 def test_fish_front_has_one_transverse_crossing():
@@ -92,18 +98,119 @@ def coarse_oracle(pts, speed):
     return out
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.25])
-def test_coarse_candidates_match_a_double_loop_oracle(beta):
-    # n = 512 decimates to m = 64 coarse cells (stride 8); the mirror
-    # tangency (0, 1/2) sits on the coarse cell (0, 32).
-    loop = mirror_loop(512, beta=beta)
+def coarse_inputs(loop):
+    """The decimated samples and speeds the coincidence scan hands to
+    _coarse_candidates."""
     g = loop.generator
     idx, m, _ = pairscan._coarse_indices(g.n)
-    assert m == 64
     pts = np.stack([g.x[idx], g.y[idx], np.asarray(loop.z)[idx]], axis=1)
     speed = np.hypot(np.hypot(g.xp, g.yp), pairscan._zp_samples(loop))[idx]
+    return pts, speed
+
+
+def coarse_matches_oracle(pts, speed):
     ci, cj, cd = pairscan._coarse_candidates(pts, speed)
     got = list(zip(ci.tolist(), cj.tolist(), cd.tolist()))
     want = coarse_oracle(pts.tolist(), speed.tolist())
     assert got == want
-    assert (0, 32) in [(i, j) for i, j, _ in want]
+    return [(i, j) for i, j, _ in want]
+
+
+@pytest.mark.parametrize("make, m, cell", [
+    # n = 512 decimates to m = 64 coarse cells (stride 8); the mirror
+    # tangency (0, 1/2) sits on the coarse cell (0, 32).
+    pytest.param(lambda: mirror_loop(512), 64, (0, 32), id="0.0"),
+    pytest.param(lambda: mirror_loop(512, beta=0.25), 64, (0, 32), id="0.25"),
+    # Speeds from 0.82 to 46 give per-sample catch radii 56x apart, and
+    # the sweep runs on y, not x.
+    pytest.param(lambda: models.model_front(0, samples=1024).legendrian, 128, None,
+                 id="varying-speed"),
+])
+def test_coarse_candidates_match_a_double_loop_oracle(make, m, cell):
+    pts, speed = coarse_inputs(make())
+    assert len(pts) == m
+    cells = coarse_matches_oracle(pts, speed)
+    if cell is None:
+        assert speed.max() > 50 * speed.min()
+    else:
+        assert cell in cells
+
+
+def test_coarse_candidates_keep_the_exclusion_and_radius_boundaries():
+    # Samples 20 apart on a large circle, except for hand-placed returns:
+    # q4 = q6 and q1 = q31 (circular gap 2, across the seam for the
+    # second), q12 next to q9 and q29 next to q0 (gap 3, across the seam
+    # for the second).  Each return is the minimum of its 3x3 window and
+    # inside the catch radius, so only the exclusion decides it.  q24
+    # returns 2.7 from q20, inside q24's catch radius of 3 but far outside
+    # q20's 0.09: the larger of the two radii must decide.
+    m = 32
+    t = 2 * np.pi * np.arange(m) / m
+    pts = 100.0 * np.stack([np.cos(t), np.sin(t), np.zeros(m)], axis=1)
+    pts[6] = pts[4]
+    pts[31] = pts[1]
+    pts[12] = pts[9] + [0.01, 0.0, 0.005]
+    pts[29] = pts[0] + [0.0, 0.01, -0.005]
+    pts[24] = pts[20] + [2.7, 0.0, 0.0]
+    speed = np.full(m, float(m))
+    speed[20] = 1.0
+    cells = coarse_matches_oracle(pts, speed)
+    assert (9, 12) in cells and (0, 29) in cells and (20, 24) in cells
+    assert (4, 6) not in cells and (1, 31) not in cells
+
+
+LOOPS = {
+    # crossing at (1/4, 3/4), a dyadic vertex of the unshifted polyline
+    "fish": lambda: raw_loop(*fish_arrays(1024)),
+    # tangential strands at (0, 1/2): near-collinear segments
+    "mirror": lambda: mirror_loop(1024),
+    "plain": lambda: raw_loop(*plain_arrays(1024)),
+    "model": lambda: models.model_front(3, samples=4096).legendrian,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOPS))
+@pytest.mark.parametrize("shifted", [False, True])
+def test_crossing_hits_match_the_all_pairs_oracle(name, shifted):
+    loop = LOOPS[name]()
+    g = loop.generator
+    idx, m, stride = pairscan._coarse_indices(g.n)
+    if shifted:  # as front_crossings samples the polyline
+        idx = idx + stride // 2
+    q = np.stack([g.x[idx], np.asarray(loop.z)[idx]], axis=1)
+    got = pairscan._crossing_hits(q)
+    want = dense_crossing_hits(q, pairscan.EXCLUDE_COARSE_CELLS)
+    for a, b in zip(got, want):
+        assert a.tolist() == b.tolist()
+    if name in ("fish", "mirror", "model"):
+        assert len(want[0]) > 0
+
+
+def test_crossing_hits_keep_segments_two_apart():
+    # Segment 2, from (2, 1) to (1, -1), crosses segment 0 at (1.5, 0).
+    q = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, -1.0],
+                  [-1.0, -1.0], [-1.0, 0.5]])
+    got = pairscan._crossing_hits(q)
+    want = dense_crossing_hits(q, pairscan.EXCLUDE_COARSE_CELLS)
+    for a, b in zip(got, want):
+        assert a.tolist() == b.tolist()
+    assert (0, 2) in zip(want[0].tolist(), want[1].tolist())
+
+
+def test_sweeps_expand_a_small_share_of_all_pairs(monkeypatch):
+    loop = models.model_front(3, samples=16384)
+    expanded = []
+    real = pairscan._overlapping_pairs
+
+    def counted(lo, hi):
+        a, b = real(lo, hi)
+        expanded.append((lo.shape[1], len(a)))
+        return a, b
+
+    monkeypatch.setattr(pairscan, "_overlapping_pairs", counted)
+    pairscan.coincident_pairs(loop.legendrian)
+    pairscan.front_crossings(loop.legendrian)
+    assert len(expanded) == 2
+    for items, pairs in expanded:
+        assert items == 2048
+        assert pairs < 0.1 * items * (items - 1) / 2
