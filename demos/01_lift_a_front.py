@@ -37,12 +37,11 @@ def main():
     print("horizontality residuals (finite-difference check): %.2e %.2e"
           % (r_z, r_w))
 
-    front = curves.front_of(loop)
     print("front: %d cusps, %d crossings"
-          % (len(front.cusps), len(front.double_points)))
+          % (len(loop.cusps), len(loop.double_points)))
 
     svg = OUT / "lifted_front.svg"
-    render.render_svg(front, svg)
+    render.render_svg(loop, svg)
     (OUT / "lifted_loop.csv").write_text(render.loop_csv_text(loop))
     print("wrote", svg, "and", OUT / "lifted_loop.csv")
 

@@ -8,7 +8,7 @@ demo walks n from -3 to 3 and certifies each loop.
 
 import pathlib
 
-from engel import curves, invariants, lifting, models, render
+from engel import invariants, lifting, models, render
 
 OUT = pathlib.Path(__file__).resolve().parent / "out"
 
@@ -23,9 +23,7 @@ def main():
         print("n=%+d  rot %+d/%+d  cusps %d  margin %s"
               % (n, report["rot_winding"], report["rot_cusp"],
                  report["c_plus"] + report["c_minus"], margin))
-        render.render_svg(
-            curves.front_of(loop), OUT / ("model_rot%+d.svg" % n)
-        )
+        render.render_svg(loop, OUT / ("model_rot%+d.svg" % n))
     print("fronts written to", OUT)
 
 

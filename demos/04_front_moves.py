@@ -34,11 +34,10 @@ def main():
           % (report.ok, report.rot, report.margin, report.frames))
 
     for tag, frame in (("start", trace.frames[0]), ("end", trace.frames[-1])):
-        front = curves.front_of(frame)
         path = OUT / ("moves_%s.svg" % tag)
-        render.render_svg(front, path)
+        render.render_svg(frame, path)
         print("%-5s %d cusps, %d crossings -> %s"
-              % (tag, len(front.cusps), len(front.double_points), path))
+              % (tag, len(frame.cusps), len(frame.double_points), path))
 
 
 if __name__ == "__main__":

@@ -70,7 +70,7 @@ def _realize(doc, name: str, samples: int):
 
 
 def _closure_payload(loop, tol_closure: float) -> dict:
-    dz = float(loop.legendrian.closure_defect_z)
+    dz = float(loop.closure_defect_z)
     dw = float(loop.closure_defect_w)
     return {
         "defect_z": dz,
@@ -167,7 +167,6 @@ def _cmd_model(args) -> int:
     if seed is None:
         seed = int(os.environ.get("ENGEL_SEED", "0"))
     loop = models.model_front(args.n, seed=seed, samples=args.samples)
-    front = curves.front_of(loop)
     payload = {
         "n": args.n,
         "seed": seed,
@@ -179,7 +178,7 @@ def _cmd_model(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, "model_rot%d_seed%d" % (args.n, seed))
     _write_text(stem + ".csv", render.loop_csv_text(loop))
-    render.render_svg(front, stem + ".svg")
+    render.render_svg(loop, stem + ".svg")
     _write_text(stem + ".json", _json_text(payload))
     _emit_json(payload)
     return EXIT_OK
@@ -206,7 +205,10 @@ def _cmd_homotopy(args) -> int:
     events = {
         "times": list(trace.times),
         "events": [{"t": t, "kind": kind} for t, kind in trace.events],
-        "frames": [dict(entry) for entry in trace.report],
+        "frames": [
+            {"t": t, "defect_z": loop.closure_defect_z, "defect_w": loop.closure_defect_w}
+            for t, loop in zip(trace.times, trace.frames)
+        ],
     }
     _write_text(os.path.join(out_dir, "events.json"), _json_text(events))
     report = homotopy.verify_isotopy(

@@ -49,15 +49,6 @@ class TrigSeries:
             out += b * np.sin(fourier.TAU * k * s)
         return out if s.ndim else float(out)
 
-    def derivative(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros(s.shape)
-        for k, a in self.cos.items():
-            out -= a * fourier.TAU * k * np.sin(fourier.TAU * k * s)
-        for k, b in self.sin.items():
-            out += b * fourier.TAU * k * np.cos(fourier.TAU * k * s)
-        return out if s.ndim else float(out)
-
     @property
     def degree(self) -> int:
         return max([0] + [k for k, v in self.cos.items() if v != 0.0]
@@ -70,16 +61,6 @@ class TrigSeries:
             {k: float(v) for k, v in self.cos.items() if v != 0.0},
             {k: float(v) for k, v in self.sin.items() if v != 0.0},
         )
-
-    def combined(self, other: "TrigSeries", factor: float = 1.0) -> "TrigSeries":
-        """self + factor*other, pruned."""
-        cos = dict(self.cos)
-        sin = dict(self.sin)
-        for k, v in other.cos.items():
-            cos[k] = cos.get(k, 0.0) + factor * v
-        for k, v in other.sin.items():
-            sin[k] = sin.get(k, 0.0) + factor * v
-        return TrigSeries(self.constant + factor * other.constant, cos, sin).pruned()
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -164,12 +145,16 @@ class LegendrianGenerator:
 
 @dataclass
 class LegendrianLoop:
-    """Sampled (x, y, z) loop in contact R^3.
+    """Sampled (x, y, z) loop in contact R^3, and its front.
 
     z is the running integral of y dx from the base point, so the samples
     carry a linear ramp of rate closure_defect_z when the loop fails to
     close.  Use lifting.lift to construct one; direct construction is for
     trusted or deliberately raw data (tests, quadrature fixtures).
+
+    The front is the (x, z) picture.  Its cusps, double points and
+    self-tangencies are found on first read and kept on the loop, so a
+    caller that wants only the cusps pays for neither pair scan.
     """
 
     generator: LegendrianGenerator
@@ -209,14 +194,14 @@ class LegendrianLoop:
     def z_at(self, s):
         return self.z_interp.value(s)
 
-    # The front's data lives here, computed on first read, so that every
-    # FrontDiagram of this loop shares it; a diagram holding the loop that
-    # holds the diagram would be a reference cycle, and loops in cycles
-    # wait for the cyclic collector instead of being freed when dropped.
     @functools.cached_property
     def cusps(self) -> list:
-        """The front's cusps (see front_of)."""
-        if not self.closed:
+        """The front's cusps.
+
+        The front needs only z to close; a horizontal loop whose w stays
+        open still has one, so this tests the z defect, not `closed`.
+        """
+        if abs(self.closure_defect_z) > TOL_CLOSURE:
             raise NotClosed(
                 "front projection needs |closure defect| <= %g, got %.3e"
                 % (TOL_CLOSURE, self.closure_defect_z)
@@ -241,40 +226,21 @@ class LegendrianLoop:
 
 
 @dataclass
-class HorizontalLoop:
-    """Sampled (x, y, z, w) loop tangent to the rank-2 distribution."""
+class HorizontalLoop(LegendrianLoop):
+    """Sampled (x, y, z, w) loop tangent to the rank-2 distribution: its
+    Legendrian loop (x, y, z) plus w, the running integral of z dx."""
 
-    legendrian: LegendrianLoop
     w: np.ndarray
     w0: float
     closure_defect_w: float
 
     def __post_init__(self):
+        super().__post_init__()
         self.w = _readonly(self.w)
 
     @property
-    def generator(self) -> LegendrianGenerator:
-        return self.legendrian.generator
-
-    @property
-    def n(self) -> int:
-        return self.legendrian.n
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.legendrian.x
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.legendrian.y
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.legendrian.z
-
-    @property
     def closed(self) -> bool:
-        return self.legendrian.closed and abs(self.closure_defect_w) <= TOL_CLOSURE
+        return super().closed and abs(self.closure_defect_w) <= TOL_CLOSURE
 
 
 class Orientation(enum.Enum):
@@ -287,38 +253,6 @@ class Cusp:
     s: float
     position: tuple  # (x, z)
     orientation: Orientation
-
-
-@dataclass
-class FrontDiagram:
-    """The (x, z) projection of a closed Legendrian loop.
-
-    A view of the loop: x, z, double_points and self_tangencies are read
-    from it.  The loop finds each on first read and keeps it, so the
-    diagrams of one loop share one cusp search and one run of each pair
-    scan, and a caller that wants only the cusps pays for neither scan.
-    """
-
-    loop: LegendrianLoop
-    cusps: list
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.loop.x
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.loop.z
-
-    @property
-    def double_points(self) -> list:
-        """Transverse front crossings, (s0, s1)."""
-        return self.loop.double_points
-
-    @property
-    def self_tangencies(self) -> list:
-        """Shared position and slope, (s0, s1)."""
-        return self.loop.self_tangencies
 
 
 def sample_generator(description, n: int) -> LegendrianGenerator:
@@ -491,13 +425,6 @@ def find_cusps(g: LegendrianGenerator):
     return out
 
 
-def front_of(loop) -> FrontDiagram:
-    """Project a closed loop (Legendrian or horizontal) to its front diagram."""
-    if isinstance(loop, HorizontalLoop):
-        loop = loop.legendrian
-    return FrontDiagram(loop, loop.cusps)
-
-
 def horizontality_residual(loop: HorizontalLoop):
     """(r_z, r_w): worst sampled defect of z' = y x' and w' = z x'.
 
@@ -506,12 +433,10 @@ def horizontality_residual(loop: HorizontalLoop):
     genuine consistency check rather than an algebraic identity.  It decays
     like N^-2 on smooth closed loops.
     """
-    leg = loop.legendrian
-    g = leg.generator
-    dx = fourier.fd_derivative(g.x)
-    dz = fourier.fd_derivative(leg.z, drift=leg.closure_defect_z)
+    dx = fourier.fd_derivative(loop.x)
+    dz = fourier.fd_derivative(loop.z, drift=loop.closure_defect_z)
     dw = fourier.fd_derivative(loop.w, drift=loop.closure_defect_w)
-    r_z = float(np.max(np.abs(dz - g.y * dx)))
-    r_w = float(np.max(np.abs(dw - leg.z * dx)))
+    r_z = float(np.max(np.abs(dz - loop.y * dx)))
+    r_w = float(np.max(np.abs(dw - loop.z * dx)))
     return r_z, r_w
 

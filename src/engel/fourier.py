@@ -82,16 +82,6 @@ def _weights(n: int, c: np.ndarray, orders) -> np.ndarray:
     return (2.0 / n) * weights
 
 
-def evaluate(values: np.ndarray, s) -> np.ndarray:
-    """Trigonometric interpolant of the samples, at arbitrary parameters."""
-    return Interpolant(values).value(s)
-
-
-def evaluate_derivative(values: np.ndarray, s) -> np.ndarray:
-    """Derivative of the trigonometric interpolant at arbitrary parameters."""
-    return Interpolant(values).derivative(s)
-
-
 class Interpolant:
     """Reusable evaluator for one or more channels of periodic samples.
 

@@ -75,14 +75,12 @@ class HomotopyTrace:
     """A discretely sampled homotopy: lifted frames at increasing times.
 
     ``events`` holds (time, kind) for each singular moment; every event
-    time lies on the frame grid.  ``report`` carries the per-frame
-    closure defects measured after balancing.
+    time lies on the frame grid.
     """
 
     frames: tuple
     times: tuple
     events: tuple
-    report: tuple
 
 
 def _param(move: Move, name: str, default=None) -> float:
@@ -342,17 +340,9 @@ def run_script(g0: LegendrianGenerator, script, z0: float = 0.0, w0: float = 0.0
     current = lifting.balance_closure(g0)
     supports = lifting.balance_supports(current)
 
-    first = lifting.lift(current, z0, w0)
-    frames = [first]
+    frames = [lifting.lift(current, z0, w0)]
     times = [0.0]
     events = []
-    report = [
-        {
-            "t": 0.0,
-            "defect_z": first.legendrian.closure_defect_z,
-            "defect_w": first.closure_defect_w,
-        }
-    ]
     total = sum(_step_count(m) for m in moves)
     done = 0
     for move in moves:
@@ -364,23 +354,11 @@ def run_script(g0: LegendrianGenerator, script, z0: float = 0.0, w0: float = 0.0
             t = (done + j) / total
             frames.append(loop)
             times.append(t)
-            report.append(
-                {
-                    "t": t,
-                    "defect_z": loop.legendrian.closure_defect_z,
-                    "defect_w": loop.closure_defect_w,
-                }
-            )
         if move.kind in EVENT_KINDS:
             events.append(((done + k // 2) / total, move.kind))
         current = frames[-1].generator
         done += k
-    return HomotopyTrace(
-        frames=tuple(frames),
-        times=tuple(times),
-        events=tuple(events),
-        report=tuple(report),
-    )
+    return HomotopyTrace(frames=tuple(frames), times=tuple(times), events=tuple(events))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ of the two is a theorem, and the test suite leans on it heavily.
 import numpy as np
 
 from . import fourier
-from .curves import FrontDiagram, LegendrianGenerator, Orientation, front_of
+from .curves import LegendrianGenerator, LegendrianLoop, Orientation
 from .errors import AmbiguousWinding, OddCuspImbalance
 
 # A winding sum farther than this from an integer signals resolution
@@ -52,15 +52,15 @@ def rot_winding(g: LegendrianGenerator) -> int:
     )
 
 
-def classify_cusps(f: FrontDiagram):
-    """(c_plus, c_minus): cusp counts by orientation."""
-    c_plus = sum(1 for c in f.cusps if c.orientation is Orientation.UP)
-    return c_plus, len(f.cusps) - c_plus
+def classify_cusps(loop: LegendrianLoop):
+    """(c_plus, c_minus): the front's cusp counts by orientation."""
+    c_plus = sum(1 for c in loop.cusps if c.orientation is Orientation.UP)
+    return c_plus, len(loop.cusps) - c_plus
 
 
-def rot_cusp(f: FrontDiagram) -> int:
+def rot_cusp(loop: LegendrianLoop) -> int:
     """Rotation number read off the front: (c_minus - c_plus) / 2."""
-    c_plus, c_minus = classify_cusps(f)
+    c_plus, c_minus = classify_cusps(loop)
     if (c_minus - c_plus) % 2:
         raise OddCuspImbalance(
             "c_minus - c_plus = %d is odd; a cusp was missed or spurious"
@@ -69,14 +69,12 @@ def rot_cusp(f: FrontDiagram) -> int:
     return (c_minus - c_plus) // 2
 
 
-def invariant_report(loop) -> dict:
+def invariant_report(loop: LegendrianLoop) -> dict:
     """Both rotation computations for a closed loop, as a JSON-ready dict."""
-    g = loop.generator
-    front = front_of(loop)
-    c_plus, c_minus = classify_cusps(front)
+    c_plus, c_minus = classify_cusps(loop)
     return {
-        "rot_winding": rot_winding(g),
-        "rot_cusp": rot_cusp(front),
+        "rot_winding": rot_winding(loop.generator),
+        "rot_cusp": rot_cusp(loop),
         "c_plus": c_plus,
         "c_minus": c_minus,
     }

@@ -22,7 +22,6 @@ from .curves import (
     TOL_CLOSURE,
     HorizontalLoop,
     LegendrianGenerator,
-    LegendrianLoop,
 )
 from .errors import ImmersionLost, NotClosed, SingularSystem, ZNotClosed
 
@@ -75,34 +74,27 @@ def lift(g: LegendrianGenerator, z0: float = 0.0, w0: float = 0.0) -> Horizontal
         )
     s = fourier.grid(g.n)
     z = z0 + f_z
-    leg = LegendrianLoop(g, z, float(z0), float(m_z))
-
     z_periodic = z - m_z * s
     f_w, m_w = fourier.antiderivative(z_periodic * g.xp)
     f_x, x_mean = fourier.antiderivative(g.x)
     # ∫₀ˢ t x'(t) dt = s x(s) - ∫₀ˢ x, entering through the z ramp.
     w = w0 + f_w + m_z * (s * g.x - f_x)
     defect_w = float(m_w + m_z * (g.x[0] - x_mean))
-    return HorizontalLoop(leg, w, float(w0), defect_w)
-
-
-def _legendrian_of(loop) -> LegendrianLoop:
-    return loop.legendrian if isinstance(loop, HorizontalLoop) else loop
+    return HorizontalLoop(g, z, float(z0), float(m_z), w, float(w0), defect_w)
 
 
 def area_integral(loop, s0: float, s1: float) -> float:
     """∫_{s0}^{s1} z dx along the loop; (0, 1) gives ∮ z dx.
 
-    Accepts either loop kind, since only x and z enter.
+    Only x and z enter, so any LegendrianLoop will do.
     """
     s0 = float(s0)
     s1 = float(s1)
     if not (s0 <= s1 <= s0 + 1.0 + 1e-9):
         raise ValueError("need s0 <= s1 within one period, got (%r, %r)" % (s0, s1))
-    leg = _legendrian_of(loop)
-    g = leg.generator
-    m = leg.closure_defect_z
-    z_periodic = leg.z - m * fourier.grid(g.n)
+    g = loop.generator
+    m = loop.closure_defect_z
+    z_periodic = loop.z - m * fourier.grid(g.n)
     q = z_periodic * g.xp
     total = fourier.evaluate_antiderivative(q, s1) - fourier.evaluate_antiderivative(
         q, s0
@@ -139,17 +131,15 @@ def embedding_check(loop: HorizontalLoop) -> EmbeddingReport:
     """Certify embeddedness: every self-meeting of the Legendrian curve
     must be separated in w by more than tol_embed.
 
-    The self-meetings are the Legendrian loop's self_tangencies, which
-    the loop scans for once and shares with its front diagrams.
+    The self-meetings are the loop's self_tangencies, which the loop
+    scans for once and keeps.
     """
-    if not loop.legendrian.closed:
-        raise NotClosed(
-            "z does not close up (defect %.3e)" % loop.legendrian.closure_defect_z
-        )
+    if abs(loop.closure_defect_z) > TOL_CLOSURE:
+        raise NotClosed("z does not close up (defect %.3e)" % loop.closure_defect_z)
     if abs(loop.closure_defect_w) > TOL_CLOSURE:
         raise NotClosed("w does not close up (defect %.3e)" % loop.closure_defect_w)
     triples = []
-    for s0, s1 in loop.legendrian.self_tangencies:
+    for s0, s1 in loop.self_tangencies:
         dw = area_integral(loop, s0, s1)
         triples.append((s0, s1, dw))
     margin = min((abs(dw) for _, _, dw in triples), default=math.inf)

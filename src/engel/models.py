@@ -11,13 +11,8 @@ computations); any failed certificate triggers a reseeded retry.
 import numpy as np
 
 from . import fourier, invariants, lifting
-from .curves import (
-    HorizontalLoop,
-    LegendrianGenerator,
-    LegendrianLoop,
-    front_of,
-)
-from .errors import EngelError, NotClosed, SynthesisFailed
+from .curves import HorizontalLoop, LegendrianGenerator
+from .errors import EngelError, SynthesisFailed
 
 MAX_ROT = 64
 RETRY_CAP = 16
@@ -67,8 +62,7 @@ def model_front(n_rot: int, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> Ho
             if winding != n_rot:
                 last = "winding %d instead of %d (under-resolved)" % (winding, n_rot)
                 continue
-            front = front_of(loop)
-            cusp_rot = invariants.rot_cusp(front)
+            cusp_rot = invariants.rot_cusp(loop)
             if cusp_rot != n_rot:
                 last = "cusp count gives rot %d instead of %d" % (cusp_rot, n_rot)
                 continue
@@ -84,26 +78,3 @@ def model_front(n_rot: int, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> Ho
         % (n_rot, RETRY_CAP, last)
     )
 
-
-def reference_loop(n_rot: int) -> HorizontalLoop:
-    """Fixed-seed showcase loops (rot +-3 and 0 are the classic pictures)."""
-    return model_front(n_rot, seed=0)
-
-
-def orientation_reverse(loop: HorizontalLoop) -> HorizontalLoop:
-    """The same loop traversed via s -> 1 - s; negates rot, keeps the margin."""
-    if not loop.closed:
-        raise NotClosed("orientation reversal is defined for closed loops")
-
-    def rev(a: np.ndarray) -> np.ndarray:
-        return np.roll(a[::-1], 1)
-
-    leg = loop.legendrian
-    g = leg.generator
-    reversed_generator = LegendrianGenerator(rev(g.x), rev(g.y))
-    reversed_leg = LegendrianLoop(
-        reversed_generator, rev(leg.z), float(leg.z[0]), -leg.closure_defect_z
-    )
-    return HorizontalLoop(
-        reversed_leg, rev(loop.w), float(loop.w[0]), -loop.closure_defect_w
-    )

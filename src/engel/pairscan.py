@@ -286,32 +286,21 @@ def coincident_pairs(loop, tol: float = COINCIDENCE_TOL):
 
     ci, cj, cd = _coarse_candidates(pts, speed)
 
-    # Greedy cluster merge, nearest first.  Binning on the coarse index
-    # keeps the membership test O(1) per candidate: an accepted seed can
-    # only veto candidates in its own or an adjacent bin.
+    # Greedy cluster merge, nearest first: a candidate within
+    # MERGE_COARSE_CELLS of an accepted seed, circularly on both indices,
+    # belongs to that seed's basin.  There are a few dozen candidates per
+    # scan, so each is tested against every accepted seed.
     order = np.argsort(cd)
-    span = int(MERGE_COARSE_CELLS)
-    bins = {}
+    taken = []
     seeds = []
-    for k in order:
-        bi, bj = int(ci[k]) // span, int(cj[k]) // span
-        taken = False
-        for pi in (bi - 1, bi, bi + 1):
-            for pj in (bj - 1, bj, bj + 1):
-                for qi, qj in bins.get((pi % (m // span + 1), pj % (m // span + 1)), ()):
-                    di = min(abs(int(ci[k]) - qi), m - abs(int(ci[k]) - qi))
-                    dj = min(abs(int(cj[k]) - qj), m - abs(int(cj[k]) - qj))
-                    if di <= span and dj <= span:
-                        taken = True
-                        break
-                if taken:
-                    break
-            if taken:
-                break
-        if not taken:
-            key = (bi % (m // span + 1), bj % (m // span + 1))
-            bins.setdefault(key, []).append((int(ci[k]), int(cj[k])))
-            seeds.append((ci[k] * stride / n, cj[k] * stride / n))
+    for i, j in zip(ci[order].tolist(), cj[order].tolist()):
+        if not any(
+            min(abs(i - qi), m - abs(i - qi)) <= MERGE_COARSE_CELLS
+            and min(abs(j - qj), m - abs(j - qj)) <= MERGE_COARSE_CELLS
+            for qi, qj in taken
+        ):
+            taken.append((i, j))
+            seeds.append((i * stride / n, j * stride / n))
 
     pairs = []
     for r0, r1, gap in _refine_coincidences(loop, seeds, tol):

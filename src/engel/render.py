@@ -22,22 +22,21 @@ def _fmt(v: float) -> str:
 
 def loop_csv_text(loop) -> str:
     """CSV table s,x,y,z,w of a horizontal loop, full decimal precision."""
-    g = loop.generator
-    columns = (fourier.grid(g.n), g.x, g.y, loop.legendrian.z, loop.w)
+    columns = (fourier.grid(loop.n), loop.x, loop.y, loop.z, loop.w)
     rows = zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in columns))
     return "s,x,y,z,w\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
-def front_svg_text(front) -> str:
-    """SVG for a front diagram: polyline, cusp glyphs, meeting marks.
+def front_svg_text(loop) -> str:
+    """SVG for the front of a closed loop: polyline, cusp glyphs, meeting marks.
 
     Cusps pointing up and down get distinct triangle glyphs (classes
     cusp-up / cusp-down), transverse crossings get circles (class
     crossing), tangential meetings get diamonds (class tangency).
     """
-    x = np.asarray(front.x, dtype=float)
-    z = np.asarray(front.z, dtype=float)
-    x_at, z_at = front.loop.generator.x_at, front.loop.z_at
+    x = np.asarray(loop.x, dtype=float)
+    z = np.asarray(loop.z, dtype=float)
+    x_at, z_at = loop.generator.x_at, loop.z_at
 
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
     z_lo, z_hi = float(np.min(z)), float(np.max(z))
@@ -66,7 +65,7 @@ def front_svg_text(front) -> str:
     parts.append('<path class="front" d="%s"/>' % " ".join(steps))
 
     r = 0.018 * span
-    for cusp in front.cusps:
+    for cusp in loop.cusps:
         cx, cz = cusp.position
         kind = cusp.orientation.value
         d = _GLYPH[kind].format(
@@ -75,13 +74,13 @@ def front_svg_text(front) -> str:
         )
         parts.append('<path class="cusp-%s" d="%s"/>' % (kind, d))
 
-    for s0, _s1 in front.double_points:
+    for s0, _s1 in loop.double_points:
         cx, cz = x_at(s0), z_at(s0)
         parts.append(
             '<circle class="crossing" cx="%s" cy="%s" r="%s"/>'
             % (_fmt(cx), _fmt(-cz), _fmt(r))
         )
-    for s0, _s1 in front.self_tangencies:
+    for s0, _s1 in loop.self_tangencies:
         cx, cz = x_at(s0), z_at(s0)
         parts.append(
             '<path class="tangency" d="M %s %s L %s %s L %s %s L %s %s Z"/>'
@@ -95,7 +94,7 @@ def front_svg_text(front) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_svg(front, path) -> None:
-    """Write the SVG picture of a front diagram to a file."""
+def render_svg(loop, path) -> None:
+    """Write the SVG picture of a loop's front to a file."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(front_svg_text(front))
+        handle.write(front_svg_text(loop))

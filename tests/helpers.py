@@ -179,3 +179,53 @@ def dense_crossing_hits(q, exclude):
     keep = (j > i) & (np.minimum(j - i, m - (j - i)) >= exclude)
     i, j = i[keep], j[keep]
     return i, j, d1[i, j], d2[i, j], d3[i, j], d4[i, j]
+
+
+# Operations that only the tests use, kept here rather than in the package.
+
+
+def trig_series_derivative(f, s):
+    """Derivative of a TrigSeries, harmonic by harmonic."""
+    s = np.asarray(s, dtype=float)
+    out = np.zeros(s.shape)
+    for k, a in f.cos.items():
+        out -= a * TAU * k * np.sin(TAU * k * s)
+    for k, b in f.sin.items():
+        out += b * TAU * k * np.cos(TAU * k * s)
+    return out if s.ndim else float(out)
+
+
+def trig_series_combined(f, other, factor=1.0):
+    """The TrigSeries f + factor * other, pruned."""
+    from engel.curves import TrigSeries
+
+    cos = dict(f.cos)
+    sin = dict(f.sin)
+    for k, v in other.cos.items():
+        cos[k] = cos.get(k, 0.0) + factor * v
+    for k, v in other.sin.items():
+        sin[k] = sin.get(k, 0.0) + factor * v
+    return TrigSeries(f.constant + factor * other.constant, cos, sin).pruned()
+
+
+def orientation_reverse(loop):
+    """The same horizontal loop traversed via s -> 1 - s; negates rot,
+    keeps the margin."""
+    from engel.curves import HorizontalLoop, LegendrianGenerator
+    from engel.errors import NotClosed
+
+    if not loop.closed:
+        raise NotClosed("orientation reversal is defined for closed loops")
+
+    def rev(a):
+        return np.roll(a[::-1], 1)
+
+    return HorizontalLoop(
+        LegendrianGenerator(rev(loop.x), rev(loop.y)),
+        rev(loop.z),
+        float(loop.z[0]),
+        -loop.closure_defect_z,
+        rev(loop.w),
+        float(loop.w[0]),
+        -loop.closure_defect_w,
+    )

@@ -80,7 +80,7 @@ def test_criterion_1_models_realize_every_rotation_number():
                 problems.append(
                     "%s: rot (%d, %d)" % (tag, report["rot_winding"], report["rot_cusp"])
                 )
-            dz = loop.legendrian.closure_defect_z
+            dz = loop.closure_defect_z
             dw = loop.closure_defect_w
             if max(abs(dz), abs(dw)) > TOL_DEFECT:
                 problems.append("%s: defects (%.2e, %.2e)" % (tag, dz, dw))
@@ -142,7 +142,7 @@ def test_criterion_2_both_rotation_routes_agree_on_a_random_corpus():
         try:
             bal = lifting.balance_closure(g)
             via_winding = invariants.rot_winding(bal)
-            via_cusps = invariants.rot_cusp(curves.front_of(lifting.lift(bal)))
+            via_cusps = invariants.rot_cusp(lifting.lift(bal))
         except Exception as err:
             problems.append("sample %d raised %s" % (tried, type(err).__name__))
             continue
@@ -181,9 +181,9 @@ def test_criterion_3_lift_converges_at_second_order_and_cusps_are_flat():
         ("model-2", models.model_front(-2, seed=0, samples=2048)),
     )
     for name, loop in cusp_cases:
-        z_rate = fourier.Interpolant(np.asarray(loop.legendrian.z))
+        z_rate = fourier.Interpolant(np.asarray(loop.z))
         w_rate = fourier.Interpolant(np.asarray(loop.w))
-        for cusp in curves.front_of(loop).cusps:
+        for cusp in loop.cusps:
             flatness = max(
                 abs(float(z_rate.derivative(cusp.s))),
                 abs(float(w_rate.derivative(cusp.s))),
@@ -227,7 +227,7 @@ def test_criterion_5_embedding_verdicts(capsys):
         problems.append("fixture margin %.2e" % margin)
     for n in (-3, 0, 4):
         loop = models.model_front(n, seed=0, samples=WORKING_GRID)
-        dz = loop.legendrian.closure_defect_z
+        dz = loop.closure_defect_z
         dw = loop.closure_defect_w
         check = lifting.embedding_check(loop)
         ok = max(abs(dz), abs(dw)) <= TOL_DEFECT and check.margin > TOL_MARGIN
@@ -253,12 +253,12 @@ def test_criterion_6_the_shipped_demo_verifies_and_the_zero_area_trace_fails():
         problems.append("demo margin %.2e" % report.margin)
     if len(report.events) != 2:
         problems.append("demo saw %d events" % len(report.events))
-    for entry in trace.report:
-        if max(abs(entry["defect_z"]), abs(entry["defect_w"])) > TOL_DEFECT:
-            problems.append("frame at t=%.3f not closed" % entry["t"])
+    for t, frame in zip(trace.times, trace.frames):
+        if max(abs(frame.closure_defect_z), abs(frame.closure_defect_w)) > TOL_DEFECT:
+            problems.append("frame at t=%.3f not closed" % t)
             break
     first, last = trace.frames[0], trace.frames[-1]
-    cusps = (len(curves.front_of(first).cusps), len(curves.front_of(last).cusps))
+    cusps = (len(first.cusps), len(last.cusps))
     if invariants.rot_winding(first.generator) != 1 or cusps[0] == cusps[1]:
         problems.append("endpoints not two distinct rot=1 loops (cusps %s)" % (cusps,))
 

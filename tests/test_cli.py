@@ -235,3 +235,24 @@ def test_malformed_moves_are_usage_errors_exit_2(tmp_path, capsys, script, messa
     code, _, err = run_script_doc(tmp_path, capsys, script)
     assert code == 2
     assert message in err
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("command", ["lift", "rot", "check"])
+@pytest.mark.parametrize("document, name", [("demo", "circ"), ("zero_area", "mirror")])
+def test_output_matches_golden_bytes(tmp_path, capsys, command, document, name):
+    # The CLI's bytes for the shipped documents are a contract: stdout,
+    # stderr and the exit code match the golden files exactly.
+    path = str(resources.files("engel.data").joinpath(document + ".front"))
+    code, out, err = run_cli(capsys, command, path, name, "--out", str(tmp_path))
+
+    def golden(suffix):
+        stem = "%s_%s_%s" % (command, document, name)
+        with open(os.path.join(GOLDEN, stem + suffix), encoding="utf-8", newline="") as handle:
+            return handle.read()
+
+    assert out == golden(".out")
+    assert err == golden(".err")
+    assert code == int(golden(".code"))

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from engel import curves, fourier, pairscan
+from engel import curves, fourier, invariants, lifting, pairscan, render
 from engel.curves import (
     Cusp,
-    FrontDiagram,
     LegendrianGenerator,
     LegendrianLoop,
     HorizontalLoop,
     Orientation,
     TrigSeries,
     find_cusps,
-    front_of,
     horizontality_residual,
     sample_generator,
 )
@@ -29,6 +27,8 @@ from helpers import (
     mirror_yp,
     mirror_z,
     raw_loop,
+    trig_series_combined,
+    trig_series_derivative,
 )
 
 
@@ -47,7 +47,7 @@ def test_trig_series_derivative_matches_finite_difference():
     s = np.linspace(0.0, 1.0, 11)
     h = 1e-6
     fd = (f(s + h) - f(s - h)) / (2 * h)
-    assert np.allclose(f.derivative(s), fd, atol=1e-5)
+    assert np.allclose(trig_series_derivative(f, s), fd, atol=1e-5)
 
 
 def test_trig_series_pruned_and_combined():
@@ -56,7 +56,7 @@ def test_trig_series_pruned_and_combined():
     assert p.cos == {1: 1.0} and p.sin == {4: 2.0}
     assert p.degree == 4
     g = TrigSeries(1.0, cos={1: -1.0}, sin={})
-    c = p.combined(g, factor=1.0)
+    c = trig_series_combined(p, g, factor=1.0)
     assert c.constant == 1.0 and c.cos == {} and c.sin == {4: 2.0}
 
 
@@ -177,13 +177,12 @@ def test_front_of_requires_closure():
     loop = LegendrianLoop(g, z, 0.0, -np.pi)
     assert not loop.closed
     with pytest.raises(NotClosed):
-        front_of(loop)
+        loop.cusps
 
 
 def test_front_of_mirror_fixture_census():
-    loop = mirror_loop(1024)
-    front = front_of(loop)
-    assert isinstance(front, FrontDiagram)
+    front = mirror_loop(1024)
+    assert all(isinstance(cusp, Cusp) for cusp in front.cusps)
     assert len(front.cusps) == 6
     # Orientation oracle, evaluated from the closed forms: a cusp points
     # up when y' and the sign of x' just after the root agree.
@@ -217,7 +216,7 @@ def test_front_pair_scans_run_lazily_and_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(pairscan, name, counted(name))
-    front = front_of(mirror_loop(1024))
+    front = mirror_loop(1024)
     assert len(front.cusps) == 6
     assert calls == {"coincident_pairs": 0, "front_crossings": 0}
     assert front.self_tangencies is front.self_tangencies
@@ -226,31 +225,56 @@ def test_front_pair_scans_run_lazily_and_once(monkeypatch):
 
 
 def test_fronts_of_one_loop_share_one_cusp_search_and_scan(monkeypatch):
-    searches = []
-    real = curves.find_cusps
+    # One lifted loop read by the report, the embedding check and the
+    # picture: one cusp search and one run of each pair scan in total.
+    calls = {"find_cusps": 0, "coincident_pairs": 0, "front_crossings": 0}
 
-    def counted(g):
-        searches.append(g)
-        return real(g)
+    def counted(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(curves, "find_cusps", counted)
-    loop = mirror_loop(1024)
-    front = front_of(loop)
-    again = front_of(HorizontalLoop(loop, np.zeros(loop.n), 0.0, 0.0))
-    assert again.cusps is front.cusps
-    assert again.self_tangencies is front.self_tangencies
-    assert len(searches) == 1
+        def run(arg):
+            calls[name] += 1
+            return real(arg)
+
+        monkeypatch.setattr(module, name, run)
+
+    counted(curves, "find_cusps")
+    counted(pairscan, "coincident_pairs")
+    counted(pairscan, "front_crossings")
+    s = fourier.grid(1024)
+    loop = lifting.lift(LegendrianGenerator(mirror_x(s), mirror_y(s)))
+    report = invariants.invariant_report(loop)
+    check = lifting.embedding_check(loop)
+    svg = render.front_svg_text(loop)
+    assert report["c_plus"] + report["c_minus"] == 6
+    assert len(check.double_points) == 1
+    assert svg.count('class="tangency"') == 1
+    assert calls == {"find_cusps": 1, "coincident_pairs": 1, "front_crossings": 1}
+
+
+def test_front_needs_z_closed_and_not_w():
+    # closed in z, open in w (the plain curve has ∮ z dx = pi/2): the
+    # horizontal loop is not closed, but its front is still there.
+    s = fourier.grid(1024)
+    loop = lifting.lift(LegendrianGenerator(np.cos(TAU * s), np.sin(2 * TAU * s)))
+    assert abs(loop.closure_defect_z) <= curves.TOL_CLOSURE
+    assert loop.closure_defect_w == pytest.approx(np.pi / 2, abs=1e-12)
+    assert not loop.closed
+    assert [c.s for c in loop.cusps] == pytest.approx([0.0, 0.5], abs=1e-12)
+    report = invariants.invariant_report(loop)
+    assert report["rot_cusp"] == report["rot_winding"]
+    assert report["c_plus"] + report["c_minus"] == 2
 
 
 def test_horizontality_residual_accepts_true_lift_and_flags_fakes():
     n = 1024
     loop = mirror_loop(n)
     s = fourier.grid(n)
-    good = HorizontalLoop(loop, mirror_w(s), 0.0, 0.0)
+    good = HorizontalLoop(loop.generator, loop.z, 0.0, 0.0, mirror_w(s), 0.0, 0.0)
     r_z, r_w = horizontality_residual(good)
     assert r_z < 0.05
     assert r_w < 0.2
-    fake = HorizontalLoop(loop, loop.z.copy(), 0.0, 0.0)
+    fake = HorizontalLoop(loop.generator, loop.z, 0.0, 0.0, loop.z.copy(), 0.0, 0.0)
     _, r_bad = horizontality_residual(fake)
     assert r_bad > 1.0
 

@@ -72,10 +72,10 @@ def test_nyquist_mode_handling():
     values = (-1.0) ** np.arange(n)  # pure Nyquist input, cos(pi*n*s) on grid
     assert np.max(np.abs(fourier.derivative(values))) == 0.0
     s = np.array([0.0, 1.0 / (2 * n), 0.31, 0.77])
-    got = fourier.evaluate(values, s)
+    got = fourier.Interpolant(values).value(s)
     assert np.allclose(got, np.cos(np.pi * n * s), atol=1e-12)
     # derivative of the interpolant keeps the sine term off-grid
-    gotd = fourier.evaluate_derivative(values, s)
+    gotd = fourier.Interpolant(values).derivative(s)
     assert np.allclose(gotd, -np.pi * n * np.sin(np.pi * n * s), atol=1e-9)
 
 
@@ -84,11 +84,11 @@ def test_evaluate_off_grid_exact_for_trig():
     const, cos_t, sin_t = random_series(rng)
     values = trig_series(fourier.grid(64), const, cos_t, sin_t)
     s = rng.uniform(0.0, 1.0, size=40)
-    assert np.max(np.abs(fourier.evaluate(values, s) - trig_series(s, const, cos_t, sin_t))) < 1e-12
+    assert np.max(np.abs(fourier.Interpolant(values).value(s) - trig_series(s, const, cos_t, sin_t))) < 1e-12
     assert (
         np.max(
             np.abs(
-                fourier.evaluate_derivative(values, s)
+                fourier.Interpolant(values).derivative(s)
                 - trig_series_derivative(s, cos_t, sin_t)
             )
         )
@@ -100,7 +100,7 @@ def test_evaluate_scalar_matches_grid():
     rng = np.random.default_rng(3)
     const, cos_t, sin_t = random_series(rng, max_harmonic=5)
     values = trig_series(fourier.grid(32), const, cos_t, sin_t)
-    assert fourier.evaluate(values, 0.25) == pytest.approx(values[8], abs=1e-13)
+    assert fourier.Interpolant(values).value(0.25) == pytest.approx(values[8], abs=1e-13)
 
 
 def test_antiderivative_closed_form():
@@ -178,12 +178,12 @@ def test_resample_band_limited_exact_both_ways():
 
 
 def test_resample_agrees_with_evaluate():
-    # Upsampling must sample the same interpolant evaluate() uses,
+    # Upsampling must sample the same interpolant Interpolant evaluates,
     # Nyquist convention included.
     rng = np.random.default_rng(29)
     values = rng.normal(size=16)
     up = fourier.resample(values, 64)
-    want = fourier.evaluate(values, fourier.grid(64))
+    want = fourier.Interpolant(values).value(fourier.grid(64))
     assert np.max(np.abs(up - want)) < 1e-13
 
 

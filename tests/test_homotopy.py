@@ -47,7 +47,7 @@ def mirror(n=1024):
 
 
 def cusp_count(loop):
-    return len(curves.front_of(loop).cusps)
+    return len(loop.cusps)
 
 
 # ---------------------------------------------------------------- paths
@@ -208,7 +208,7 @@ def test_tangency_profile_preserves_both_closures():
 def test_deform_keeps_the_crossing_count():
     sc = [Move("deform", {"at": 0.6, "width": 0.05, "ax": 0.04, "ay": 0.03, "frames": 4})]
     trace = run_script(circle(), sc)
-    counts = [len(pairscan.front_crossings(f.legendrian)) for f in trace.frames]
+    counts = [len(pairscan.front_crossings(f)) for f in trace.frames]
     assert counts == [counts[0]] * len(counts)
     assert counts[0] > 0
 
@@ -221,8 +221,8 @@ def test_tangency_event_changes_the_crossing_count_by_two():
         )
     ]
     trace = run_script(circle(4096), sc)
-    before = pairscan.front_crossings(trace.frames[0].legendrian)
-    after = pairscan.front_crossings(trace.frames[-1].legendrian)
+    before = pairscan.front_crossings(trace.frames[0])
+    after = pairscan.front_crossings(trace.frames[-1])
     assert len(after) == len(before) + 2
 
     # At the event frame the front touches itself, yet the lift stays
@@ -281,9 +281,9 @@ def test_run_script_times_land_on_the_uniform_grid():
     assert len(trace.frames) == 6
     assert trace.times == tuple(k / 5 for k in range(6))
     assert trace.events == ()
-    for entry in trace.report:
-        assert abs(entry["defect_z"]) <= 1e-9
-        assert abs(entry["defect_w"]) <= 1e-9
+    for frame in trace.frames:
+        assert abs(frame.closure_defect_z) <= 1e-9
+        assert abs(frame.closure_defect_w) <= 1e-9
 
 
 def test_event_time_sits_at_the_middle_frame():
@@ -314,9 +314,7 @@ def test_empty_script_gives_a_single_verified_frame():
 def test_rot_change_between_frames_is_flagged():
     plain = lifting.lift(lifting.balance_closure(circle(4096)))
     doubled = models.model_front(2, seed=0, samples=4096)
-    trace = HomotopyTrace(
-        frames=(plain, doubled), times=(0.0, 1.0), events=(), report=()
-    )
+    trace = HomotopyTrace(frames=(plain, doubled), times=(0.0, 1.0), events=())
     report = verify_isotopy(trace)
     assert not report.ok
     assert report.code == "ROT_CHANGED"

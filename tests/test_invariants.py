@@ -1,14 +1,14 @@
+import types
+
 import numpy as np
 import pytest
 
 from engel import fourier, invariants, lifting, pairscan
 from engel.curves import (
-    FrontDiagram,
     LegendrianGenerator,
     Cusp,
     Orientation,
     TrigSeries,
-    front_of,
     sample_generator,
 )
 from engel.errors import AmbiguousWinding, OddCuspImbalance
@@ -96,15 +96,13 @@ def test_mirror_fixture_consistency():
 def test_fish_front_consistency():
     x, y, z = fish_arrays(1024)
     loop = raw_loop(x, y, z)
-    front = front_of(loop)
-    assert invariants.rot_cusp(front) == invariants.rot_winding(loop.generator)
-    c_plus, c_minus = invariants.classify_cusps(front)
-    assert c_plus + c_minus == len(front.cusps) == 2
+    assert invariants.rot_cusp(loop) == invariants.rot_winding(loop.generator)
+    c_plus, c_minus = invariants.classify_cusps(loop)
+    assert c_plus + c_minus == len(loop.cusps) == 2
 
 
 def test_rot_cusp_rejects_odd_imbalance():
-    fake = FrontDiagram(
-        loop=None,
+    fake = types.SimpleNamespace(
         cusps=[
             Cusp(0.1, (0.0, 0.0), Orientation.UP),
             Cusp(0.5, (0.0, 0.0), Orientation.DOWN),

@@ -91,7 +91,7 @@ def test_lift_reproduces_hand_integrated_mirror_curve():
     loop = lifting.lift(mirror_generator(n))
     assert np.max(np.abs(loop.z - mirror_z(s))) < 1e-12
     assert np.max(np.abs(loop.w - mirror_w(s))) < 1e-12
-    assert abs(loop.legendrian.closure_defect_z) < 1e-14
+    assert abs(loop.closure_defect_z) < 1e-14
     assert abs(loop.closure_defect_w) < 1e-14
     assert loop.closed
 
@@ -196,13 +196,11 @@ def test_embedding_check_requires_closed_loop():
     # closed in z, open in w: the plain curve has ∮ z dx = pi/2
     g = LegendrianGenerator(np.cos(TAU * s), np.sin(2 * TAU * s))
     assert lifting.w_closure_defect(g) == pytest.approx(np.pi / 2, abs=1e-12)
-    with pytest.raises(NotClosed):
+    with pytest.raises(NotClosed, match="^w does not close up"):
         lifting.embedding_check(lifting.lift(g))
     # open in z
-    raw = HorizontalLoop(
-        LegendrianLoop(circle(n), np.zeros(n), 0.0, -np.pi), np.zeros(n), 0.0, 0.0
-    )
-    with pytest.raises(NotClosed):
+    raw = HorizontalLoop(circle(n), np.zeros(n), 0.0, -np.pi, np.zeros(n), 0.0, 0.0)
+    with pytest.raises(NotClosed, match="^z does not close up"):
         lifting.embedding_check(raw)
 
 

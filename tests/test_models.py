@@ -4,6 +4,8 @@ import pytest
 from engel import invariants, lifting, models
 from engel.errors import SynthesisFailed
 
+from helpers import orientation_reverse
+
 
 def test_zero_rot_zigzag_has_balanced_cusps():
     loop = models.model_front(0, seed=0)
@@ -23,7 +25,7 @@ def test_rot_three_has_six_surplus_cusps():
 def test_negative_rot_certificates():
     loop = models.model_front(-4, seed=1)
     assert invariants.rot_winding(loop.generator) == -4
-    assert abs(loop.legendrian.closure_defect_z) <= 1e-9
+    assert abs(loop.closure_defect_z) <= 1e-9
     assert abs(loop.closure_defect_w) <= 1e-9
     assert lifting.embedding_check(loop).embedded
 
@@ -32,7 +34,7 @@ def test_rot_minus_five_across_seeds():
     for seed in (0, 5):
         loop = models.model_front(-5, seed=seed, samples=2048)
         assert invariants.rot_winding(loop.generator) == -5
-        assert abs(loop.legendrian.closure_defect_z) <= 1e-9
+        assert abs(loop.closure_defect_z) <= 1e-9
         assert abs(loop.closure_defect_w) <= 1e-9
         assert lifting.embedding_check(loop).embedded
 
@@ -62,7 +64,7 @@ def test_synthesis_gives_up_when_under_resolved():
 
 def test_orientation_reverse_negates_rot_and_keeps_margin():
     loop = models.model_front(3, seed=0, samples=2048)
-    rev = models.orientation_reverse(loop)
+    rev = orientation_reverse(loop)
     assert invariants.rot_winding(rev.generator) == -3
     fwd_report = invariants.invariant_report(loop)
     rev_report = invariants.invariant_report(rev)
@@ -76,12 +78,12 @@ def test_orientation_reverse_negates_rot_and_keeps_margin():
 
 def test_double_reversal_is_exact_involution():
     loop = models.model_front(1, seed=4, samples=512)
-    back = models.orientation_reverse(models.orientation_reverse(loop))
+    back = orientation_reverse(orientation_reverse(loop))
     for field in ("x", "y", "z", "w"):
         assert np.array_equal(getattr(back, field), getattr(loop, field))
 
 
 def test_reference_loops_reproduce_showcase_invariants():
     for n in (3, 0):
-        report = invariants.invariant_report(models.reference_loop(n))
+        report = invariants.invariant_report(models.model_front(n, seed=0))
         assert report["rot_winding"] == report["rot_cusp"] == n

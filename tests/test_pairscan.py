@@ -123,7 +123,7 @@ def coarse_matches_oracle(pts, speed):
     pytest.param(lambda: mirror_loop(512, beta=0.25), 64, (0, 32), id="0.25"),
     # Speeds from 0.82 to 46 give per-sample catch radii 56x apart, and
     # the sweep runs on y, not x.
-    pytest.param(lambda: models.model_front(0, samples=1024).legendrian, 128, None,
+    pytest.param(lambda: models.model_front(0, samples=1024), 128, None,
                  id="varying-speed"),
 ])
 def test_coarse_candidates_match_a_double_loop_oracle(make, m, cell):
@@ -165,7 +165,7 @@ LOOPS = {
     # tangential strands at (0, 1/2): near-collinear segments
     "mirror": lambda: mirror_loop(1024),
     "plain": lambda: raw_loop(*plain_arrays(1024)),
-    "model": lambda: models.model_front(3, samples=4096).legendrian,
+    "model": lambda: models.model_front(3, samples=4096),
 }
 
 
@@ -208,9 +208,25 @@ def test_sweeps_expand_a_small_share_of_all_pairs(monkeypatch):
         return a, b
 
     monkeypatch.setattr(pairscan, "_overlapping_pairs", counted)
-    pairscan.coincident_pairs(loop.legendrian)
-    pairscan.front_crossings(loop.legendrian)
+    pairscan.coincident_pairs(loop)
+    pairscan.front_crossings(loop)
     assert len(expanded) == 2
     for items, pairs in expanded:
         assert items == 2048
         assert pairs < 0.1 * items * (items - 1) / 2
+
+
+def test_seed_merge_is_circular_across_the_seam(monkeypatch):
+    # m = 64 coarse cells: candidates at i = 62 and i = 1 are three cells
+    # apart across index 0, so the farther one joins the nearer's basin.
+    seeds = []
+
+    def refine(loop, got, tol):
+        seeds.extend(got)
+        return []
+
+    candidates = (np.array([62, 1, 40]), np.array([20, 20, 20]), np.array([0.1, 0.2, 0.3]))
+    monkeypatch.setattr(pairscan, "_coarse_candidates", lambda pts, speed: candidates)
+    monkeypatch.setattr(pairscan, "_refine_coincidences", refine)
+    assert pairscan.coincident_pairs(mirror_loop(512)) == []
+    assert seeds == [(62 * 8 / 512, 20 * 8 / 512), (40 * 8 / 512, 20 * 8 / 512)]

@@ -16,21 +16,21 @@ def balanced_circle(n=1024):
 
 
 def test_two_cusp_front_draws_two_cusp_glyphs():
-    front = curves.front_of(balanced_circle())
+    front = balanced_circle()
     assert len(front.cusps) == 2
     text = render.front_svg_text(front)
     assert text.count('class="cusp-') == 2
 
 
 def test_crossings_get_annotated():
-    front = curves.front_of(balanced_circle())
+    front = balanced_circle()
     text = render.front_svg_text(front)
     assert text.count('class="crossing"') == len(front.double_points)
     assert len(front.double_points) > 0
 
 
 def test_orientation_surplus_matches_rotation_number():
-    front = curves.front_of(models.model_front(3, seed=0, samples=2048))
+    front = models.model_front(3, seed=0, samples=2048)
     text = render.front_svg_text(front)
     down = text.count('class="cusp-down"')
     up = text.count('class="cusp-up"')
@@ -38,7 +38,7 @@ def test_orientation_surplus_matches_rotation_number():
 
 
 def test_svg_is_well_formed_and_viewbox_fits_with_margin():
-    front = curves.front_of(balanced_circle())
+    front = balanced_circle()
     text = render.front_svg_text(front)
     root = ET.fromstring(text)
     x0, y0, w, h = (float(v) for v in root.attrib["viewBox"].split())
@@ -54,7 +54,7 @@ def test_svg_is_well_formed_and_viewbox_fits_with_margin():
 
 
 def test_identical_input_gives_byte_identical_svg(tmp_path):
-    front = curves.front_of(balanced_circle())
+    front = balanced_circle()
     a = tmp_path / "a.svg"
     b = tmp_path / "b.svg"
     render.render_svg(front, a)
@@ -69,7 +69,7 @@ def test_csv_values_round_trip_exactly():
     assert lines[0] == "s,x,y,z,w"
     assert len(lines) == 257
     g = loop.generator
-    z = np.asarray(loop.legendrian.z)
+    z = np.asarray(loop.z)
     w = np.asarray(loop.w)
     for k in (0, 17, 101, 255):
         s_v, x_v, y_v, z_v, w_v = (float(p) for p in lines[1 + k].split(","))
@@ -83,7 +83,8 @@ def test_csv_values_round_trip_exactly():
 def test_csv_round_trips_hand_built_loop():
     n = 64
     s = fourier.grid(n)
-    loop = curves.HorizontalLoop(mirror_loop(n), mirror_w(s), 0.0, 0.0)
+    leg = mirror_loop(n)
+    loop = curves.HorizontalLoop(leg.generator, leg.z, 0.0, 0.0, mirror_w(s), 0.0, 0.0)
     lines = render.loop_csv_text(loop).strip().split("\n")
     assert lines[0] == "s,x,y,z,w"
     assert len(lines) == n + 1
@@ -104,8 +105,9 @@ def test_csv_matches_a_per_value_repr_oracle_byte_for_byte():
     z = np.arange(n) * 1e16 + 0.1
     w = -np.exp(-np.arange(n, dtype=float))
     w[9] = -1.5e-300
-    leg = curves.LegendrianLoop(curves.LegendrianGenerator(x, y), z, 0.1, 0.0)
-    loop = curves.HorizontalLoop(leg, w, 0.0, 0.0)
+    loop = curves.HorizontalLoop(
+        curves.LegendrianGenerator(x, y), z, 0.1, 0.0, w, 0.0, 0.0
+    )
     want = "s,x,y,z,w\n"
     for k in range(n):
         values = (k / n, x[k], y[k], z[k], w[k])
