@@ -69,27 +69,33 @@ def _realize(doc, name: str, samples: int):
     return curves.sample_generator((g.x, g.y), samples)
 
 
-def _closure_payload(loop, tol_closure: float) -> dict:
-    dz = float(loop.closure_defect_z)
-    dw = float(loop.closure_defect_w)
+def _try_lift(gen):
+    """The lift of gen, or None when z does not close up."""
+    try:
+        return lifting.lift(gen)
+    except ZNotClosed:
+        return None
+
+
+def _closure_payload(gen, loop) -> dict:
+    """Both closure defects and the loop's verdict on them.  `loop` is
+    gen's lift, or None when there is none; the defects then come from
+    the generator and the verdict is "not closed"."""
+    if loop is None:
+        dz, dw = lifting.z_closure_defect(gen), lifting.w_closure_defect(gen)
+    else:
+        dz, dw = loop.closure_defect_z, loop.closure_defect_w
     return {
-        "defect_z": dz,
-        "defect_w": dw,
-        "closed": max(abs(dz), abs(dw)) <= tol_closure,
+        "defect_z": float(dz),
+        "defect_w": float(dw),
+        "closed": loop is not None and loop.closed,
     }
 
 
-def _embedding_payload(loop, tol_embed: float) -> dict:
-    report = lifting.embedding_check(loop)
-    payload = report.to_dict()
-    payload["embedded"] = report.margin > tol_embed
-    return payload
-
-
-def _invariants_payload(gen, loop=None) -> dict:
+def _invariants_payload(gen, loop) -> dict:
     """Rotation numbers: the winding form always exists, the cusp form
-    needs the closed lift `loop`."""
-    if loop is not None:
+    needs a closed lift."""
+    if loop is not None and loop.closed:
         return invariants.invariant_report(loop)
     return {
         "rot_winding": invariants.rot_winding(gen),
@@ -100,18 +106,14 @@ def _invariants_payload(gen, loop=None) -> dict:
 
 
 def _cmd_lift(args) -> int:
-    doc = _load_document(args.document)
-    gen = _realize(doc, args.name, args.samples)
+    gen = _realize(_load_document(args.document), args.name, args.samples)
     loop = lifting.lift(gen)
-    closure = _closure_payload(loop, args.tol_closure)
     payload = {
         "name": args.name,
         "samples": args.samples,
-        "closure": closure,
-        "invariants": _invariants_payload(gen, loop if closure["closed"] else None),
-        "embedding": (
-            _embedding_payload(loop, args.tol_embed) if closure["closed"] else None
-        ),
+        "closure": _closure_payload(gen, loop),
+        "invariants": _invariants_payload(gen, loop),
+        "embedding": lifting.embedding_check(loop).to_dict() if loop.closed else None,
     }
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, args.name)
@@ -122,44 +124,18 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_rot(args) -> int:
-    doc = _load_document(args.document)
-    gen = _realize(doc, args.name, args.samples)
-    dz = lifting.z_closure_defect(gen)
-    dw = lifting.w_closure_defect(gen)
-    closed = max(abs(dz), abs(dw)) <= args.tol_closure
-    payload = _invariants_payload(gen, lifting.lift(gen) if closed else None)
-    _emit_json({"name": args.name, **payload})
+    gen = _realize(_load_document(args.document), args.name, args.samples)
+    _emit_json({"name": args.name, **_invariants_payload(gen, _try_lift(gen))})
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    doc = _load_document(args.document)
-    gen = _realize(doc, args.name, args.samples)
-    try:
-        loop = lifting.lift(gen)
-    except ZNotClosed:
-        payload = {
-            "name": args.name,
-            "closure": {
-                "defect_z": float(lifting.z_closure_defect(gen)),
-                "defect_w": float(lifting.w_closure_defect(gen)),
-                "closed": False,
-            },
-            "embedding": None,
-        }
-        _emit_json(payload)
-        return EXIT_CERTIFICATE
-    closure = _closure_payload(loop, args.tol_closure)
-    payload = {"name": args.name, "closure": closure}
-    ok = closure["closed"]
-    if closure["closed"]:
-        embedding = _embedding_payload(loop, args.tol_embed)
-        payload["embedding"] = embedding
-        ok = ok and embedding["embedded"]
-    else:
-        payload["embedding"] = None
-    _emit_json(payload)
-    return EXIT_OK if ok else EXIT_CERTIFICATE
+    gen = _realize(_load_document(args.document), args.name, args.samples)
+    loop = _try_lift(gen)
+    closure = _closure_payload(gen, loop)
+    embedding = lifting.embedding_check(loop).to_dict() if closure["closed"] else None
+    _emit_json({"name": args.name, "closure": closure, "embedding": embedding})
+    return EXIT_OK if embedding is not None and embedding["embedded"] else EXIT_CERTIFICATE
 
 
 def _cmd_model(args) -> int:
@@ -171,9 +147,9 @@ def _cmd_model(args) -> int:
         "n": args.n,
         "seed": seed,
         "samples": args.samples,
-        "closure": _closure_payload(loop, args.tol_closure),
+        "closure": _closure_payload(loop.generator, loop),
         "invariants": invariants.invariant_report(loop),
-        "embedding": _embedding_payload(loop, args.tol_embed),
+        "embedding": lifting.embedding_check(loop).to_dict(),
     }
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, "model_rot%d_seed%d" % (args.n, seed))
@@ -187,17 +163,15 @@ def _cmd_model(args) -> int:
 def _cmd_homotopy(args) -> int:
     doc = _load_document(args.document)
     gen = _realize(doc, args.generator, args.samples)
-    script = doc.script(args.script)
     moves = []
-    for move in script.moves:
+    for move in doc.script(args.script).moves:
         if move.kind != "balance" and "frames" not in move.params:
             move = homotopy.Move(move.kind, {**move.params, "frames": float(args.frames)})
         moves.append(move)
-    script = homotopy.MoveScript(script.name, tuple(moves))
 
-    trace = homotopy.run_script(gen, script)
+    trace = homotopy.run_script(gen, moves)
 
-    out_dir = os.path.join(args.out, "%s_trace" % script.name)
+    out_dir = os.path.join(args.out, "%s_trace" % args.script)
     os.makedirs(out_dir, exist_ok=True)
     for idx, loop in enumerate(trace.frames):
         path = os.path.join(out_dir, "frame_%04d.csv" % idx)
@@ -211,9 +185,7 @@ def _cmd_homotopy(args) -> int:
         ],
     }
     _write_text(os.path.join(out_dir, "events.json"), _json_text(events))
-    report = homotopy.verify_isotopy(
-        trace, tol_closure=args.tol_closure, tol_embed=args.tol_embed
-    )
+    report = homotopy.verify_isotopy(trace)
     verification = report.to_dict()
     _write_text(os.path.join(out_dir, "verification.json"), _json_text(verification))
     _emit_json(verification)
@@ -227,19 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid size, a power of two (default 4096)",
     )
     common.add_argument(
-        "--tol-closure", type=float, default=curves.TOL_CLOSURE,
-        help="closure defect tolerance (default %g)" % curves.TOL_CLOSURE,
-    )
-    common.add_argument(
-        "--tol-embed", type=float, default=lifting.TOL_EMBED,
-        help="embedding margin tolerance (default %g)" % lifting.TOL_EMBED,
-    )
-    common.add_argument(
-        "--frames", type=int, default=homotopy.DEFAULT_FRAMES,
-        help="frame count for moves that do not set one (default %d)"
-        % homotopy.DEFAULT_FRAMES,
-    )
-    common.add_argument(
         "--out", default=".", help="directory for artifacts (default: current)"
     )
 
@@ -249,20 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_lift = sub.add_parser("lift", parents=[common], help="lift a generator, write CSV and report")
-    p_lift.add_argument("document")
-    p_lift.add_argument("name")
-    p_lift.set_defaults(run=_cmd_lift)
-
-    p_rot = sub.add_parser("rot", parents=[common], help="rotation number report")
-    p_rot.add_argument("document")
-    p_rot.add_argument("name")
-    p_rot.set_defaults(run=_cmd_rot)
-
-    p_check = sub.add_parser("check", parents=[common], help="closure and embedding certificates")
-    p_check.add_argument("document")
-    p_check.add_argument("name")
-    p_check.set_defaults(run=_cmd_check)
+    for command, run, summary in (
+        ("lift", _cmd_lift, "lift a generator, write CSV and report"),
+        ("rot", _cmd_rot, "rotation number report"),
+        ("check", _cmd_check, "closure and embedding certificates"),
+    ):
+        p_one = sub.add_parser(command, parents=[common], help=summary)
+        p_one.add_argument("document")
+        p_one.add_argument("name")
+        p_one.set_defaults(run=run)
 
     p_model = sub.add_parser("model", parents=[common], help="synthesize a loop of given rotation number")
     p_model.add_argument("-n", type=int, required=True, help="target rotation number")
@@ -275,6 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument("document")
     p_hom.add_argument("generator")
     p_hom.add_argument("script")
+    p_hom.add_argument(
+        "--frames", type=int, default=homotopy.DEFAULT_FRAMES,
+        help="frame count for moves that do not set one (default %d)"
+        % homotopy.DEFAULT_FRAMES,
+    )
     p_hom.set_defaults(run=_cmd_homotopy)
 
     return parser
@@ -285,10 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except FrontlangError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as err:
+    except (FrontlangError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_USAGE
     except EngelError as err:

@@ -76,6 +76,7 @@ class LegendrianGenerator:
 
     Arrays are shared, not copied defensively, and marked read-only; all
     operations in this package treat generators as immutable values.
+    Non-finite samples raise BadDescription.
     """
 
     def __init__(self, x, y):
@@ -85,6 +86,8 @@ class LegendrianGenerator:
             raise BadDescription("x and y must be 1-d sample arrays of equal length")
         if x.shape[0] < 16:
             raise BadDescription("need at least 16 samples, got %d" % x.shape[0])
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise BadDescription("x and y samples must be finite")
         self.x = x
         self.y = y
         self.n = x.shape[0]
@@ -143,7 +146,7 @@ class LegendrianGenerator:
         return LegendrianGenerator(x, self.y)
 
 
-@dataclass
+@dataclass(eq=False)
 class LegendrianLoop:
     """Sampled (x, y, z) loop in contact R^3, and its front.
 
@@ -154,7 +157,8 @@ class LegendrianLoop:
 
     The front is the (x, z) picture.  Its cusps, double points and
     self-tangencies are found on first read and kept on the loop, so a
-    caller that wants only the cusps pays for neither pair scan.
+    caller that wants only the cusps pays for neither pair scan.  Loops
+    compare and hash by identity.
     """
 
     generator: LegendrianGenerator
@@ -225,7 +229,7 @@ class LegendrianLoop:
         return pairscan.coincident_pairs(self)
 
 
-@dataclass
+@dataclass(eq=False)
 class HorizontalLoop(LegendrianLoop):
     """Sampled (x, y, z, w) loop tangent to the rank-2 distribution: its
     Legendrian loop (x, y, z) plus w, the running integral of z dx."""

@@ -11,9 +11,10 @@ The grammar is deliberately tiny and LL(1):
     KIND      := "deform" | "swallowtail_birth" | "swallowtail_death"
                | "tangency_pass" | "balance"
 
-NUMBER is a decimal literal with optional sign and exponent; INT (a
-harmonic index) is a bare unsigned integer between 1 and 64.  ``#``
-starts a comment that runs to the end of the line.  Whitespace is free.
+NUMBER is a decimal literal with optional sign and exponent; one that
+overflows a double is rejected.  INT (a harmonic index) is a bare
+unsigned integer between 1 and 64.  ``#`` starts a comment that runs to
+the end of the line.  Whitespace is free.
 
 ``parse`` returns a Document whose generators carry canonical
 TrigSeries (duplicate harmonics summed, zero coefficients dropped), so
@@ -22,6 +23,7 @@ from canonical series.  All rejection paths raise a FrontlangError
 subclass; no input crashes or hangs the process.
 """
 
+import math
 from dataclasses import dataclass
 
 from .curves import TrigSeries
@@ -36,9 +38,11 @@ MAX_HARMONIC = 64
 
 _PARAM_ORDER = ("at", "width", "amplitude", "ax", "ay", "frames")
 
-_NUMBER_START = set("0123456789.-")
+# ASCII only: str.isdigit also accepts digits such as '²' that float() refuses.
+_DIGITS = set("0123456789")
+_NUMBER_START = _DIGITS | set(".-")
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_BODY = _NAME_START | set("0123456789")
+_NAME_BODY = _NAME_START | _DIGITS
 _PUNCT = set("{}():;=+")
 
 
@@ -120,13 +124,13 @@ def _tokenize(text: str):
             if text[j] == "-":
                 j += 1
             digits_before = 0
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
                 digits_before += 1
             digits_after = 0
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
                     digits_after += 1
             if digits_before + digits_after == 0:
@@ -135,10 +139,12 @@ def _tokenize(text: str):
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
+                if k < n and text[k] in _DIGITS:
+                    while k < n and text[k] in _DIGITS:
                         k += 1
                     j = k
+            if not math.isfinite(float(text[i:j])):
+                raise FrontSyntaxError(line, col, "a finite number", "'%s'" % text[i:j])
             tokens.append(_Token("number", text[i:j], line, col))
             col += j - i
             i = j

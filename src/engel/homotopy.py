@@ -24,7 +24,6 @@ from .curves import (
     LegendrianGenerator,
     find_cusps,
 )
-from .lifting import TOL_EMBED
 from .errors import ImmersionLost, MoveRefused, UnsupportedOverlap
 
 DEFAULT_FRAMES = 64
@@ -324,13 +323,13 @@ def apply_move(g: LegendrianGenerator, move: Move, supports=None):
     return [g, lifting.balance_closure(g, supports=supports)]
 
 
-def run_script(g0: LegendrianGenerator, script, z0: float = 0.0, w0: float = 0.0):
+def run_script(g0: LegendrianGenerator, script):
     """Execute a move script from g0: balance, move, re-balance, lift.
 
     g0 is balanced first; the two balancing supports are then frozen for
     the whole run so consecutive frames solve the same 2x2 system.  The
     end state of each move feeds the next, every frame is re-balanced
-    and lifted from the same base values, and each event-bearing move
+    and lifted from the base point z = w = 0, and each event-bearing move
     records (time, kind) at its middle frame.  An empty script yields
     the single-frame trace of g0's lift.
     """
@@ -340,7 +339,7 @@ def run_script(g0: LegendrianGenerator, script, z0: float = 0.0, w0: float = 0.0
     current = lifting.balance_closure(g0)
     supports = lifting.balance_supports(current)
 
-    frames = [lifting.lift(current, z0, w0)]
+    frames = [lifting.lift(current)]
     times = [0.0]
     events = []
     total = sum(_step_count(m) for m in moves)
@@ -350,7 +349,7 @@ def run_script(g0: LegendrianGenerator, script, z0: float = 0.0, w0: float = 0.0
         k = len(path) - 1
         for j in range(1, k + 1):
             gen = lifting.balance_closure(path[j], supports=supports)
-            loop = lifting.lift(gen, z0, w0)
+            loop = lifting.lift(gen)
             t = (done + j) / total
             frames.append(loop)
             times.append(t)
@@ -383,12 +382,11 @@ class VerificationReport:
     events: tuple
 
     def to_dict(self) -> dict:
+        embedding = lifting.EmbeddingReport(
+            self.double_points, self.margin, self.code != "NOT_EMBEDDED"
+        )
         return {
-            "double_points": [
-                {"s0": s0, "s1": s1, "dw": dw} for s0, s1, dw in self.double_points
-            ],
-            "margin": self.margin,
-            "embedded": self.code != "NOT_EMBEDDED",
+            **embedding.to_dict(),
             "rot_constant": self.rot_constant,
             "frames": self.frames,
             "events": [{"t": t, "kind": kind} for t, kind in self.events],
@@ -398,35 +396,31 @@ class VerificationReport:
         }
 
 
-def verify_isotopy(
-    trace: HomotopyTrace,
-    tol_closure: float = TOL_CLOSURE,
-    tol_embed: float = TOL_EMBED,
-) -> VerificationReport:
+def verify_isotopy(trace: HomotopyTrace) -> VerificationReport:
     """Re-derive every frame certificate of a trace from its samples.
 
-    Per frame: both closure defects within tol_closure, the lift
-    embedded with margin above tol_embed (at a tangency event the front
-    has a double point and the w-separation must still clear that
-    margin), and the winding rotation number equal to frame 0's.
-    Failures are report content, never exceptions.
+    Per frame: both closure defects, recomputed from the generator, at
+    most curves.TOL_CLOSURE; the lift embedded by lifting.embedding_check,
+    whose margin must exceed lifting.TOL_EMBED (at a tangency event the
+    front has a double point and the w-separation must still clear that
+    margin); and the winding rotation number equal to frame 0's.  Both
+    tolerances are fixed.  Failures are report content, never exceptions.
     """
     frames = trace.frames
     if not frames:
         raise ValueError("cannot verify an empty trace")
     rot0 = invariants.rot_winding(frames[0].generator)
-    margin = math.inf
-    worst = ()
+    worst = lifting.EmbeddingReport((), math.inf, True)
 
-    def verdict(ok, code, frame):
+    def verdict(code=None, frame=None):
         return VerificationReport(
-            ok=ok,
+            ok=code is None,
             code=code,
             frame=frame,
             rot=rot0,
             rot_constant=code != "ROT_CHANGED",
-            margin=margin,
-            double_points=worst,
+            margin=worst.margin,
+            double_points=worst.double_points,
             frames=len(frames),
             events=trace.events,
         )
@@ -435,14 +429,13 @@ def verify_isotopy(
         g = loop.generator
         dz = lifting.z_closure_defect(g)
         dw = lifting.w_closure_defect(g)
-        if max(abs(dz), abs(dw)) > tol_closure:
-            return verdict(False, "NOT_CLOSED", idx)
+        if max(abs(dz), abs(dw)) > TOL_CLOSURE:
+            return verdict("NOT_CLOSED", idx)
         check = lifting.embedding_check(loop)
-        if check.margin < margin:
-            margin = check.margin
-            worst = check.double_points
-        if not check.margin > tol_embed:
-            return verdict(False, "NOT_EMBEDDED", idx)
+        if check.margin < worst.margin:
+            worst = check
+        if not check.embedded:
+            return verdict("NOT_EMBEDDED", idx)
         if invariants.rot_winding(g) != rot0:
-            return verdict(False, "ROT_CHANGED", idx)
-    return verdict(True, None, None)
+            return verdict("ROT_CHANGED", idx)
+    return verdict()

@@ -129,7 +129,7 @@ class EmbeddingReport:
 
 def embedding_check(loop: HorizontalLoop) -> EmbeddingReport:
     """Certify embeddedness: every self-meeting of the Legendrian curve
-    must be separated in w by more than tol_embed.
+    must be separated in w by more than TOL_EMBED.
 
     The self-meetings are the loop's self_tangencies, which the loop
     scans for once and keeps.

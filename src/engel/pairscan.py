@@ -273,10 +273,11 @@ def _coarse_candidates(pts: np.ndarray, speed: np.ndarray):
     return ci[keep], cj[keep], cd[keep]
 
 
-def coincident_pairs(loop, tol: float = COINCIDENCE_TOL):
+def coincident_pairs(loop):
     """Parameter pairs (s0, s1), s0 < s1, with gamma(s0) == gamma(s1).
 
-    Acceptance is |gap| <= tol in the 3-space sup of the Euclidean norm.
+    Acceptance is |gap| <= COINCIDENCE_TOL in the 3-space sup of the
+    Euclidean norm.
     """
     g = loop.generator
     n = g.n
@@ -303,8 +304,8 @@ def coincident_pairs(loop, tol: float = COINCIDENCE_TOL):
             seeds.append((i * stride / n, j * stride / n))
 
     pairs = []
-    for r0, r1, gap in _refine_coincidences(loop, seeds, tol):
-        if gap > tol:
+    for r0, r1, gap in _refine_coincidences(loop, seeds, COINCIDENCE_TOL):
+        if gap > COINCIDENCE_TOL:
             continue
         r0, r1 = _canonical(r0, r1)
         if _circ_dist(r0, r1) < DIAGONAL_FINE_CELLS / n:
@@ -375,10 +376,10 @@ def _refine_crossing(loop, s0: float, s1: float, scale: float):
     return float(u[0]), float(u[1])
 
 
-def front_crossings(loop, slope_tol: float = SLOPE_TOL):
+def front_crossings(loop):
     """Transverse double points of the front, as pairs (s0, s1), s0 < s1.
 
-    Pairs at which the slopes agree to slope_tol are not crossings but
+    Pairs at which the slopes agree to SLOPE_TOL are not crossings but
     tangencies; they are excluded here and belong to coincident_pairs.
     """
     g = loop.generator
@@ -411,7 +412,7 @@ def front_crossings(loop, slope_tol: float = SLOPE_TOL):
         s0, s1 = _canonical(*refined)
         if _circ_dist(s0, s1) < DIAGONAL_FINE_CELLS / n:
             continue
-        if abs(float(g.y_at(s0)) - float(g.y_at(s1))) <= slope_tol:
+        if abs(float(g.y_at(s0)) - float(g.y_at(s1))) <= SLOPE_TOL:
             continue
         pairs.append((s0, s1))
     return _dedupe(pairs, MERGE_FINE_CELLS / n)

@@ -199,6 +199,40 @@ def test_frames_flag_fills_unset_moves(tmp_path, capsys):
     assert json.loads(out)["frames"] == 3
 
 
+ZW_DOC = "generator g { x: cos(1); y: sin(2); }\n"  # z closes, w does not
+
+
+def test_check_reports_an_open_w_as_json(tmp_path, capsys):
+    doc = tmp_path / "zw.front"
+    doc.write_text(ZW_DOC)
+    code, out, _ = run_cli(capsys, "check", str(doc), "g", "--out", str(tmp_path))
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["closure"]["closed"] is False
+    assert abs(payload["closure"]["defect_z"]) <= curves.TOL_CLOSURE
+    assert payload["embedding"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ("rot", DEMO, "circ", "--frames", "7"),
+    ("check", "ZW", "g", "--tol-closure", "10"),
+    ("lift", ZERO_AREA, "mirror", "--tol-embed", "0"),
+    ("model", "-n", "1", "--frames", "4"),
+    ("homotopy", "run", DEMO, "circ", "pass_and_fold", "--tol-closure", "1"),
+], ids=["rot-frames", "check-tol-closure", "lift-tol-embed", "model-frames",
+        "homotopy-tol-closure"])
+def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
+    # The certificates' tolerances are fixed, and --frames belongs to
+    # homotopy alone; argparse refuses the rest before anything runs.
+    doc = tmp_path / "zw.front"
+    doc.write_text(ZW_DOC)
+    argv = [str(doc) if a == "ZW" else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "engel.cli", "check", ZERO_AREA, "mirror"],

@@ -116,6 +116,34 @@ def test_sample_generator_flags_non_immersed_input():
     assert min(info.value.s, abs(info.value.s - 0.5)) < 1e-6
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_generator_rejects_non_finite_samples(bad):
+    # A NaN slips past every "defect > tolerance" guard, so it must not
+    # get into a generator at all.
+    s = fourier.grid(64)
+    x, y = np.cos(TAU * s), np.sin(TAU * s)
+    y_bad = y.copy()
+    y_bad[5] = bad
+    with pytest.raises(BadDescription):
+        LegendrianGenerator(x, y_bad)
+    with pytest.raises(BadDescription):
+        LegendrianGenerator(y_bad, x)
+    with pytest.raises(BadDescription):
+        sample_generator((x, y_bad), 64)
+
+
+def test_loops_compare_and_hash_by_identity():
+    s = fourier.grid(256)
+    g = LegendrianGenerator(np.cos(TAU * s), np.sin(2 * TAU * s))
+    a, b = lifting.lift(g), lifting.lift(g)
+    assert a == a
+    assert a != b
+    assert len({a, b, a}) == 2
+    plain = LegendrianLoop(g, a.z, 0.0, a.closure_defect_z)
+    assert plain != LegendrianLoop(g, a.z, 0.0, a.closure_defect_z)
+    assert plain in {plain}
+
+
 def test_find_cusps_circle_is_exact():
     g = sample_generator((TrigSeries(cos={1: 1.0}), TrigSeries(sin={1: 1.0})), 256)
     assert find_cusps(g) == [(0.0, -1.0), (0.5, 1.0)]

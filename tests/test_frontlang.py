@@ -89,6 +89,21 @@ def test_harmonic_bounds(harmonic):
         frontlang.parse("generator g { x: cos(%s); y: 0; }" % harmonic)
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("script s { deform at=0.3 width=0.1 frames=1e400; }", 1, 43),
+    ("script s { deform at=1e400 width=0.1; }", 1, 22),
+    ("generator g {\n  x: -1e400 cos(1);\n  y: 0;\n}", 2, 6),
+    ("generator g { x: 1\u00b2; y: 0; }", 1, 19),
+])
+def test_numbers_must_be_finite_ascii_literals(text, line, col):
+    # An overflowing literal reads as inf; a superscript digit is a digit
+    # to str.isdigit but not to float().  Both are syntax errors at the
+    # number, never a crash downstream.
+    with pytest.raises(FrontSyntaxError) as err:
+        frontlang.parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_comments_and_whitespace_are_free():
     doc = frontlang.parse(
         "# heading\ngenerator g {  # trailing\n  x: 2 cos(1) ; # mid\n  y: 0;\n}\n"

@@ -6,6 +6,7 @@ calibrated amplitude use the default 4096-point grid the calibration
 was done on.
 """
 
+import inspect
 import json
 import math
 
@@ -321,3 +322,14 @@ def test_rot_change_between_frames_is_flagged():
     assert report.frame == 1
     assert report.rot == 1
     assert not report.rot_constant
+
+
+@pytest.mark.parametrize("func, params", [
+    (verify_isotopy, ["trace"]),
+    (run_script, ["g0", "script"]),
+    (pairscan.coincident_pairs, ["loop"]),
+    (pairscan.front_crossings, ["loop"]),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_certificates_take_no_tolerance_arguments(func, params):
+    # Each certificate has one verdict, against the module constants.
+    assert list(inspect.signature(func).parameters) == params
