@@ -23,7 +23,7 @@ import sys
 import traceback
 
 from . import curves, frontlang, homotopy, invariants, lifting, models, render
-from .errors import EngelError, FrontlangError, ZNotClosed
+from .errors import BadDescription, EngelError, FrontlangError, ZNotClosed
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -65,8 +65,12 @@ def _load_document(path: str) -> frontlang.Document:
 
 
 def _realize(doc, name: str, samples: int):
+    """Sample a document's generator; non-finite samples are a bad document."""
     g = doc.generator(name)
-    return curves.sample_generator((g.x, g.y), samples)
+    try:
+        return curves.sample_generator((g.x, g.y), samples)
+    except BadDescription as err:
+        raise ValueError(str(err)) from err
 
 
 def _try_lift(gen):

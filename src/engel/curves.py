@@ -23,9 +23,11 @@ TOL_ROOT = 1e-10
 Y_PRIME_FLOOR = 1e-6
 SPEED_FLOOR = 1e-6
 
-# Cusp-free zone around each root of x' for the vertical-tangency check:
-# one finite-difference stencil width on either side.
-CUSP_NEIGHBORHOOD_CELLS = 2
+# find_cusps halves a cell it cannot certify at most CERTIFY_DEPTH times,
+# and evaluates at most CERTIFY_BUDGET phase entries (points times kept
+# harmonics) per grid sample in one halving, a fixed multiple of its grid.
+CERTIFY_DEPTH = 12
+CERTIFY_BUDGET = 256
 
 
 @dataclass(frozen=True)
@@ -43,10 +45,12 @@ class TrigSeries:
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         out = np.full(s.shape, float(self.constant))
-        for k, a in self.cos.items():
-            out += a * np.cos(fourier.TAU * k * s)
-        for k, b in self.sin.items():
-            out += b * np.sin(fourier.TAU * k * s)
+        # Sums past the float range give inf or nan; LegendrianGenerator refuses them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, a in self.cos.items():
+                out += a * np.cos(fourier.TAU * k * s)
+            for k, b in self.sin.items():
+                out += b * np.sin(fourier.TAU * k * s)
         return out if s.ndim else float(out)
 
     @property
@@ -205,18 +209,17 @@ class LegendrianLoop:
         The front needs only z to close; a horizontal loop whose w stays
         open still has one, so this tests the z defect, not `closed`.
         """
-        if abs(self.closure_defect_z) > TOL_CLOSURE:
+        if not abs(self.closure_defect_z) <= TOL_CLOSURE:
             raise NotClosed(
                 "front projection needs |closure defect| <= %g, got %.3e"
                 % (TOL_CLOSURE, self.closure_defect_z)
             )
         g = self.generator
-        cusps = []
-        for s_c, direction in find_cusps(g):
-            pos = (float(g.x_at(s_c)), float(self.z_at(s_c)))
-            up = float(g.yp_at(s_c)) * direction > 0
-            cusps.append(Cusp(s_c, pos, Orientation.UP if up else Orientation.DOWN))
-        return cusps
+        return [
+            Cusp(s_c, (float(g.x_at(s_c)), float(self.z_at(s_c))),
+                 Orientation.UP if float(g.yp_at(s_c)) * direction > 0 else Orientation.DOWN)
+            for s_c, direction in find_cusps(g)
+        ]
 
     @functools.cached_property
     def double_points(self) -> list:
@@ -312,121 +315,97 @@ def _sample_component(desc, n: int, label: str) -> np.ndarray:
     return fourier.resample(values, n)
 
 
-def _trig_derivative_roots(x: np.ndarray, max_degree: int = 128):
-    """All roots of x' in [0,1) via the companion matrix, when affordable.
-
-    Returns None when the effective trigonometric degree of x exceeds
-    ``max_degree`` (the caller falls back to the sign scan alone).
-    """
-    n = x.shape[0]
-    c = np.fft.rfft(x) / n
-    k = np.arange(c.shape[0])
-    g = 2j * np.pi * k * c  # one-sided derivative coefficients
-    mags = np.abs(g)
-    top = float(np.max(mags)) if mags.size else 0.0
-    if top == 0.0:
-        return None
-    keep = np.nonzero(mags > 1e-12 * top)[0]
-    if keep.size == 0:
-        return None
-    deg = int(keep[-1])
-    if deg > max_degree or (n % 2 == 0 and deg >= n // 2):
-        return None
-    # Laurent polynomial sum_{k=-deg..deg} g_k u^k, g_{-k} = conj(g_k),
-    # times u^deg: an ordinary polynomial of degree 2*deg.
-    full = np.zeros(2 * deg + 1, dtype=complex)
-    full[deg:] = g[: deg + 1]
-    full[:deg] = np.conj(g[1 : deg + 1])[::-1]
-    roots = np.roots(full[::-1])
-    on_circle = roots[np.abs(np.abs(roots) - 1.0) < 1e-6]
-    svals = np.mod(np.angle(on_circle) / fourier.TAU, 1.0)
-    return np.sort(svals)
-
-
 def find_cusps(g: LegendrianGenerator):
     """Locate and classify the roots of x'.
 
     Returns a list of (s_c, direction) with direction the sign of x' just
     after the root.  A cusp points Up when the front crosses its tangent
     line upward there, i.e. when y'(s_c) * direction > 0; the caller builds
-    Cusp records from this.  Raises DegenerateCusp for roots with |y'|
-    under the floor and for vertical tangencies without a sign change.
+    Cusp records from this.  A sign scan of the grid brackets the roots and
+    bisection refines them.  Guarantee: every grid cell holds at most one
+    root of x', and one only where the scan found it (_certify_cells);
+    otherwise, and for roots with |y'| under the floor or vertical
+    tangencies without a sign change, this raises DegenerateCusp.
     """
     n = g.n
-    xp = g.xp
-    sg = np.sign(xp)
-    on_grid = np.abs(xp) <= TOL_ROOT
+    on_grid = np.abs(g.xp) <= TOL_ROOT
+    sg = np.where(on_grid, 0.0, np.sign(g.xp))
+    after = np.roll(sg, -1)
+    consecutive = on_grid & (np.roll(on_grid, 1) | np.roll(on_grid, -1))
+    bad = np.flatnonzero(consecutive | (on_grid & (np.roll(sg, 1) == after)))
+    if bad.size:
+        what = ("x' vanishes on consecutive samples near" if consecutive[bad[0]]
+                else "vertical tangency without sign change at")
+        raise DegenerateCusp("%s s=%.6f" % (what, bad[0] / n))
 
-    brackets = []  # (lo, hi, sign after the root)
-    exact = []  # (s, direction)
-    for k in range(n):
-        k1 = (k + 1) % n
-        if on_grid[k]:
-            left = sg[(k - 1) % n]
-            right = sg[k1]
-            if on_grid[(k - 1) % n] or on_grid[k1]:
-                raise DegenerateCusp(
-                    "x' vanishes on consecutive samples near s=%.6f" % (k / n)
-                )
-            if left == right:
-                raise DegenerateCusp(
-                    "vertical tangency without sign change at s=%.6f" % (k / n)
-                )
-            exact.append((k / n, float(right)))
-        elif not on_grid[k1] and sg[k] * sg[k1] < 0:
-            brackets.append((k / n, (k + 1) / n, float(sg[k1])))
+    bracketed = sg * after < 0
+    _certify_cells(g, on_grid, bracketed)
 
-    found = []
-    if brackets:
-        lo = np.array([b[0] for b in brackets])
-        hi = np.array([b[1] for b in brackets])
-        flo = g.xp_at(lo)
+    kb, ke = np.flatnonzero(bracketed), np.flatnonzero(on_grid)
+    lo, hi = kb / n, (kb + 1) / n
+    if kb.size:
+        sign_lo = np.sign(g.xp_at(lo))  # lo only moves to points of this sign
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            fmid = np.asarray(g.xp_at(mid))
-            move_lo = np.sign(fmid) == np.sign(flo)
+            move_lo = np.sign(g.xp_at(mid)) == sign_lo
             lo = np.where(move_lo, mid, lo)
-            flo = np.where(move_lo, fmid, flo)
             hi = np.where(move_lo, hi, mid)
-        roots = 0.5 * (lo + hi)
-        found = list(zip(roots.tolist(), (b[2] for b in brackets)))
-    found.extend(exact)
+    s = np.concatenate([0.5 * (lo + hi), ke / n])
+    direction = np.concatenate([after[kb], after[ke]])
+    order = np.lexsort((direction, s))
+    s, direction = np.mod(s[order], 1.0), direction[order]
 
-    # Companion-matrix cross-check: a pair of roots hiding between two
-    # samples leaves the sign scan blind; the polynomial sees everything.
-    poly_roots = _trig_derivative_roots(np.asarray(g.x))
-    if poly_roots is not None and len(found) > 0:
-        got = np.sort(np.array([s for s, _ in found]))
-        for s_extra in poly_roots:
-            d = np.abs(got - s_extra)
-            d = np.minimum(d, 1.0 - d)
-            if d.size == 0 or float(np.min(d)) > 2.0 / n:
-                if abs(float(g.xp_at(s_extra))) > 1e-7:
-                    continue  # spurious companion eigenvalue
-                eps = 0.25 / n
-                a = float(g.xp_at(s_extra - eps))
-                b = float(g.xp_at(s_extra + eps))
-                if np.sign(a) == np.sign(b):
-                    raise DegenerateCusp(
-                        "vertical tangency without sign change at s=%.6f"
-                        % float(s_extra)
-                    )
-                raise DegenerateCusp(
-                    "under-resolved cusp pair near s=%.6f" % float(s_extra)
-                )
+    xpc, ypc = np.abs(g.xp_at(s)), np.abs(g.yp_at(s))
+    bad = np.flatnonzero((xpc > TOL_ROOT) | (ypc < Y_PRIME_FLOOR))
+    if bad.size:
+        i = bad[0]
+        if xpc[i] > TOL_ROOT:
+            raise DegenerateCusp("cusp refinement stalled at s=%.6f" % s[i])
+        raise DegenerateCusp("|y'| = %.3e at cusp s=%.6f violates genericity" % (ypc[i], s[i]))
+    return list(zip(s.tolist(), direction.tolist()))
 
-    out = []
-    for s_c, direction in sorted(found):
-        s_c = float(np.mod(s_c, 1.0))
-        if abs(float(g.xp_at(s_c))) > TOL_ROOT:
-            raise DegenerateCusp("cusp refinement stalled at s=%.6f" % s_c)
-        ypc = float(g.yp_at(s_c))
-        if abs(ypc) < Y_PRIME_FLOOR:
+
+def _certify_cells(g: LegendrianGenerator, on_grid: np.ndarray, bracketed: np.ndarray):
+    """Raise DegenerateCusp ("under-resolved") unless each grid cell holds
+    at most one root of x', and one only where `bracketed` says so.
+
+    A root of x' in a piece [a, a + h] bounds |x'(a)| + |x'(a + h)| by
+    h max |x''|, so x' has no root there if it has one sign at both ends
+    and that sum exceeds h bound(2); the same test on x'' against
+    h bound(3) makes x' monotone there.  Values and bounds both come from
+    the chopped x_interp.  Pieces passing neither test are halved.  Sign
+    changes of x' across the certified pieces of a cell count its roots;
+    x' counts as 0 at the scan's on-grid roots, which no cell holds inside.
+    """
+    n, xi = g.n, g.x_interp
+    bounds = np.array([[xi.bound(2)], [xi.bound(3)]])
+    h = 1.0 / n
+    cell = np.arange(n)
+    a = cell / n
+    # Rows x' and x'' at each piece's two ends.
+    left = np.stack([np.where(on_grid, 0.0, xi.samples(1)), xi.samples(2)])
+    right = np.roll(left, -1, axis=1)
+    roots = np.zeros(n)
+    for depth in range(CERTIFY_DEPTH + 1):
+        ends = (left * right > 0) & (np.abs(left) + np.abs(right) > h * bounds)
+        done = np.any(ends, axis=0)
+        roots += np.bincount(cell[done], left[0, done] * right[0, done] < 0, minlength=n)
+        live = np.flatnonzero(~done)
+        if not live.size:
+            break
+        if depth == CERTIFY_DEPTH or live.size * xi.kept.max() > CERTIFY_BUDGET * n:
             raise DegenerateCusp(
-                "|y'| = %.3e at cusp s=%.6f violates genericity" % (abs(ypc), s_c)
+                "x' under-resolved near s=%.6f: %d pieces of grid cells uncertified "
+                "after %d halvings" % (np.min(a[live]), live.size, depth)
             )
-        out.append((s_c, float(direction)))
-    return out
+        h *= 0.5
+        cell, a, left, right = cell[live], a[live], left[:, live], right[:, live]
+        mid = xi.value(a + h, (1, 2))
+        cell, a = np.tile(cell, 2), np.concatenate([a, a + h])
+        left, right = np.hstack([left, mid]), np.hstack([mid, right])
+    unseen = np.flatnonzero(roots > bracketed)
+    if unseen.size:
+        raise DegenerateCusp("under-resolved cusp pair in the grid cell at s=%.6f" % (unseen[0] / n))
 
 
 def horizontality_residual(loop: HorizontalLoop):

@@ -27,7 +27,8 @@ class NotImmersed(EngelError):
 
 
 class DegenerateCusp(EngelError):
-    """A root of x' where |y'| is below the genericity floor."""
+    """A root of x' that is not a certified generic cusp: |y'| below the
+    floor, a touch without sign change, or an under-resolved grid cell."""
 
 
 class ZNotClosed(EngelError):

@@ -19,7 +19,9 @@ an N-point FFT leaves on data known to unit roundoff (the rule of Aurentz
 and Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017); there is
 no knob.  Dropping rfft coefficients c_k moves the interpolant by at most
 (2/N) * sum |c_k| over the dropped k, on the grid and off it, and its q-th
-derivative by at most (2/N) * sum (2 pi k)^q |c_k|.
+derivative by at most (2/N) * sum (2 pi k)^q |c_k|.  The same sum over the
+kept k bounds the q-th derivative of the interpolant itself everywhere;
+:meth:`Interpolant.bound` returns it.
 """
 
 from __future__ import annotations
@@ -155,6 +157,21 @@ class Interpolant:
 
     def derivative(self, s, order=1):
         return self.value(s, order)
+
+    def samples(self, order=0):
+        """Grid samples of the periodic part's order-th derivative (no phase matrix)."""
+        k = np.arange(self._c.shape[1])
+        out = np.fft.irfft(self._c * (2j * np.pi * k) ** order, self.n)
+        return out.reshape(self.shape + (self.n,))
+
+    def bound(self, order):
+        """Bound on |value(s, order)| over all real s, per channel: (2/N) sum
+        (2 pi k)^q |c_k| over the kept harmonics (mean and Nyquist at half
+        share).  It covers the periodic part: a drift adds |drift * s| to
+        values, |drift| to first derivatives, nothing to higher ones."""
+        w = _weights(self.n, self._c, (order,))
+        out = np.hypot(w[:, 0::2], w[:, 1::2]).sum(axis=1).reshape(self.shape)
+        return float(out) if out.ndim == 0 else out
 
 
 def antiderivative(values: np.ndarray) -> tuple[np.ndarray, float]:

@@ -110,14 +110,9 @@ def _step_count(move: Move) -> int:
     return k
 
 
-def _circular_gap(a: float, b: float) -> float:
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
-
-
 def _cusps_in_window(g: LegendrianGenerator, center: float, width: float):
     """Cusp parameters of g within circular distance `width` of `center`."""
-    return [s for s, _ in find_cusps(g) if _circular_gap(s, center) <= width]
+    return [s for s, _ in find_cusps(g) if abs(math.remainder(s - center, 1.0)) <= width]
 
 
 def _require_frame_immersed(gen: LegendrianGenerator, index: int):
@@ -429,7 +424,7 @@ def verify_isotopy(trace: HomotopyTrace) -> VerificationReport:
         g = loop.generator
         dz = lifting.z_closure_defect(g)
         dw = lifting.w_closure_defect(g)
-        if max(abs(dz), abs(dw)) > TOL_CLOSURE:
+        if not (abs(dz) <= TOL_CLOSURE and abs(dw) <= TOL_CLOSURE):
             return verdict("NOT_CLOSED", idx)
         check = lifting.embedding_check(loop)
         if check.margin < worst.margin:

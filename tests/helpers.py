@@ -229,3 +229,25 @@ def orientation_reverse(loop):
         float(loop.w[0]),
         -loop.closure_defect_w,
     )
+
+
+def companion_derivative_roots(x):
+    """All roots of the interpolant's x' in [0, 1), sorted, from the
+    eigenvalues of a companion matrix: an oracle for cusp extraction
+    that shares nothing with its sign scan.
+
+    The Laurent polynomial sum_{|k| <= d} g_k u^k, g_k = 2 pi i k c_k,
+    times u^d is an ordinary polynomial of degree 2d whose roots on the
+    unit circle are exp(2 pi i s) at the roots s of x'.  Its conditioning
+    limits the oracle to degree d <= 128.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    g = TAU * 1j * np.arange(n // 2 + 1) * np.fft.rfft(x) / n
+    mags = np.abs(g)
+    deg = int(np.nonzero(mags > 1e-12 * mags.max())[0][-1])
+    assert 0 < deg <= 128 and deg < n // 2, "oracle needs 0 < degree <= 128"
+    full = np.concatenate([np.conj(g[1 : deg + 1])[::-1], g[: deg + 1]])
+    roots = np.roots(full[::-1])
+    on_circle = roots[np.abs(np.abs(roots) - 1.0) < 1e-6]
+    return np.sort(np.mod(np.angle(on_circle) / TAU, 1.0))

@@ -13,6 +13,7 @@ from importlib import resources
 
 import pytest
 
+import engel
 from engel import cli, curves, pairscan
 
 DEMO = str(resources.files("engel.data").joinpath("demo.front"))
@@ -233,14 +234,48 @@ def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_module_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "engel.cli", "check", ZERO_AREA, "mirror"],
-        capture_output=True,
-        text=True,
+def run_module(*argv):
+    """The CLI as its own process, importing the same engel as this suite.
+    Warnings print to stderr there instead of failing the suite."""
+    src = os.path.dirname(os.path.dirname(engel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "engel.cli", *argv],
+        capture_output=True, text=True, encoding="utf-8", env=env,
     )
+
+
+def test_module_entry_point_subprocess():
+    proc = run_module("check", ZERO_AREA, "mirror")
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["embedding"]["embedded"] is False
+
+
+def test_lift_refuses_a_nan_closure_defect(tmp_path):
+    # y x' overflows, so the z defect is nan: not closed, exit 3, no CSV.
+    doc = tmp_path / "nan.front"
+    doc.write_text("generator g { x: 1e300 cos(1); y: 1e300 sin(1); }\n")
+    out = tmp_path / "out"
+    proc = run_module("lift", str(doc), "g", "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines()[0] == (
+        "certificate failure: ∮ y dx = nan exceeds the closure tolerance 1e-09; "
+        "balance the generator first"
+    )
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_a_document_that_samples_to_inf_is_a_usage_error(tmp_path):
+    doc = tmp_path / "inf.front"
+    doc.write_text(
+        "generator g { x: 1e308 cos(1) + 1e308 cos(2) + 1e308 cos(3); y: sin(1); }\n"
+    )
+    proc = run_module("rot", str(doc), "g")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[0] == "error: x and y samples must be finite"
+    assert proc.stdout == ""
 
 
 def run_script_doc(tmp_path, capsys, script):

@@ -1,7 +1,9 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from engel import curves, fourier, invariants, lifting, pairscan, render
+from engel import curves, fourier, frontlang, homotopy, invariants, lifting, models, pairscan, render
 from engel.curves import (
     Cusp,
     LegendrianGenerator,
@@ -18,6 +20,7 @@ from engel.errors import BadDescription, DegenerateCusp, NotClosed, NotImmersed
 from helpers import (
     TAU,
     StandardStructures,
+    companion_derivative_roots,
     fish_arrays,
     mirror_loop,
     mirror_w,
@@ -182,7 +185,8 @@ def test_find_cusps_rejects_grid_touch_point():
 def test_find_cusps_rejects_off_grid_touch_point():
     # Same shape shifted so the double root sits between samples, well
     # away from the four honest sign changes at odd multiples of 1/8;
-    # only the companion-matrix cross-check can see it.
+    # the sign scan cannot see it, and no halving of its grid cell
+    # certifies that cell.
     delta = 0.31
     phi = TAU * delta
 
@@ -196,6 +200,114 @@ def test_find_cusps_rejects_off_grid_touch_point():
     g = LegendrianGenerator(x(s), np.sin(TAU * s))
     with pytest.raises(DegenerateCusp):
         find_cusps(g)
+
+
+def _circular_distance(a, b):
+    d = np.abs(np.asarray(a) - np.asarray(b)) % 1.0
+    return np.minimum(d, 1.0 - d)
+
+
+def _balanced_degree_8(seed, n):
+    rng = np.random.default_rng(seed)
+    s = fourier.grid(n)
+    x, y = np.cos(TAU * s), np.sin(2 * TAU * s)
+    for k in range(1, 9):
+        a, b, c, d = rng.uniform(-1, 1, 4) * 0.4 / (k * k)
+        x = x + a * np.cos(k * TAU * s) + b * np.sin(k * TAU * s)
+        y = y + c * np.cos(k * TAU * s) + d * np.sin(k * TAU * s)
+    return lifting.balance_closure(LegendrianGenerator(x, y))
+
+
+ORACLE_CASES = (
+    [("mirror%g" % beta, beta) for beta in (0.0, 0.3, -0.45)]
+    + [("degree8_seed%d" % seed, seed) for seed in range(4)]
+    + [("model%d" % n_rot, n_rot) for n_rot in (-3, 0, 3, 5)]
+)
+
+
+@pytest.mark.parametrize("case, arg", ORACLE_CASES, ids=[c for c, _ in ORACLE_CASES])
+def test_find_cusps_matches_companion_matrix_oracle(case, arg):
+    if case.startswith("mirror"):
+        s = fourier.grid(1024)
+        g = LegendrianGenerator(mirror_x(s, arg), mirror_y(s))
+    elif case.startswith("degree8"):
+        g = _balanced_degree_8(arg, 4096)
+    else:
+        g = models.model_front(arg, seed=0, samples=4096).generator
+    want = companion_derivative_roots(g.x)
+    got = [s_c for s_c, _ in find_cusps(g)]
+    assert len(got) == len(want)
+    assert np.max(_circular_distance(np.sort(got), want)) < 1e-9
+
+
+def _dense_roots(g, refine=16):
+    """Sign changes of x' on a grid `refine` times finer, from the FFT
+    upsampling of x rather than from the evaluator find_cusps uses."""
+    m = refine * g.n
+    xp = fourier.derivative(fourier.resample(g.x, m))
+    positive = xp >= 0
+    return np.flatnonzero(positive != np.roll(positive, -1)) / m, 1.0 / m
+
+
+def _close_pair(s):
+    # x' = cos(2 pi u) - a cos(4 pi u), u = s - 0.03, vanishes at
+    # u = +-0.025 and is negative between: both roots lie in the cell
+    # [0, 1/16] and x' is positive at its ends.
+    a = np.cos(TAU * 0.025) / np.cos(2 * TAU * 0.025)
+    u = s - 0.03
+    return np.sin(TAU * u) / TAU - a * np.sin(2 * TAU * u) / (2 * TAU)
+
+
+def _ripple(s):
+    # A harmonic-7 ripple on the fundamental folds x' twice in the cell
+    # [3/16, 4/16] (roots near 0.229 and 0.249), and likewise half a period
+    # on.  Compared against half the bound, those cells would pass.
+    return 1.7 * np.cos(TAU * s - 1.86) + 0.1 * np.cos(7 * TAU * s - 2.31)
+
+
+@pytest.mark.parametrize("x, cell", [(_close_pair, 0), (_ripple, 3)], ids=["pair", "ripple"])
+def test_find_cusps_refuses_two_roots_in_one_grid_cell(x, cell):
+    # The sign scan sees no root in the cell; halving certifies each root
+    # on its own piece, and the count of two roots refuses the front.
+    n = 16
+    s = fourier.grid(n)
+    g = LegendrianGenerator(x(s), np.sin(TAU * s) + 0.5)
+    assert g.xp[cell] * g.xp[cell + 1] > 0
+    dense, _ = _dense_roots(g)
+    assert np.count_nonzero((dense > cell / n) & (dense < (cell + 1) / n)) == 2
+    with pytest.raises(DegenerateCusp, match="under-resolved cusp pair .* s=%.6f" % (cell / n)):
+        find_cusps(g)
+
+
+@pytest.mark.parametrize("width", [0.04, 0.02])
+def test_narrow_swallowtails_are_certified_or_refused(width):
+    # x' has degree 173 and 336 here, above the companion oracle's 128.
+    doc = frontlang.parse(resources.files("engel.data").joinpath("demo.front").read_text())
+    desc = doc.generator("circ")
+    g0 = sample_generator((desc.x, desc.y), 4096)
+    move = homotopy.Move("swallowtail_birth", {"at": 0.12, "width": width})
+    trace = homotopy.run_script(g0, [move])
+    refused = []
+    for j, loop in enumerate(trace.frames):
+        g = loop.generator
+        try:
+            got = np.array([s_c for s_c, _ in find_cusps(g)])
+        except DegenerateCusp:
+            refused.append(j)
+            continue
+        dense, step = _dense_roots(g)
+        assert len(got) == len(dense), j
+        assert np.max(np.min(_circular_distance(got[:, None], dense), axis=1)) <= step, j
+    # The fold moment is a double root of x': it cannot be certified.
+    assert refused == [32]
+    assert len(find_cusps(trace.frames[-1].generator)) == 4
+
+
+def test_cusps_refuse_a_nan_closure_defect():
+    g = LegendrianGenerator(*fish_arrays(256)[:2])
+    loop = LegendrianLoop(g, fish_arrays(256)[2], 0.0, float("nan"))
+    with pytest.raises(NotClosed):
+        loop.cusps
 
 
 def test_front_of_requires_closure():

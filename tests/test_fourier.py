@@ -297,3 +297,43 @@ def test_trig_polynomial_of_degree_d_keeps_at_most_d_plus_one(n):
             assert kept <= degree + 1
             # and the chop never cuts into the signal itself
             assert kept == degree + 1
+
+
+@pytest.mark.parametrize("k", [1, 5, 40])
+def test_bound_of_a_cosine_is_its_peak_derivative(k):
+    s = fourier.grid(256)
+    interp = fourier.Interpolant(np.cos(fourier.TAU * k * s))
+    for q in range(4):
+        assert interp.bound(q) == pytest.approx((fourier.TAU * k) ** q, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+def test_bound_covers_dense_values_of_random_spectra(n):
+    rng = np.random.default_rng(n)
+    s = fourier.grid(n)
+    dense = rng.uniform(0.0, 1.0, 10**5)
+    for degree in (3, 20, 60):
+        values = np.full(n, rng.normal())
+        for k in range(1, degree + 1):
+            a, b = rng.normal(size=2) / k
+            values += a * np.cos(fourier.TAU * k * s) + b * np.sin(fourier.TAU * k * s)
+        drift = rng.normal()
+        interp = fourier.Interpolant(values + drift * s, drift=drift)
+        for q in range(4):
+            # The bound covers the periodic part; the ramp drift * s adds
+            # at most |drift| to values on [0, 1) and to first derivatives.
+            ramp = abs(drift) if q < 2 else 0.0
+            peak = max(
+                float(np.max(np.abs(interp.value(part, q))))
+                for part in np.array_split(dense, 10)
+            )
+            assert peak <= interp.bound(q) + ramp
+
+
+def test_samples_are_the_interpolant_on_the_grid():
+    n = 512
+    s = fourier.grid(n)
+    interp = fourier.Interpolant(np.cos(fourier.TAU * 3 * s) + 0.1 * np.sin(fourier.TAU * 40 * s))
+    for q in range(4):
+        want = interp.value(s, q)
+        assert np.max(np.abs(interp.samples(q) - want)) <= 1e-12 * np.max(np.abs(want))

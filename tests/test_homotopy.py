@@ -312,6 +312,14 @@ def test_empty_script_gives_a_single_verified_frame():
     json.dumps(payload)
 
 
+@pytest.mark.parametrize("which", ["z_closure_defect", "w_closure_defect"])
+def test_a_nan_closure_defect_is_not_closed(which, monkeypatch):
+    trace = run_script(circle(1024), MoveScript("nothing", ()))
+    monkeypatch.setattr(lifting, which, lambda g: float("nan"))
+    report = verify_isotopy(trace)
+    assert (report.ok, report.code, report.frame) == (False, "NOT_CLOSED", 0)
+
+
 def test_rot_change_between_frames_is_flagged():
     plain = lifting.lift(lifting.balance_closure(circle(4096)))
     doubled = models.model_front(2, seed=0, samples=4096)

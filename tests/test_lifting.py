@@ -204,6 +204,17 @@ def test_embedding_check_requires_closed_loop():
         lifting.embedding_check(raw)
 
 
+@pytest.mark.parametrize("defect_z, defect_w, which", [
+    (float("nan"), 0.0, "z"),
+    (0.0, float("nan"), "w"),
+])
+def test_embedding_check_refuses_a_nan_defect(defect_z, defect_w, which):
+    n = 256
+    raw = HorizontalLoop(circle(n), np.zeros(n), 0.0, defect_z, np.zeros(n), 0.0, defect_w)
+    with pytest.raises(NotClosed, match="^%s does not close up" % which):
+        lifting.embedding_check(raw)
+
+
 def test_embedding_check_clean_loop_reports_infinite_margin():
     n = 1024
     s = fourier.grid(n)
