@@ -327,9 +327,10 @@ def find_cusps(g: LegendrianGenerator):
     otherwise, and for roots with |y'| under the floor or vertical
     tangencies without a sign change, this raises DegenerateCusp.
     """
-    n = g.n
-    on_grid = np.abs(g.xp) <= TOL_ROOT
-    sg = np.where(on_grid, 0.0, np.sign(g.xp))
+    n, xp = g.n, g.x_interp.samples(1)
+    on_grid = np.abs(xp) <= TOL_ROOT
+    xp[on_grid] = 0.0
+    sg = np.sign(xp)
     after = np.roll(sg, -1)
     consecutive = on_grid & (np.roll(on_grid, 1) | np.roll(on_grid, -1))
     bad = np.flatnonzero(consecutive | (on_grid & (np.roll(sg, 1) == after)))
@@ -339,7 +340,7 @@ def find_cusps(g: LegendrianGenerator):
         raise DegenerateCusp("%s s=%.6f" % (what, bad[0] / n))
 
     bracketed = sg * after < 0
-    _certify_cells(g, on_grid, bracketed)
+    _certify_cells(g, xp, bracketed)
 
     kb, ke = np.flatnonzero(bracketed), np.flatnonzero(on_grid)
     lo, hi = kb / n, (kb + 1) / n
@@ -365,7 +366,7 @@ def find_cusps(g: LegendrianGenerator):
     return list(zip(s.tolist(), direction.tolist()))
 
 
-def _certify_cells(g: LegendrianGenerator, on_grid: np.ndarray, bracketed: np.ndarray):
+def _certify_cells(g: LegendrianGenerator, xp: np.ndarray, bracketed: np.ndarray):
     """Raise DegenerateCusp ("under-resolved") unless each grid cell holds
     at most one root of x', and one only where `bracketed` says so.
 
@@ -373,9 +374,10 @@ def _certify_cells(g: LegendrianGenerator, on_grid: np.ndarray, bracketed: np.nd
     h max |x''|, so x' has no root there if it has one sign at both ends
     and that sum exceeds h bound(2); the same test on x'' against
     h bound(3) makes x' monotone there.  Values and bounds both come from
-    the chopped x_interp.  Pieces passing neither test are halved.  Sign
-    changes of x' across the certified pieces of a cell count its roots;
-    x' counts as 0 at the scan's on-grid roots, which no cell holds inside.
+    the chopped x_interp; `xp` is its x' on the grid, zeroed at the
+    scan's on-grid roots, which no cell holds inside.  Pieces passing
+    neither test are halved.  Sign changes of x' across the certified
+    pieces of a cell count its roots.
     """
     n, xi = g.n, g.x_interp
     bounds = np.array([[xi.bound(2)], [xi.bound(3)]])
@@ -383,7 +385,7 @@ def _certify_cells(g: LegendrianGenerator, on_grid: np.ndarray, bracketed: np.nd
     cell = np.arange(n)
     a = cell / n
     # Rows x' and x'' at each piece's two ends.
-    left = np.stack([np.where(on_grid, 0.0, xi.samples(1)), xi.samples(2)])
+    left = np.stack([xp, xi.samples(2)])
     right = np.roll(left, -1, axis=1)
     roots = np.zeros(n)
     for depth in range(CERTIFY_DEPTH + 1):

@@ -8,13 +8,14 @@ The grammar is deliberately tiny and LL(1):
     term      := NUMBER? ("cos" | "sin") "(" INT ")" | NUMBER
     script    := "script" NAME "{" (move ";")* "}"
     move      := KIND (PARAM "=" NUMBER)*
-    KIND      := "deform" | "swallowtail_birth" | "swallowtail_death"
-               | "tangency_pass" | "balance"
 
-NUMBER is a decimal literal with optional sign and exponent; one that
-overflows a double is rejected.  INT (a harmonic index) is a bare
-unsigned integer between 1 and 64.  ``#`` starts a comment that runs to
-the end of the line.  Whitespace is free.
+The token rules are the alternatives of the one pattern ``_TOKEN``:
+NAME is ASCII, NUMBER an ASCII decimal literal with optional sign and
+exponent (one that overflows a double is rejected), ``#`` starts a
+comment that runs to the end of the line, and whitespace is free.  INT
+(a harmonic index) is a NUMBER of bare digits between 1 and 64.  KIND
+and the PARAMs each kind takes are the keys and entries of
+``homotopy.MOVE_PARAMS``.
 
 ``parse`` returns a Document whose generators carry canonical
 TrigSeries (duplicate harmonics summed, zero coefficients dropped), so
@@ -24,26 +25,19 @@ subclass; no input crashes or hangs the process.
 """
 
 import math
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import TrigSeries
 from .errors import DuplicateName, FrontSyntaxError, UnknownMoveKind
-from .homotopy import _ALLOWED_PARAMS, MOVE_KINDS, Move, MoveScript
+from .homotopy import MOVE_PARAMS, Move, MoveScript, _check_move
 
 # Callers catch parser rejections as frontlang.SyntaxError; the class
 # itself lives in errors.py under a name that does not shadow the builtin.
 SyntaxError = FrontSyntaxError
 
 MAX_HARMONIC = 64
-
-_PARAM_ORDER = ("at", "width", "amplitude", "ax", "ay", "frames")
-
-# ASCII only: str.isdigit also accepts digits such as '²' that float() refuses.
-_DIGITS = set("0123456789")
-_NUMBER_START = _DIGITS | set(".-")
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_BODY = _NAME_START | _DIGITS
-_PUNCT = set("{}():;=+")
 
 
 @dataclass(frozen=True)
@@ -73,8 +67,7 @@ class Document:
         raise ValueError("no script named %r in document" % (name,))
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "name" | "number" | one of the punctuation marks | "end"
     text: str
     line: int
@@ -86,71 +79,40 @@ class _Token:
         return "'%s'" % self.text
 
 
+# Tried in order at each position.  Digits and letters are ASCII only
+# ('²' is a digit to str.isdigit, not to float()).  A '-' or '.' that
+# starts no number, and any other character, are the two error classes.
+_TOKEN = re.compile(
+    r"""
+    (?P<newline>\n)
+  | (?P<skip>[ \t\r]+|\#[^\n]*)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<number>-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<punct>[{}():;=+])
+  | (?P<not_number>[-.])
+  | (?P<stray>.)
+    """,
+    re.VERBOSE,
+)
+
+
 def _tokenize(text: str):
     """Token list with line/column positions (both 1-based)."""
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _NAME_START:
-            j = i
-            while j < n and text[j] in _NAME_BODY:
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _NUMBER_START:
-            j = i
-            if text[j] == "-":
-                j += 1
-            digits_before = 0
-            while j < n and text[j] in _DIGITS:
-                j += 1
-                digits_before += 1
-            digits_after = 0
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-                    digits_after += 1
-            if digits_before + digits_after == 0:
-                raise FrontSyntaxError(line, col, "a number", "'%s'" % ch)
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k] in _DIGITS:
-                    while k < n and text[k] in _DIGITS:
-                        k += 1
-                    j = k
-            if not math.isfinite(float(text[i:j])):
-                raise FrontSyntaxError(line, col, "a finite number", "'%s'" % text[i:j])
-            tokens.append(_Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise FrontSyntaxError(line, col, "a token", "'%s'" % ch)
-    tokens.append(_Token("end", "", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, value, col = match.lastgroup, match.group(), match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "not_number":
+            raise FrontSyntaxError(line, col, "a number", "'%s'" % value)
+        elif kind == "stray":
+            raise FrontSyntaxError(line, col, "a token", "'%s'" % value)
+        elif kind == "number" and not math.isfinite(float(value)):
+            raise FrontSyntaxError(line, col, "a finite number", "'%s'" % value)
+        elif kind != "skip":
+            tokens.append(_Token(value if kind == "punct" else kind, value, line, col))
+    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -269,13 +231,13 @@ class _Parser:
 
     def move(self) -> Move:
         tok = self.expect("name", "a move kind")
-        if tok.text not in MOVE_KINDS:
+        if tok.text not in MOVE_PARAMS:
             raise UnknownMoveKind(
                 "line %d, col %d: unknown move kind %r (one of %s)"
-                % (tok.line, tok.col, tok.text, ", ".join(sorted(MOVE_KINDS)))
+                % (tok.line, tok.col, tok.text, ", ".join(sorted(MOVE_PARAMS)))
             )
         kind = tok.text
-        allowed = _ALLOWED_PARAMS[kind]
+        allowed = MOVE_PARAMS[kind]
         params = {}
         while self.peek().kind == "name":
             ptok = self.take()
@@ -326,19 +288,15 @@ def _format_series(series: TrigSeries) -> str:
 
 
 def _format_move(move: Move) -> str:
-    parts = [move.kind]
-    seen = set(_PARAM_ORDER)
-    for key in _PARAM_ORDER:
-        if key in move.params:
-            parts.append("%s=%s" % (key, _format_number(move.params[key])))
-    for key in sorted(move.params):
-        if key not in seen:
-            parts.append("%s=%s" % (key, _format_number(move.params[key])))
-    return " ".join(parts)
+    _check_move(move)
+    params = ["%s=%s" % (key, _format_number(move.params[key]))
+              for key in MOVE_PARAMS[move.kind] if key in move.params]
+    return " ".join([move.kind] + params)
 
 
 def emit(doc: Document) -> str:
-    """Canonical text for a Document; parse(emit(doc)) == doc."""
+    """Canonical text for a Document; parse(emit(doc)) == doc.  A move
+    the engine refuses (unknown kind or parameter) raises ValueError."""
     blocks = []
     for g in doc.generators:
         blocks.append(

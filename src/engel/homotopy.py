@@ -28,24 +28,17 @@ from .errors import ImmersionLost, MoveRefused, UnsupportedOverlap
 
 DEFAULT_FRAMES = 64
 
-MOVE_KINDS = (
-    "deform",
-    "swallowtail_birth",
-    "swallowtail_death",
-    "tangency_pass",
-    "balance",
-)
+# Each move kind and the parameters it takes, in the order emit writes them.
+MOVE_PARAMS = {
+    "deform": ("at", "width", "ax", "ay", "frames"),
+    "swallowtail_birth": ("at", "width", "amplitude", "frames"),
+    "swallowtail_death": ("at", "width", "amplitude", "frames"),
+    "tangency_pass": ("at", "width", "amplitude", "frames"),
+    "balance": (),
+}
 
 # Moves whose middle frame is a singular event of the front homotopy.
 EVENT_KINDS = ("swallowtail_birth", "swallowtail_death", "tangency_pass")
-
-_ALLOWED_PARAMS = {
-    "deform": frozenset({"at", "width", "ax", "ay", "frames"}),
-    "swallowtail_birth": frozenset({"at", "width", "amplitude", "frames"}),
-    "swallowtail_death": frozenset({"at", "width", "amplitude", "frames"}),
-    "tangency_pass": frozenset({"at", "width", "amplitude", "frames"}),
-    "balance": frozenset(),
-}
 
 
 @dataclass(frozen=True)
@@ -90,11 +83,11 @@ def _param(move: Move, name: str, default=None) -> float:
 
 
 def _check_move(move: Move):
-    if move.kind not in _ALLOWED_PARAMS:
+    if move.kind not in MOVE_PARAMS:
         raise ValueError(
-            "unknown move kind %r (choose from %s)" % (move.kind, ", ".join(MOVE_KINDS))
+            "unknown move kind %r (choose from %s)" % (move.kind, ", ".join(MOVE_PARAMS))
         )
-    stray = set(move.params) - _ALLOWED_PARAMS[move.kind]
+    stray = set(move.params).difference(MOVE_PARAMS[move.kind])
     if stray:
         raise ValueError(
             "%s move does not take %s" % (move.kind, ", ".join(sorted(stray)))

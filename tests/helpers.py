@@ -16,6 +16,8 @@ when beta = 0 (every term of z x' is then a cosine, and full cosines
 integrate to zero over half a period).
 """
 
+import math
+
 import numpy as np
 
 TAU = 2.0 * np.pi
@@ -251,3 +253,84 @@ def companion_derivative_roots(x):
     roots = np.roots(full[::-1])
     on_circle = roots[np.abs(np.abs(roots) - 1.0) < 1e-6]
     return np.sort(np.mod(np.angle(on_circle) / TAU, 1.0))
+
+
+# The front language's hand-written character scanner, kept as an oracle
+# for the pattern lexer in frontlang.  Its comment loop advances the
+# column, so both report end of input where the input ends.
+_DIGITS = set("0123456789")
+_NUMBER_START = _DIGITS | set(".-")
+_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_NAME_BODY = _NAME_START | _DIGITS
+_PUNCT = set("{}():;=+")
+
+
+def scan_front_tokens(text):
+    """(kind, text, line, col) per token, ending with ("end", "", line, col)."""
+    from engel.errors import FrontSyntaxError
+
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if ch in _PUNCT:
+            tokens.append((ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch in _NAME_START:
+            j = i
+            while j < n and text[j] in _NAME_BODY:
+                j += 1
+            tokens.append(("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in _NUMBER_START:
+            j = i
+            if text[j] == "-":
+                j += 1
+            digits_before = 0
+            while j < n and text[j] in _DIGITS:
+                j += 1
+                digits_before += 1
+            digits_after = 0
+            if j < n and text[j] == ".":
+                j += 1
+                while j < n and text[j] in _DIGITS:
+                    j += 1
+                    digits_after += 1
+            if digits_before + digits_after == 0:
+                raise FrontSyntaxError(line, col, "a number", "'%s'" % ch)
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k] in _DIGITS:
+                    while k < n and text[k] in _DIGITS:
+                        k += 1
+                    j = k
+            if not math.isfinite(float(text[i:j])):
+                raise FrontSyntaxError(line, col, "a finite number", "'%s'" % text[i:j])
+            tokens.append(("number", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise FrontSyntaxError(line, col, "a token", "'%s'" % ch)
+    tokens.append(("end", "", line, col))
+    return tokens

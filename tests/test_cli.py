@@ -5,6 +5,7 @@ failure.  Most tests drive main() in process; one subprocess case pins
 the module entry point at the OS level.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -267,6 +268,16 @@ def test_lift_refuses_a_nan_closure_defect(tmp_path):
     assert not out.exists()
 
 
+def test_check_on_an_overflowing_document_prints_no_warnings(tmp_path):
+    # In a subprocess, where a RuntimeWarning would print to stderr.
+    doc = tmp_path / "nan.front"
+    doc.write_text("generator g { x: 1e300 cos(1); y: 1e300 sin(1); }\n")
+    proc = run_module("check", str(doc), "g", "--out", str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (3, "")
+    closure = json.loads(proc.stdout)["closure"]
+    assert closure == {"closed": False, "defect_w": None, "defect_z": None}
+
+
 def test_a_document_that_samples_to_inf_is_a_usage_error(tmp_path):
     doc = tmp_path / "inf.front"
     doc.write_text(
@@ -309,6 +320,11 @@ def test_malformed_moves_are_usage_errors_exit_2(tmp_path, capsys, script, messa
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
+def golden_text(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as handle:
+        return handle.read()
+
+
 @pytest.mark.parametrize("command", ["lift", "rot", "check"])
 @pytest.mark.parametrize("document, name", [("demo", "circ"), ("zero_area", "mirror")])
 def test_output_matches_golden_bytes(tmp_path, capsys, command, document, name):
@@ -317,11 +333,27 @@ def test_output_matches_golden_bytes(tmp_path, capsys, command, document, name):
     path = str(resources.files("engel.data").joinpath(document + ".front"))
     code, out, err = run_cli(capsys, command, path, name, "--out", str(tmp_path))
 
-    def golden(suffix):
-        stem = "%s_%s_%s" % (command, document, name)
-        with open(os.path.join(GOLDEN, stem + suffix), encoding="utf-8", newline="") as handle:
-            return handle.read()
+    stem = "%s_%s_%s" % (command, document, name)
+    assert out == golden_text(stem + ".out")
+    assert err == golden_text(stem + ".err")
+    assert code == int(golden_text(stem + ".code"))
 
-    assert out == golden(".out")
-    assert err == golden(".err")
-    assert code == int(golden(".code"))
+
+def test_demo_homotopy_matches_golden_bytes(tmp_path, capsys):
+    # Both JSON files verbatim, and the 129 frame CSVs through one sha256
+    # of their bytes concatenated in frame order.
+    code, out, err = run_cli(
+        capsys, "homotopy", "run", DEMO, "circ", "pass_and_fold", "--out", str(tmp_path)
+    )
+    stem = "homotopy_demo_circ_pass_and_fold"
+    trace_dir = tmp_path / "pass_and_fold_trace"
+    assert (code, err) == (0, "")
+    assert out == (trace_dir / "verification.json").read_text(encoding="utf-8")
+    assert out == golden_text(stem + ".verification.json")
+    assert (trace_dir / "events.json").read_text(encoding="utf-8") == golden_text(
+        stem + ".events.json"
+    )
+    frames = sorted(trace_dir.glob("frame_*.csv"))
+    assert len(frames) == 129
+    digest = hashlib.sha256(b"".join(path.read_bytes() for path in frames)).hexdigest()
+    assert digest + "\n" == golden_text(stem + ".frames.sha256")

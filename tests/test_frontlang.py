@@ -17,6 +17,7 @@ from engel.curves import TrigSeries
 from engel.errors import DuplicateName, FrontlangError, FrontSyntaxError, UnknownMoveKind
 from engel.frontlang import Document, GeneratorDescription
 from engel.homotopy import Move, MoveScript
+from helpers import scan_front_tokens
 
 
 def test_single_generator_ast():
@@ -61,6 +62,15 @@ def test_error_location_is_line_and_column_accurate():
         frontlang.parse(text)
     assert err.value.line == 3
     assert err.value.col == 12
+
+
+def test_end_of_input_is_reported_where_the_input_ends():
+    # The end of input lies past a trailing comment, not at its '#'.
+    text = "generator g { x: 0; y: 0; # note"
+    with pytest.raises(FrontSyntaxError) as err:
+        frontlang.parse(text)
+    assert (err.value.line, err.value.col) == (1, len(text) + 1) == (1, 33)
+    assert str(err.value) == "line 1, col 33: expected '}', found end of input"
 
 
 def test_duplicate_names_rejected_across_kinds():
@@ -130,6 +140,13 @@ def test_negative_coefficient_via_signed_number():
 def test_empty_document_round_trip():
     assert frontlang.emit(Document()) == ""
     assert frontlang.parse("") == Document()
+
+
+@pytest.mark.parametrize("move", [Move("balance", {"at": 1.0}), Move("slide", {})])
+def test_emit_refuses_a_move_the_engine_refuses(move):
+    # Text that parse would reject is never written.
+    with pytest.raises(ValueError):
+        frontlang.emit(Document(scripts=(MoveScript("s", (move,)),)))
 
 
 def test_scientific_notation_survives_round_trip():
@@ -213,3 +230,38 @@ def test_binary_noise_never_aborts(blob):
         frontlang.parse(blob.decode("latin-1"))
     except FrontlangError:
         pass
+
+
+# the pattern lexer against the character scanner in helpers
+
+_front_alphabet = st.sampled_from(
+    list("0123456789.-+eE#{}():;= \t\r\nxyzcosin_²é") + ["1e400", "# note\n", "cos(", "sin("]
+)
+
+
+def _lexed(lexer, text):
+    """(kind, text, line, col) per token, or the error's class, location
+    and message."""
+    try:
+        return [tuple(token) for token in lexer(text)]
+    except FrontlangError as err:
+        return type(err), err.line, err.col, str(err)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_front_alphabet, max_size=60).map("".join))
+def test_lexer_matches_the_character_scanner(text):
+    assert _lexed(frontlang._tokenize, text) == _lexed(scan_front_tokens, text)
+
+
+def test_lexing_a_megabyte_reaches_the_last_token():
+    # Each match starts where the last one ended, so a 1 MB document lexes
+    # in one pass; the last token's position counts every line before it.
+    block = "generator g%d {  # a circle\n\tx: 1.5e-3 cos(1) + -2 sin(3);\n\ty: sin(1);\n}\n"
+    count = 14000
+    text = "".join(block % k for k in range(count))
+    assert len(text) > 10**6
+    tokens = frontlang._tokenize(text + "script end { balance; }")
+    assert [(t.kind, t.line, t.col) for t in tokens[-2:]] == [("}", 4 * count + 1, 23),
+                                                             ("end", 4 * count + 1, 24)]
+    assert len(tokens) == 25 * count + 7
