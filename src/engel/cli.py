@@ -50,9 +50,10 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(_json_text(payload))
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_lines(path: str, lines) -> None:
+    """Write an iterable of strings to a file as they come."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.writelines(lines)
 
 
 def _load_document(path: str) -> frontlang.Document:
@@ -121,8 +122,8 @@ def _cmd_lift(args) -> int:
     }
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, args.name)
-    _write_text(stem + ".csv", render.loop_csv_text(loop))
-    _write_text(stem + ".json", _json_text(payload))
+    _write_lines(stem + ".csv", next(render.loop_csv_lines([loop])))
+    _write_lines(stem + ".json", [_json_text(payload)])
     _emit_json(payload)
     return EXIT_OK
 
@@ -157,9 +158,9 @@ def _cmd_model(args) -> int:
     }
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, "model_rot%d_seed%d" % (args.n, seed))
-    _write_text(stem + ".csv", render.loop_csv_text(loop))
+    _write_lines(stem + ".csv", next(render.loop_csv_lines([loop])))
     render.render_svg(loop, stem + ".svg")
-    _write_text(stem + ".json", _json_text(payload))
+    _write_lines(stem + ".json", [_json_text(payload)])
     _emit_json(payload)
     return EXIT_OK
 
@@ -177,9 +178,8 @@ def _cmd_homotopy(args) -> int:
 
     out_dir = os.path.join(args.out, "%s_trace" % args.script)
     os.makedirs(out_dir, exist_ok=True)
-    for idx, loop in enumerate(trace.frames):
-        path = os.path.join(out_dir, "frame_%04d.csv" % idx)
-        _write_text(path, render.loop_csv_text(loop))
+    for idx, lines in enumerate(render.loop_csv_lines(trace.frames)):
+        _write_lines(os.path.join(out_dir, "frame_%04d.csv" % idx), lines)
     events = {
         "times": list(trace.times),
         "events": [{"t": t, "kind": kind} for t, kind in trace.events],
@@ -188,10 +188,10 @@ def _cmd_homotopy(args) -> int:
             for t, loop in zip(trace.times, trace.frames)
         ],
     }
-    _write_text(os.path.join(out_dir, "events.json"), _json_text(events))
+    _write_lines(os.path.join(out_dir, "events.json"), [_json_text(events)])
     report = homotopy.verify_isotopy(trace)
     verification = report.to_dict()
-    _write_text(os.path.join(out_dir, "verification.json"), _json_text(verification))
+    _write_lines(os.path.join(out_dir, "verification.json"), [_json_text(verification)])
     _emit_json(verification)
     return EXIT_OK if report.ok else EXIT_CERTIFICATE
 

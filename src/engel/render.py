@@ -1,10 +1,17 @@
 """Deterministic SVG pictures of fronts and CSV tables of lifted loops.
 
-Output is a pure function of the input data: fixed float formatting, no
-timestamps, no randomness, so identical inputs give byte-identical
-files.  The z axis is flipped when mapping to SVG user units (SVG y
+Output is a pure function of the input data: no timestamps, no
+randomness, so identical inputs give byte-identical files.  SVG
+coordinates are fixed-point with six decimals.  CSV values are Python's
+shortest round-trip `repr` of each float64 sample.  The text of a value
+is a function of its 64 bits alone, so a table that follows another
+(the frames of a homotopy) reuses the previous table's text at every row
+where a column's bits are unchanged and formats only the values that
+moved.  The z axis is flipped when mapping to SVG user units (SVG y
 grows downward).
 """
+
+import itertools
 
 import numpy as np
 
@@ -20,11 +27,79 @@ def _fmt(v: float) -> str:
     return "%.6f" % float(v)
 
 
+_CSV_HEADER = "s,x,y,z,w\n"
+
+# Column formatters; the last one ends the row.
+_CSV_FORMATS = (repr, repr, repr, repr, "{!r}\n".format)
+
+# Rows of a last table formatted at a time: no later table reuses its
+# text, so it is formatted as it is read and never held whole.
+_CSV_BLOCK = 1024
+
+
+def _column_text(fmt, values, bits, old):
+    """One column's text as an object array: the previous table's text
+    where the bits did not move, fmt(value) elsewhere.  `old` is that
+    column's (text, bits), or None to format every value."""
+    if old is None:
+        text, moved = np.empty(values.size, dtype=object), slice(None)
+    else:
+        text, moved = old[0].copy(), np.flatnonzero(bits != old[1])
+    text[moved] = list(map(fmt, values[moved].tolist()))
+    return text
+
+
+def _table_text(columns, bits, old, rows):
+    """The text of every column over `rows` (a slice)."""
+    return [
+        _column_text(fmt, c[rows], b[rows], None if o is None else (o[0][rows], o[1][rows]))
+        for fmt, c, b, o in zip(_CSV_FORMATS, columns, bits, old)
+    ]
+
+
+def _lines(text):
+    return map(",".join, zip(*(t.tolist() for t in text)))
+
+
+def _block_lines(columns, bits, old):
+    for start in range(0, columns[0].size, _CSV_BLOCK):
+        yield from _lines(_table_text(columns, bits, old, slice(start, start + _CSV_BLOCK)))
+
+
+def loop_csv_lines(loops):
+    """For each loop in turn, an iterator over the lines of its CSV table
+    s,x,y,z,w (header first, each line ending in a newline).
+
+    A value is written as the `repr` of its float64.  A column reuses the
+    previous loop's text at every row whose value has the same bits (the
+    int64 view, so 0.0 and -0.0 differ) and formats only the others.
+    A table's lines may be read after later tables have been yielded.
+    """
+    loops = iter(loops)
+    loop, old = next(loops, None), [None] * 5
+    while loop is not None:
+        following = next(loops, None)
+        columns = [
+            np.asarray(c, dtype=np.float64)
+            for c in (fourier.grid(loop.n), loop.x, loop.y, loop.z, loop.w)
+        ]
+        bits = [c.view(np.int64).copy() for c in columns]
+        if old[0] is not None and old[0][1].shape != bits[0].shape:
+            old = [None] * 5
+        if following is None:
+            lines = _block_lines(columns, bits, old)
+        else:
+            text = _table_text(columns, bits, old, slice(None))
+            old = list(zip(text, bits))
+            lines = _lines(text)
+        yield itertools.chain((_CSV_HEADER,), lines)
+        loop = following
+
+
 def loop_csv_text(loop) -> str:
-    """CSV table s,x,y,z,w of a horizontal loop, full decimal precision."""
-    columns = (fourier.grid(loop.n), loop.x, loop.y, loop.z, loop.w)
-    rows = zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in columns))
-    return "s,x,y,z,w\n" + "".join(",".join(row) + "\n" for row in rows)
+    """CSV table s,x,y,z,w of a horizontal loop, each value the shortest
+    string that reads back as the same float64."""
+    return "".join(next(loop_csv_lines([loop])))
 
 
 def front_svg_text(loop) -> str:

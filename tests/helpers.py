@@ -159,6 +159,18 @@ def raw_loop(x, y, z, defect=0.0):
     return LegendrianLoop(LegendrianGenerator(x, y), np.asarray(z, float), float(np.asarray(z, float)[0]), defect)
 
 
+def csv_repr_table(loop):
+    """The CSV table s,x,y,z,w of one loop, built one value at a time as
+    repr(float(v)): the direct form of what the package's CSV writer
+    must produce."""
+    n = loop.n
+    table = "s,x,y,z,w\n"
+    for k in range(n):
+        values = (k / n, loop.x[k], loop.y[k], loop.z[k], loop.w[k])
+        table += ",".join(repr(float(v)) for v in values) + "\n"
+    return table
+
+
 def dense_crossing_hits(q, exclude):
     """The all-pairs proper-intersection test between the segments
     q_i q_{i+1} of a closed polyline: every (i, j) cell at once, then the

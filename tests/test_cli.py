@@ -357,3 +357,22 @@ def test_demo_homotopy_matches_golden_bytes(tmp_path, capsys):
     assert len(frames) == 129
     digest = hashlib.sha256(b"".join(path.read_bytes() for path in frames)).hexdigest()
     assert digest + "\n" == golden_text(stem + ".frames.sha256")
+
+
+@pytest.mark.parametrize(
+    "argv, csv_name, golden",
+    [
+        (["lift", ZERO_AREA, "mirror"], "mirror.csv", "lift_zero_area_mirror"),
+        (
+            ["model", "-n", "3", "--samples", "1024", "--seed", "0"],
+            "model_rot3_seed0.csv",
+            "model_n3_samples1024_seed0",
+        ),
+    ],
+    ids=["lift-zero_area-mirror", "model-3-1024"],
+)
+def test_single_loop_csv_matches_golden_sha256(tmp_path, capsys, argv, csv_name, golden):
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / csv_name).read_bytes()).hexdigest()
+    assert digest + "\n" == golden_text(golden + ".csv.sha256")
