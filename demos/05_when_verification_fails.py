@@ -36,7 +36,7 @@ def main():
     bal = lifting.balance_closure(mirror())
     psi = tangency_profile(bal, 0.25, 0.08,
                            supports=lifting.balance_supports(bal))
-    g0 = bal.with_y(bal.y - 0.05 * psi)
+    g0 = curves.LegendrianGenerator(bal.x, bal.y - 0.05 * psi)
     trace = run_script(g0, [Move("tangency_pass", {
         "at": 0.25, "width": 0.08, "amplitude": 0.1, "frames": 16})])
     report = verify_isotopy(trace)

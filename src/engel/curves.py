@@ -80,7 +80,8 @@ class LegendrianGenerator:
 
     Arrays are shared, not copied defensively, and marked read-only; all
     operations in this package treat generators as immutable values.
-    Non-finite samples raise BadDescription.
+    Non-finite samples raise BadDescription.  Off-grid values and
+    derivatives come from x_interp and y_interp through .value(s, order).
     """
 
     def __init__(self, x, y):
@@ -112,25 +113,9 @@ class LegendrianGenerator:
     def y_interp(self) -> fourier.Interpolant:
         return fourier.Interpolant(self.y)
 
-    def x_at(self, s):
-        return self.x_interp.value(s)
-
-    def y_at(self, s):
-        return self.y_interp.value(s)
-
-    def xp_at(self, s):
-        return self.x_interp.derivative(s)
-
-    def yp_at(self, s):
-        return self.y_interp.derivative(s)
-
-    @property
-    def speed(self) -> np.ndarray:
-        return np.hypot(self.xp, self.yp)
-
     def min_speed(self):
         """(parameter, speed) at the slowest grid sample."""
-        sp = self.speed
+        sp = np.hypot(self.xp, self.yp)
         k = int(np.argmin(sp))
         return k / self.n, float(sp[k])
 
@@ -142,12 +127,6 @@ class LegendrianGenerator:
                 s=s,
             )
         return self
-
-    def with_y(self, y) -> "LegendrianGenerator":
-        return LegendrianGenerator(self.x, y)
-
-    def with_x(self, x) -> "LegendrianGenerator":
-        return LegendrianGenerator(x, self.y)
 
 
 @dataclass(eq=False)
@@ -161,8 +140,9 @@ class LegendrianLoop:
 
     The front is the (x, z) picture.  Its cusps, double points and
     self-tangencies are found on first read and kept on the loop, so a
-    caller that wants only the cusps pays for neither pair scan.  Loops
-    compare and hash by identity.
+    caller that wants only the cusps pays for neither pair scan.  Off-grid
+    values come from z_interp, or from curve for (x, y, z) together,
+    through .value(s, order).  Loops compare and hash by identity.
     """
 
     generator: LegendrianGenerator
@@ -197,10 +177,8 @@ class LegendrianLoop:
     def curve(self) -> fourier.Interpolant:
         """(x, y, z) as one evaluator: one phase matrix for all channels."""
         g = self.generator
-        return fourier.Interpolant.stack([g.x_interp, g.y_interp, self.z_interp])
-
-    def z_at(self, s):
-        return self.z_interp.value(s)
+        drift = (0.0, 0.0, self.closure_defect_z)
+        return fourier.Interpolant(np.stack([g.x, g.y, self.z]), drift)
 
     @functools.cached_property
     def cusps(self) -> list:
@@ -216,8 +194,8 @@ class LegendrianLoop:
             )
         g = self.generator
         return [
-            Cusp(s_c, (float(g.x_at(s_c)), float(self.z_at(s_c))),
-                 Orientation.UP if float(g.yp_at(s_c)) * direction > 0 else Orientation.DOWN)
+            Cusp(s_c, (g.x_interp.value(s_c), self.z_interp.value(s_c)),
+                 Orientation.UP if g.y_interp.value(s_c, 1) * direction > 0 else Orientation.DOWN)
             for s_c, direction in find_cusps(g)
         ]
 
@@ -327,7 +305,8 @@ def find_cusps(g: LegendrianGenerator):
     otherwise, and for roots with |y'| under the floor or vertical
     tangencies without a sign change, this raises DegenerateCusp.
     """
-    n, xp = g.n, g.x_interp.samples(1)
+    n, xi = g.n, g.x_interp
+    xp = xi.samples(1)
     on_grid = np.abs(xp) <= TOL_ROOT
     xp[on_grid] = 0.0
     sg = np.sign(xp)
@@ -345,10 +324,10 @@ def find_cusps(g: LegendrianGenerator):
     kb, ke = np.flatnonzero(bracketed), np.flatnonzero(on_grid)
     lo, hi = kb / n, (kb + 1) / n
     if kb.size:
-        sign_lo = np.sign(g.xp_at(lo))  # lo only moves to points of this sign
+        sign_lo = np.sign(xi.value(lo, 1))  # lo only moves to points of this sign
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            move_lo = np.sign(g.xp_at(mid)) == sign_lo
+            move_lo = np.sign(xi.value(mid, 1)) == sign_lo
             lo = np.where(move_lo, mid, lo)
             hi = np.where(move_lo, hi, mid)
     s = np.concatenate([0.5 * (lo + hi), ke / n])
@@ -356,7 +335,7 @@ def find_cusps(g: LegendrianGenerator):
     order = np.lexsort((direction, s))
     s, direction = np.mod(s[order], 1.0), direction[order]
 
-    xpc, ypc = np.abs(g.xp_at(s)), np.abs(g.yp_at(s))
+    xpc, ypc = np.abs(xi.value(s, 1)), np.abs(g.y_interp.value(s, 1))
     bad = np.flatnonzero((xpc > TOL_ROOT) | (ypc < Y_PRIME_FLOOR))
     if bad.size:
         i = bad[0]

@@ -112,21 +112,8 @@ class Interpolant:
         self.kept = c.shape[1] - np.argmax(alive[:, ::-1], axis=1)
         for row, kept in zip(c, self.kept):
             row[kept:] = 0.0
-        self._c = c[:, : self.kept.max()]
+        self._c = c[:, : self.kept.max()].copy()
         self._weights = {}
-
-    @classmethod
-    def stack(cls, parts) -> "Interpolant":
-        """One evaluator over the channels of single-channel ones (no FFT)."""
-        out = cls.__new__(cls)
-        out.n, out.shape = parts[0].n, (len(parts),)
-        out.drift = np.array([float(p.drift) for p in parts])
-        out.kept = np.concatenate([p.kept for p in parts])
-        out._c = np.zeros((len(parts), int(np.max(out.kept))), dtype=complex)
-        for row, p in zip(out._c, parts):
-            row[: p._c.shape[1]] = p._c[0]
-        out._weights = {}
-        return out
 
     def value(self, s, order=0):
         """Derivative of the given order (0 is the value itself) at s.
@@ -154,9 +141,6 @@ class Interpolant:
         if orders is not order:
             out = out[0]
         return float(out) if out.ndim == 0 else out
-
-    def derivative(self, s, order=1):
-        return self.value(s, order)
 
     def samples(self, order=0):
         """Grid samples of the periodic part's order-th derivative (no phase matrix)."""

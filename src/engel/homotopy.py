@@ -97,25 +97,15 @@ def _check_move(move: Move):
 def _step_count(move: Move) -> int:
     if move.kind == "balance":
         return 1
-    k = int(_param(move, "frames", DEFAULT_FRAMES))
-    if k < 2 or k % 2 != 0:
-        raise ValueError("frames must be an even count of at least 2, got %d" % k)
-    return k
+    k = _param(move, "frames", DEFAULT_FRAMES)
+    if not (k >= 2 and k % 2 == 0):
+        raise ValueError("frames must be an even count of at least 2, got %.15g" % k)
+    return int(k)
 
 
 def _cusps_in_window(g: LegendrianGenerator, center: float, width: float):
     """Cusp parameters of g within circular distance `width` of `center`."""
     return [s for s, _ in find_cusps(g) if abs(math.remainder(s - center, 1.0)) <= width]
-
-
-def _require_frame_immersed(gen: LegendrianGenerator, index: int):
-    s, v = gen.min_speed()
-    if v < SPEED_FLOOR:
-        raise ImmersionLost(
-            "frame %d: velocity norm %.3e at s=%.6f is below the immersion floor"
-            % (index, v, s),
-            frame=index,
-        )
 
 
 def _bump_derivative(s, center: float, width: float) -> np.ndarray:
@@ -138,7 +128,7 @@ def _shaped_ramp(j: int, k: int, crossing: float, final: float) -> float:
 def _birth_threshold(g: LegendrianGenerator, center: float, width: float) -> float:
     """Smallest a > 0 at which x' - a B' develops a root in the support."""
     ss = center + np.linspace(-0.75 * width, 0.75 * width, 1601)
-    xp = np.asarray(g.xp_at(ss), dtype=float)
+    xp = g.x_interp.value(ss, 1)
     bp = _bump_derivative(ss, center, width)
     moving = bp != 0.0
     ratio = xp[moving] / bp[moving]
@@ -158,12 +148,12 @@ def _death_threshold(g, center: float, width: float, cusps):
     offsets = [math.remainder(s - center, 1.0) for s in cusps]
     s1, s2 = sorted(center + d for d in offsets)
     mid = 0.5 * (s1 + s2)
-    sign_out = -float(np.sign(g.xp_at(mid)))
+    sign_out = -float(np.sign(g.x_interp.value(mid, 1)))
     if sign_out == 0.0:
         raise MoveRefused("degenerate dip between the cusps to annihilate")
 
     inner = np.linspace(s1, s2, 801)[1:-1]
-    xp_in = sign_out * np.asarray(g.xp_at(inner), dtype=float)
+    xp_in = sign_out * g.x_interp.value(inner, 1)
     bp_in = sign_out * _bump_derivative(inner, center, width)
     if np.any(bp_in <= 0.0):
         raise MoveRefused(
@@ -176,7 +166,7 @@ def _death_threshold(g, center: float, width: float, cusps):
 
     span = np.linspace(center - 0.75 * width, center + 0.75 * width, 1601)
     outside = (span < s1) | (span > s2)
-    xp_out = sign_out * np.asarray(g.xp_at(span[outside]), dtype=float)
+    xp_out = sign_out * g.x_interp.value(span[outside], 1)
     bp_out = sign_out * _bump_derivative(span[outside], center, width)
     falling = bp_out < 0.0
     if np.any(falling):
@@ -206,23 +196,17 @@ def tangency_profile(g: LegendrianGenerator, center: float, width: float, suppor
     return psi - alpha[0] * phi1 - alpha[1] * phi2
 
 
-def _deform_path(g: LegendrianGenerator, move: Move):
+def _deform(g: LegendrianGenerator, move: Move):
     k = _step_count(move)
     center = _param(move, "at")
     width = _param(move, "width")
     ax = float(move.params.get("ax", 0.0))
     ay = float(move.params.get("ay", 0.0))
     phi = lifting.bump_samples(fourier.grid(g.n), center, width)
-    path = []
-    for j in range(k + 1):
-        r = j / k
-        gen = LegendrianGenerator(g.x + (r * ax) * phi, g.y + (r * ay) * phi)
-        _require_frame_immersed(gen, j)
-        path.append(gen)
-    return path
+    return k, lambda j: LegendrianGenerator(g.x + (j / k * ax) * phi, g.y + (j / k * ay) * phi)
 
 
-def _swallowtail_path(g: LegendrianGenerator, move: Move, direction: int):
+def _swallowtail(g: LegendrianGenerator, move: Move, direction: int):
     k = _step_count(move)
     center = _param(move, "at")
     width = _param(move, "width")
@@ -260,27 +244,18 @@ def _swallowtail_path(g: LegendrianGenerator, move: Move, direction: int):
             )
 
     phi = lifting.bump_samples(fourier.grid(g.n), center, width)
-    path = []
-    for j in range(k + 1):
-        a = _shaped_ramp(j, k, crossing, final)
-        gen = g.with_x(g.x - (direction * a) * phi)
-        _require_frame_immersed(gen, j)
-        path.append(gen)
-    return path
+    return k, lambda j: LegendrianGenerator(
+        g.x - (direction * _shaped_ramp(j, k, crossing, final)) * phi, g.y
+    )
 
 
-def _tangency_path(g: LegendrianGenerator, move: Move, supports):
+def _tangency(g: LegendrianGenerator, move: Move, supports):
     k = _step_count(move)
     center = _param(move, "at")
     width = _param(move, "width")
     amplitude = _param(move, "amplitude")
     psi = tangency_profile(g, center, width, supports=supports)
-    path = []
-    for j in range(k + 1):
-        gen = g.with_y(g.y + (amplitude * j / k) * psi)
-        _require_frame_immersed(gen, j)
-        path.append(gen)
-    return path
+    return k, lambda j: LegendrianGenerator(g.x, g.y + (amplitude * j / k) * psi)
 
 
 def apply_move(g: LegendrianGenerator, move: Move, supports=None):
@@ -300,15 +275,26 @@ def apply_move(g: LegendrianGenerator, move: Move, supports=None):
     """
     _check_move(move)
     g.require_immersed()
+    if move.kind == "balance":
+        return [g, lifting.balance_closure(g, supports=supports)]
     if move.kind == "deform":
-        return _deform_path(g, move)
-    if move.kind == "swallowtail_birth":
-        return _swallowtail_path(g, move, +1)
-    if move.kind == "swallowtail_death":
-        return _swallowtail_path(g, move, -1)
-    if move.kind == "tangency_pass":
-        return _tangency_path(g, move, supports)
-    return [g, lifting.balance_closure(g, supports=supports)]
+        k, frame = _deform(g, move)
+    elif move.kind == "tangency_pass":
+        k, frame = _tangency(g, move, supports)
+    else:
+        k, frame = _swallowtail(g, move, +1 if move.kind == "swallowtail_birth" else -1)
+    path = []
+    for j in range(k + 1):
+        gen = frame(j)
+        s, v = gen.min_speed()
+        if v < SPEED_FLOOR:
+            raise ImmersionLost(
+                "frame %d: velocity norm %.3e at s=%.6f is below the immersion floor"
+                % (j, v, s),
+                frame=j,
+            )
+        path.append(gen)
+    return path
 
 
 def run_script(g0: LegendrianGenerator, script):

@@ -107,8 +107,8 @@ def area_integral(loop, s0: float, s1: float) -> float:
     )
     if m != 0.0:
         total += m * (
-            s1 * g.x_at(s1)
-            - s0 * g.x_at(s0)
+            s1 * g.x_interp.value(s1)
+            - s0 * g.x_interp.value(s0)
             - (
                 fourier.evaluate_antiderivative(g.x, s1)
                 - fourier.evaluate_antiderivative(g.x, s0)
@@ -161,10 +161,15 @@ def bump_power(width: float) -> int:
 
     Matched so that the essential support (six standard deviations of
     the Gaussian it approximates) spans `width`.  The result is a true
-    trigonometric polynomial of degree p, so this never aliases.
+    trigonometric polynomial of degree p, so this never aliases.  A
+    width that is not positive, or so small (below about 1e-154) that p
+    is not finite, raises ValueError.
     """
     sigma = width / 6.0
-    return max(1, int(round(1.0 / (2.0 * np.pi * np.pi * sigma * sigma))))
+    spread = 2.0 * np.pi * np.pi * sigma * sigma
+    if not (width > 0.0 and spread > 0.0 and math.isfinite(1.0 / spread)):
+        raise ValueError("width must be positive and above about 1e-154, got %r" % width)
+    return max(1, int(round(1.0 / spread)))
 
 
 def bump_samples(s, center: float, width: float) -> np.ndarray:
@@ -179,7 +184,7 @@ def _refine_edge(g: LegendrianGenerator, s_in: float, s_out: float, half: float)
     lo, hi = s_in, s_out
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if abs(float(g.xp_at(mid))) >= half:
+        if abs(g.x_interp.value(mid, 1)) >= half:
             lo = mid
         else:
             hi = mid

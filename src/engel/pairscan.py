@@ -412,7 +412,7 @@ def front_crossings(loop):
         s0, s1 = _canonical(*refined)
         if _circ_dist(s0, s1) < DIAGONAL_FINE_CELLS / n:
             continue
-        if abs(float(g.y_at(s0)) - float(g.y_at(s1))) <= SLOPE_TOL:
+        if abs(g.y_interp.value(s0) - g.y_interp.value(s1)) <= SLOPE_TOL:
             continue
         pairs.append((s0, s1))
     return _dedupe(pairs, MERGE_FINE_CELLS / n)

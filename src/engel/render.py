@@ -111,7 +111,7 @@ def front_svg_text(loop) -> str:
     """
     x = np.asarray(loop.x, dtype=float)
     z = np.asarray(loop.z, dtype=float)
-    x_at, z_at = loop.generator.x_at, loop.z_at
+    x_of, z_of = loop.generator.x_interp.value, loop.z_interp.value
 
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
     z_lo, z_hi = float(np.min(z)), float(np.max(z))
@@ -150,13 +150,13 @@ def front_svg_text(loop) -> str:
         parts.append('<path class="cusp-%s" d="%s"/>' % (kind, d))
 
     for s0, _s1 in loop.double_points:
-        cx, cz = x_at(s0), z_at(s0)
+        cx, cz = x_of(s0), z_of(s0)
         parts.append(
             '<circle class="crossing" cx="%s" cy="%s" r="%s"/>'
             % (_fmt(cx), _fmt(-cz), _fmt(r))
         )
     for s0, _s1 in loop.self_tangencies:
-        cx, cz = x_at(s0), z_at(s0)
+        cx, cz = x_of(s0), z_of(s0)
         parts.append(
             '<path class="tangency" d="M %s %s L %s %s L %s %s L %s %s Z"/>'
             % (

@@ -159,6 +159,17 @@ def raw_loop(x, y, z, defect=0.0):
     return LegendrianLoop(LegendrianGenerator(x, y), np.asarray(z, float), float(np.asarray(z, float)[0]), defect)
 
 
+def assert_channels_bitwise_equal(stacked, singles):
+    """Row i of a multi-channel Interpolant holds exactly the bits of the
+    single-channel singles[i]: its kept count, drift and coefficients."""
+    for row, single in enumerate(singles):
+        width = single._c.shape[1]
+        assert int(stacked.kept[row]) == int(single.kept[0])
+        assert stacked.drift[row].tobytes() == np.float64(single.drift).tobytes()
+        assert stacked._c[row, :width].tobytes() == single._c[0].tobytes()
+        assert not stacked._c[row, width:].any()
+
+
 def csv_repr_table(loop):
     """The CSV table s,x,y,z,w of one loop, built one value at a time as
     repr(float(v)): the direct form of what the package's CSV writer

@@ -185,8 +185,8 @@ def test_criterion_3_lift_converges_at_second_order_and_cusps_are_flat():
         w_rate = fourier.Interpolant(np.asarray(loop.w))
         for cusp in loop.cusps:
             flatness = max(
-                abs(float(z_rate.derivative(cusp.s))),
-                abs(float(w_rate.derivative(cusp.s))),
+                abs(float(z_rate.value(cusp.s, 1))),
+                abs(float(w_rate.value(cusp.s, 1))),
             )
             if flatness > CUSP_DERIVATIVE_BOUND:
                 problems.append("%s cusp at %.4f: %.2e" % (name, cusp.s, flatness))
@@ -268,7 +268,7 @@ def test_criterion_6_the_shipped_demo_verifies_and_the_zero_area_trace_fails():
     bal = lifting.balance_closure(mirror_generator(1024))
     supports = lifting.balance_supports(bal)
     psi = tangency_profile(bal, 0.25, 0.08, supports=supports)
-    g0 = bal.with_y(bal.y - 0.05 * psi)
+    g0 = curves.LegendrianGenerator(bal.x, bal.y - 0.05 * psi)
     bad = run_script(
         g0,
         [Move("tangency_pass", {"at": 0.25, "width": 0.08, "amplitude": 0.1, "frames": 16})],

@@ -310,11 +310,25 @@ def test_fold_past_the_ceiling_is_a_certificate_failure_exit_3(tmp_path, capsys)
     ("deform at=0.3 width=0.1 amplitude=1 frames=2;", "amplitude"),
     ("tangency_pass at=0.55 width=0.08 frames=2;", "needs a 'amplitude'"),
     ("deform at=0.3 width=0.1 ax=0.05 frames=3;", "even count"),
+    ("deform at=0.3 width=0.1 ax=0.05 frames=2.5;", "even count"),
 ])
 def test_malformed_moves_are_usage_errors_exit_2(tmp_path, capsys, script, message):
     code, _, err = run_script_doc(tmp_path, capsys, script)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("width", ["0", "1e-200"])
+@pytest.mark.parametrize("move", [
+    "deform at=0.3 width=%s ax=0.05 frames=2;",
+    "tangency_pass at=0.55 width=%s amplitude=0.01 frames=2;",
+    "swallowtail_birth at=0.12 width=%s frames=2;",
+])
+def test_a_width_no_bump_can_take_is_a_usage_error(tmp_path, capsys, move, width):
+    # A zero or underflowing width has no finite bump power.
+    code, out, err = run_script_doc(tmp_path, capsys, move % width)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: width must be positive")
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")

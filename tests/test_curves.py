@@ -20,6 +20,7 @@ from engel.errors import BadDescription, DegenerateCusp, NotClosed, NotImmersed
 from helpers import (
     TAU,
     StandardStructures,
+    assert_channels_bitwise_equal,
     companion_derivative_roots,
     fish_arrays,
     mirror_loop,
@@ -145,6 +146,25 @@ def test_loops_compare_and_hash_by_identity():
     plain = LegendrianLoop(g, a.z, 0.0, a.closure_defect_z)
     assert plain != LegendrianLoop(g, a.z, 0.0, a.closure_defect_z)
     assert plain in {plain}
+
+
+def _open_circle_loop():
+    g = LegendrianGenerator(np.cos(TAU * fourier.grid(512)), np.sin(TAU * fourier.grid(512)))
+    z, defect = fourier.antiderivative(g.y * g.xp)
+    return LegendrianLoop(g, z, 0.0, defect)
+
+
+@pytest.mark.parametrize("make", [
+    _open_circle_loop,
+    lambda: mirror_loop(1024),
+    lambda: models.model_front(3, seed=0, samples=2048),
+], ids=["open-circle", "mirror", "model+3"])
+def test_curve_keeps_each_channel_bit_for_bit(make):
+    # One FFT over the stacked (x, y, z) rows chops and stores each row as
+    # the single-channel interpolants do, drift included.
+    loop = make()
+    g = loop.generator
+    assert_channels_bitwise_equal(loop.curve, [g.x_interp, g.y_interp, loop.z_interp])
 
 
 def test_find_cusps_circle_is_exact():

@@ -10,6 +10,8 @@ import pytest
 
 from engel import fourier
 
+from helpers import assert_channels_bitwise_equal
+
 
 def trig_series(s, const, cos_terms, sin_terms):
     """Direct evaluation oracle for a finite trig series."""
@@ -75,7 +77,7 @@ def test_nyquist_mode_handling():
     got = fourier.Interpolant(values).value(s)
     assert np.allclose(got, np.cos(np.pi * n * s), atol=1e-12)
     # derivative of the interpolant keeps the sine term off-grid
-    gotd = fourier.Interpolant(values).derivative(s)
+    gotd = fourier.Interpolant(values).value(s, 1)
     assert np.allclose(gotd, -np.pi * n * np.sin(np.pi * n * s), atol=1e-9)
 
 
@@ -88,7 +90,7 @@ def test_evaluate_off_grid_exact_for_trig():
     assert (
         np.max(
             np.abs(
-                fourier.Interpolant(values).derivative(s)
+                fourier.Interpolant(values).value(s, 1)
                 - trig_series_derivative(s, cos_t, sin_t)
             )
         )
@@ -226,7 +228,7 @@ def test_shared_evaluator_matches_the_direct_sum_at_full_bandwidth():
         scale = (2.0 / n) * np.sum((2 * np.pi * np.arange(c.shape[0])) ** order * np.abs(c))
         want = direct_sum(c, n, s, order)
         assert np.max(np.abs(got[order] - want)) <= 1e-10 * scale
-        assert np.max(np.abs(interp.derivative(s, order) - want)) <= 1e-10 * scale
+        assert np.max(np.abs(interp.value(s, order) - want)) <= 1e-10 * scale
 
 
 def test_stacked_channels_match_the_direct_sum_with_exact_drift():
@@ -235,12 +237,11 @@ def test_stacked_channels_match_the_direct_sum_with_exact_drift():
     rng = np.random.default_rng(43)
     const, cos_t, sin_t = random_series(rng, max_harmonic=300)
     periodic = trig_series(s_grid, const, cos_t, sin_t)
-    channels = [
-        fourier.Interpolant(np.cos(fourier.TAU * 7 * s_grid)),
-        fourier.Interpolant(periodic + 0.75 * s_grid, drift=0.75),
-    ]
+    rows = [np.cos(fourier.TAU * 7 * s_grid), periodic + 0.75 * s_grid]
+    channels = [fourier.Interpolant(rows[0]), fourier.Interpolant(rows[1], drift=0.75)]
     assert [int(p.kept[0]) for p in channels] == [8, 301]
-    both = fourier.Interpolant.stack(channels)
+    both = fourier.Interpolant(np.stack(rows), drift=(0.0, 0.75))
+    assert_channels_bitwise_equal(both, channels)
     s = rng.uniform(-2.0, 3.0, size=17)
     got = both.value(s, (0, 1, 2))
     assert got.shape == (3, 2, 17)

@@ -58,7 +58,7 @@ def test_front_crossings_exclude_equal_slope_pairs():
     crossings = pairscan.front_crossings(loop)
     assert len(crossings) == 5
     for s0, s1 in crossings:
-        assert abs(float(loop.generator.y_at(s0)) - float(loop.generator.y_at(s1))) > 0.1
+        assert abs(loop.generator.y_interp.value(s0) - loop.generator.y_interp.value(s1)) > 0.1
     # the tangency pair (0, 1/2) is not among them
     for s0, s1 in crossings:
         assert not (abs(s0) < 1e-3 and abs(s1 - 0.5) < 1e-3)
