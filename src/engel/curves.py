@@ -23,8 +23,9 @@ TOL_ROOT = 1e-10
 Y_PRIME_FLOOR = 1e-6
 SPEED_FLOOR = 1e-6
 
-# find_cusps halves a cell it cannot certify at most CERTIFY_DEPTH times,
-# and evaluates at most CERTIFY_BUDGET phase entries (points times kept
+# certify_cells, the cell certificate behind find_cusps and rot_winding,
+# halves a cell it cannot certify at most CERTIFY_DEPTH times, and
+# evaluates at most CERTIFY_BUDGET phase entries (points times kept
 # harmonics) per grid sample in one halving, a fixed multiple of its grid.
 CERTIFY_DEPTH = 12
 CERTIFY_BUDGET = 256
@@ -243,10 +244,11 @@ class Cusp:
 def sample_generator(description, n: int) -> LegendrianGenerator:
     """Sample an analytic or tabulated description onto the n-point grid.
 
-    ``description`` is a pair (x, y) where each entry is a TrigSeries, a
-    callable of the parameter, or an existing sample array (any length; it
-    is identified with its periodic interpolant and resampled).  n must be
-    a power of two, at least 16.
+    ``description`` is a pair (x, y) where each entry is a TrigSeries of
+    degree below n/2 (higher ones alias), a callable of the parameter, or
+    an existing sample array (any length; it is identified with its
+    periodic interpolant and resampled).  n must be a power of two, at
+    least 16.
     """
     if n < 16 or (n & (n - 1)) != 0:
         raise ValueError("sample count must be a power of two >= 16, got %r" % (n,))
@@ -267,6 +269,9 @@ def sample_generator(description, n: int) -> LegendrianGenerator:
 def _sample_component(desc, n: int, label: str) -> np.ndarray:
     s = fourier.grid(n)
     if isinstance(desc, TrigSeries):
+        if 2 * desc.degree >= n:
+            raise BadDescription("%s has degree %d; %d samples need it below %d"
+                                 % (label, desc.degree, n, n // 2))
         return desc(s)
     if callable(desc):
         values = np.asarray(desc(s), dtype=float)
@@ -301,9 +306,10 @@ def find_cusps(g: LegendrianGenerator):
     line upward there, i.e. when y'(s_c) * direction > 0; the caller builds
     Cusp records from this.  A sign scan of the grid brackets the roots and
     bisection refines them.  Guarantee: every grid cell holds at most one
-    root of x', and one only where the scan found it (_certify_cells);
-    otherwise, and for roots with |y'| under the floor or vertical
-    tangencies without a sign change, this raises DegenerateCusp.
+    root of x', and one only where the scan found it (certify_cells, on
+    the chopped x_interp); otherwise, and for roots with |y'| under the
+    floor or vertical tangencies without a sign change, this raises
+    DegenerateCusp.
     """
     n, xi = g.n, g.x_interp
     xp = xi.samples(1)
@@ -318,8 +324,20 @@ def find_cusps(g: LegendrianGenerator):
                 else "vertical tangency without sign change at")
         raise DegenerateCusp("%s s=%.6f" % (what, bad[0] / n))
 
+    # x' has no root in a piece [a, a + h] where it keeps one sign and
+    # |x'(a)| + |x'(a + h)| > h bound(2), and is monotone where x'' passes
+    # that test against h bound(3).  Sign changes of x' over certified
+    # pieces count a cell's roots (xp is zeroed at on-grid roots).
     bracketed = sg * after < 0
-    _certify_cells(g, xp, bracketed)
+    bounds = np.array([[xi.bound(2)], [xi.bound(3)]])
+    found = certify_cells(
+        (xi,), np.stack([xp, xi.samples(2)]),
+        lambda lt, rt, h: np.any((lt * rt > 0) & (np.abs(lt) + np.abs(rt) > h * bounds), axis=0),
+        lambda cell, lt, rt, done: np.bincount(cell, (lt[0] * rt[0] < 0) & done, minlength=n),
+        DegenerateCusp, "x'")
+    unseen = np.flatnonzero(found > bracketed)
+    if unseen.size:
+        raise DegenerateCusp("under-resolved cusp pair in the grid cell at s=%.6f" % (unseen[0] / n))
 
     kb, ke = np.flatnonzero(bracketed), np.flatnonzero(on_grid)
     lo, hi = kb / n, (kb + 1) / n
@@ -345,48 +363,31 @@ def find_cusps(g: LegendrianGenerator):
     return list(zip(s.tolist(), direction.tolist()))
 
 
-def _certify_cells(g: LegendrianGenerator, xp: np.ndarray, bracketed: np.ndarray):
-    """Raise DegenerateCusp ("under-resolved") unless each grid cell holds
-    at most one root of x', and one only where `bracketed` says so.
-
-    A root of x' in a piece [a, a + h] bounds |x'(a)| + |x'(a + h)| by
-    h max |x''|, so x' has no root there if it has one sign at both ends
-    and that sum exceeds h bound(2); the same test on x'' against
-    h bound(3) makes x' monotone there.  Values and bounds both come from
-    the chopped x_interp; `xp` is its x' on the grid, zeroed at the
-    scan's on-grid roots, which no cell holds inside.  Pieces passing
-    neither test are halved.  Sign changes of x' across the certified
-    pieces of a cell count its roots.
-    """
-    n, xi = g.n, g.x_interp
-    bounds = np.array([[xi.bound(2)], [xi.bound(3)]])
-    h = 1.0 / n
-    cell = np.arange(n)
-    a = cell / n
-    # Rows x' and x'' at each piece's two ends.
-    left = np.stack([xp, xi.samples(2)])
-    right = np.roll(left, -1, axis=1)
-    roots = np.zeros(n)
+def certify_cells(interps, left, accept, tally, error, what):
+    """Sum tally(cell, left, right, done) over the depths, `done` marking
+    the pieces of grid cells that accept(left, right, h) passes; the
+    others are halved.  `left` holds orders 1 and 2 of each of `interps`
+    on the grid, `right` the next point's; a piece failing after
+    CERTIFY_DEPTH halvings, or past CERTIFY_BUDGET, raises `error`."""
+    n, cost, total = interps[0].n, sum(i.kept.max() for i in interps), 0
+    h, cell = 1.0 / n, np.arange(n)
+    a, right = cell / n, np.roll(left, -1, axis=1)
     for depth in range(CERTIFY_DEPTH + 1):
-        ends = (left * right > 0) & (np.abs(left) + np.abs(right) > h * bounds)
-        done = np.any(ends, axis=0)
-        roots += np.bincount(cell[done], left[0, done] * right[0, done] < 0, minlength=n)
+        done = accept(left, right, h)
+        total = total + tally(cell, left, right, done)
         live = np.flatnonzero(~done)
         if not live.size:
-            break
-        if depth == CERTIFY_DEPTH or live.size * xi.kept.max() > CERTIFY_BUDGET * n:
-            raise DegenerateCusp(
-                "x' under-resolved near s=%.6f: %d pieces of grid cells uncertified "
-                "after %d halvings" % (np.min(a[live]), live.size, depth)
+            return total
+        if depth == CERTIFY_DEPTH or live.size * cost > CERTIFY_BUDGET * n:
+            raise error(
+                "%s under-resolved near s=%.6f: %d pieces of grid cells uncertified "
+                "after %d halvings" % (what, np.min(a[live]), live.size, depth)
             )
         h *= 0.5
         cell, a, left, right = cell[live], a[live], left[:, live], right[:, live]
-        mid = xi.value(a + h, (1, 2))
+        mid = np.vstack([i.value(a + h, (1, 2)) for i in interps])
         cell, a = np.tile(cell, 2), np.concatenate([a, a + h])
         left, right = np.hstack([left, mid]), np.hstack([mid, right])
-    unseen = np.flatnonzero(roots > bracketed)
-    if unseen.size:
-        raise DegenerateCusp("under-resolved cusp pair in the grid cell at s=%.6f" % (unseen[0] / n))
 
 
 def horizontality_residual(loop: HorizontalLoop):

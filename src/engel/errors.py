@@ -55,7 +55,8 @@ class ImmersionLost(EngelError):
 
 
 class AmbiguousWinding(EngelError):
-    """Angle steps stayed too coarse after refinement; winding unreliable."""
+    """The velocity came too near the origin for every halving of a grid
+    cell to certify its turning, or the turns summed off an integer."""
 
 
 class OddCuspImbalance(EngelError):

@@ -1,55 +1,51 @@
 """Rotation number two ways, and the cusp bookkeeping connecting them.
 
 The winding computation counts full turns of the velocity (x', y') in the
-plane field frame.  The cusp computation reads the same number off the
-front diagram as half the surplus of down cusps over up cusps.  Agreement
-of the two is a theorem, and the test suite leans on it heavily.
+plane field frame, certified on the continuum cell by cell like the cusps.
+The cusp computation reads the same number off the front diagram as half
+the surplus of down cusps over up cusps.  Agreement of the two is a
+theorem, and the test suite leans on it heavily.
 """
 
 import numpy as np
 
 from . import fourier
-from .curves import LegendrianGenerator, LegendrianLoop, Orientation
+from .curves import LegendrianGenerator, LegendrianLoop, Orientation, certify_cells
 from .errors import AmbiguousWinding, OddCuspImbalance
 
 # A winding sum farther than this from an integer signals resolution
 # failure rather than roundoff.
 INTEGER_GUARD = 1e-6
-MAX_REFINEMENTS = 2
-
-
-def _angle_steps(xp: np.ndarray, yp: np.ndarray) -> np.ndarray:
-    v = xp + 1j * yp
-    return np.angle(np.roll(v, -1) / v)
 
 
 def rot_winding(g: LegendrianGenerator) -> int:
-    """Winding number of s -> (x'(s), y'(s)) around the origin.
+    """Winding number of s -> v(s) = (x'(s), y'(s)) around the origin.
 
-    Angle increments are accumulated sample to sample.  Each increment
-    must stay below pi/2; if one does not, the velocity is resampled at
-    double resolution (exact for band-limited data) and the scan retried,
-    at most twice, before the input is declared under-resolved.
+    On a piece [a, a + h], v stays within h (max |v'| at the ends +
+    (h/2) max |v''|) of v(a), max |v''| <= hypot of the bound(3)s.  If
+    |v(a)| exceeds that reach, v misses the origin there and turns by the
+    principal angle between its end values; certify_cells halves the
+    other pieces and sums the turns, or raises AmbiguousWinding.
     """
     g.require_immersed()
-    xp, yp = g.xp, g.yp
-    for _ in range(MAX_REFINEMENTS + 1):
-        steps = _angle_steps(xp, yp)
-        if np.max(np.abs(steps)) < np.pi / 2:
-            total = float(np.sum(steps)) / fourier.TAU
-            nearest = round(total)
-            if abs(total - nearest) > INTEGER_GUARD:
-                raise AmbiguousWinding(
-                    "winding sum %.9f is not within %g of an integer"
-                    % (total, INTEGER_GUARD)
-                )
-            return int(nearest)
-        xp = fourier.resample(xp, 2 * xp.shape[0])
-        yp = fourier.resample(yp, 2 * yp.shape[0])
-    raise AmbiguousWinding(
-        "velocity direction jumps by >= pi/2 between samples even after "
-        "%d refinements" % MAX_REFINEMENTS
-    )
+    xi, yi = g.x_interp, g.y_interp
+    b3 = float(np.hypot(xi.bound(3), yi.bound(3)))
+
+    def misses_origin(lt, rt, h):
+        reach = np.sqrt(np.maximum(lt[1] ** 2 + lt[3] ** 2, rt[1] ** 2 + rt[3] ** 2))
+        reach = h * (reach + 0.5 * h * b3)
+        return lt[0] ** 2 + lt[2] ** 2 > reach * reach
+
+    def turn(cell, lt, rt, done):
+        cross, dot = lt[0] * rt[2] - lt[2] * rt[0], lt[0] * rt[0] + lt[2] * rt[2]
+        return float(np.arctan2(cross, dot) @ done) / fourier.TAU
+
+    rows = np.stack([i.samples(q) for i in (xi, yi) for q in (1, 2)])
+    total = certify_cells((xi, yi), rows, misses_origin, turn, AmbiguousWinding, "velocity")
+    if abs(total - round(total)) > INTEGER_GUARD:
+        raise AmbiguousWinding("winding sum %.9f is not within %g of an integer"
+                               % (total, INTEGER_GUARD))
+    return round(total)
 
 
 def classify_cusps(loop: LegendrianLoop):

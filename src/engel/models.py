@@ -60,7 +60,7 @@ def model_front(n_rot: int, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> Ho
             loop = lifting.lift(balanced)
             winding = invariants.rot_winding(balanced)
             if winding != n_rot:
-                last = "winding %d instead of %d (under-resolved)" % (winding, n_rot)
+                last = "winding %d instead of %d" % (winding, n_rot)
                 continue
             cusp_rot = invariants.rot_cusp(loop)
             if cusp_rot != n_rot:

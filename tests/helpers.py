@@ -278,6 +278,21 @@ def companion_derivative_roots(x):
     return np.sort(np.mod(np.angle(on_circle) / TAU, 1.0))
 
 
+def dense_winding(vx, vy, m, chunk=1 << 18):
+    """(turns, largest step) of the plane curve s -> (vx(s), vy(s)) from
+    the angle steps between m equispaced points, summed chunk by chunk:
+    an oracle for rot_winding that shares nothing with its certificate.
+    It is trustworthy where the largest step stays well below pi."""
+    total, largest = 0.0, 0.0
+    for start in range(0, m, chunk):
+        s = np.arange(start, min(start + chunk, m) + 1) / m
+        v = vx(s) + 1j * vy(s)
+        steps = np.angle(v[1:] / v[:-1])
+        total += float(np.sum(steps))
+        largest = max(largest, float(np.max(np.abs(steps))))
+    return total / TAU, largest
+
+
 # The front language's hand-written character scanner, kept as an oracle
 # for the pattern lexer in frontlang.  Its comment loop advances the
 # column, so both report end of input where the input ends.

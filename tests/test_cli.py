@@ -17,6 +17,8 @@ import pytest
 import engel
 from engel import cli, curves, pairscan
 
+from helpers import dense_winding, trig_series_derivative
+
 DEMO = str(resources.files("engel.data").joinpath("demo.front"))
 ZERO_AREA = str(resources.files("engel.data").joinpath("zero_area.front"))
 
@@ -148,6 +150,33 @@ def test_rot_bound_violation_exits_2(capsys):
     code, _, err = run_cli(capsys, "model", "-n", "99")
     assert code == 2
     assert "64" in err
+
+
+ALIASED_DOC = "generator g { x: cos(1) + 0.5 cos(15); y: sin(1); }\n"
+
+
+def test_rot_refuses_a_series_the_grid_aliases(tmp_path, capsys):
+    # 16 samples fold cos(15) onto cos(1): the sampled curve winds the
+    # other way, so the document is refused rather than misread.
+    doc = tmp_path / "aliased.front"
+    doc.write_text(ALIASED_DOC)
+    code, out, err = run_cli(capsys, "rot", str(doc), "g", "--samples", "16")
+    assert code == 2 and out == ""
+    assert "degree 15" in err
+
+
+@pytest.mark.parametrize("samples", ["32", "64", "4096"])
+def test_rot_winding_agrees_with_a_dense_oracle(tmp_path, capsys, samples):
+    x = curves.TrigSeries(cos={1: 1.0, 15: 0.5})
+    y = curves.TrigSeries(sin={1: 1.0})
+    turns, largest = dense_winding(lambda s: trig_series_derivative(x, s),
+                                   lambda s: trig_series_derivative(y, s), 1 << 22)
+    assert largest < 0.5 and round(turns) == -1
+    doc = tmp_path / "aliased.front"
+    doc.write_text(ALIASED_DOC)
+    code, out, _ = run_cli(capsys, "rot", str(doc), "g", "--samples", samples)
+    assert code == 0
+    assert json.loads(out)["rot_winding"] == round(turns)
 
 
 def test_missing_document_exits_2(capsys):

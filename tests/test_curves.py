@@ -104,6 +104,14 @@ def test_sample_generator_rejects_bad_sample_counts():
             sample_generator(circle, bad)
 
 
+def test_sample_generator_refuses_aliased_series():
+    # A harmonic at or past n/2 folds onto a lower one on the n-point grid.
+    y = TrigSeries(sin={1: 1.0})
+    with pytest.raises(BadDescription, match="degree 8; 16 samples"):
+        sample_generator((TrigSeries(cos={8: 1.0}), y), 16)
+    assert sample_generator((TrigSeries(cos={7: 1.0}), y), 16).n == 16
+
+
 def test_sample_generator_rejects_malformed_descriptions():
     with pytest.raises(BadDescription):
         sample_generator("circle", 64)

@@ -13,7 +13,15 @@ from engel.curves import (
 )
 from engel.errors import AmbiguousWinding, OddCuspImbalance
 
-from helpers import TAU, fish_arrays, mirror_x, mirror_y, raw_loop
+from helpers import (
+    TAU,
+    dense_winding,
+    fish_arrays,
+    mirror_x,
+    mirror_y,
+    raw_loop,
+    trig_series_derivative,
+)
 
 
 def circle_cover(k, n=1024):
@@ -35,25 +43,57 @@ def test_rot_winding_orientation_reversal():
 
 
 def test_rot_winding_refines_coarse_grids():
-    # 5 turns over 16 samples puts each angle step at 5pi/8 > pi/2, so the
-    # first pass must refuse and resample; the answer is still exact.
+    # 5 turns over 16 samples put each angle step at 5pi/8 > pi/2, so the
+    # grid cells must be halved before they certify; the answer is exact.
     g = circle_cover(5, n=16)
     assert invariants.rot_winding(g) == 5
 
 
-def test_rot_winding_rejects_unresolvable_pinch():
+def pinch(n, miss, s0=0.0, k=8):
+    """Velocity (sin 2pi(s - s0), cos 2pi k(s - s0) - (1 - miss) cos 2pi(s - s0)),
+    passing `miss` from the origin at s0, as (generator, x', y')."""
+    def xp(s):
+        return np.sin(TAU * (s - s0))
+
+    def yp(s):
+        return np.cos(TAU * k * (s - s0)) - (1 - miss) * np.cos(TAU * (s - s0))
+
+    s = fourier.grid(n) - s0
+    x = -np.cos(TAU * s) / TAU
+    y = np.sin(TAU * k * s) / (TAU * k) - (1 - miss) * np.sin(TAU * s) / TAU
+    return LegendrianGenerator(x, y).require_immersed(), xp, yp
+
+
+def test_rot_winding_certifies_a_pinch_at_a_grid_point():
     # Velocity passes within 2e-6 of the origin at s = 0, where its
     # direction flips by ~pi inside a window far smaller than one grid
-    # cell.  Two resamplings cannot fix that.
+    # cell.  The pinch sits on the grid, so halving certifies the cells
+    # around it; the dense angle sum agrees.
+    g, xp, yp = pinch(1024, 2e-6)
+    turns, largest = dense_winding(xp, yp, 1 << 23)
+    assert largest < 0.5 and abs(turns) < 1e-9
+    assert invariants.rot_winding(g) == 0
+
+
+def test_rot_winding_rejects_unresolvable_pinch():
+    # A 1e-8 miss halfway along grid cell 0: every piece touching it spans
+    # a turn near pi, and 12 halvings stay far wider than the pinch.
     n = 1024
-    s = fourier.grid(n)
-    k = 8
-    y = np.sin(TAU * k * s) / (TAU * k) - (1 - 2e-6) * np.sin(TAU * s) / TAU
-    x = -np.cos(TAU * s) / TAU
-    g = LegendrianGenerator(x, y)
-    g.require_immersed()
-    with pytest.raises(AmbiguousWinding, match="refinements"):
+    g, _, _ = pinch(n, 1e-8, s0=0.5 / n)
+    with pytest.raises(AmbiguousWinding,
+                       match="velocity under-resolved near s=0.000488: .* after 12 halvings"):
         invariants.rot_winding(g)
+
+
+def test_rot_winding_matches_a_dense_oracle():
+    # Degree 14 with amplitude 0.9 brings the speed down to 0.036 near
+    # s = 0.25 and 0.75, where |v'| is near 7000.
+    x, y = TrigSeries(cos={1: 1.0, 14: 0.9}), TrigSeries(sin={1: 1.0})
+    turns, largest = dense_winding(lambda s: trig_series_derivative(x, s),
+                                   lambda s: trig_series_derivative(y, s), 1 << 22)
+    assert largest < 0.5 and abs(turns - round(turns)) < 1e-9
+    for n in (4096, 16384):
+        assert invariants.rot_winding(sample_generator((x, y), n)) == round(turns) == 1
 
 
 def test_balanced_circle_report():
