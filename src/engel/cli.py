@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands operate on documents in the front description language and
-write their artifacts (CSV tables, SVG pictures, JSON reports) to the
-output directory.  Exit codes are a contract:
+print a JSON report; lift, model and homotopy also write their artifacts
+(CSV tables, SVG pictures, JSON) to --out.  Exit codes are a contract:
 
     0   success, certificates hold
     1   internal error
@@ -144,20 +144,17 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_model(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("ENGEL_SEED", "0"))
-    loop = models.model_front(args.n, seed=seed, samples=args.samples)
+    loop = models.model_front(args.n, seed=args.seed, samples=args.samples)
     payload = {
         "n": args.n,
-        "seed": seed,
+        "seed": args.seed,
         "samples": args.samples,
         "closure": _closure_payload(loop.generator, loop),
         "invariants": invariants.invariant_report(loop),
         "embedding": lifting.embedding_check(loop).to_dict(),
     }
     os.makedirs(args.out, exist_ok=True)
-    stem = os.path.join(args.out, "model_rot%d_seed%d" % (args.n, seed))
+    stem = os.path.join(args.out, "model_rot%d_seed%d" % (args.n, args.seed))
     _write_lines(stem + ".csv", next(render.loop_csv_lines([loop])))
     render.render_svg(loop, stem + ".svg")
     _write_lines(stem + ".json", [_json_text(payload)])
@@ -202,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=4096,
         help="grid size, a power of two (default 4096)",
     )
-    common.add_argument(
+    writes = argparse.ArgumentParser(add_help=False, parents=[common])
+    writes.add_argument(
         "--out", default=".", help="directory for artifacts (default: current)"
     )
 
@@ -212,23 +210,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, run, summary in (
-        ("lift", _cmd_lift, "lift a generator, write CSV and report"),
-        ("rot", _cmd_rot, "rotation number report"),
-        ("check", _cmd_check, "closure and embedding certificates"),
+    for command, run, parent, summary in (
+        ("lift", _cmd_lift, writes, "lift a generator, write CSV and report"),
+        ("rot", _cmd_rot, common, "rotation number report"),
+        ("check", _cmd_check, common, "closure and embedding certificates"),
     ):
-        p_one = sub.add_parser(command, parents=[common], help=summary)
+        p_one = sub.add_parser(command, parents=[parent], help=summary)
         p_one.add_argument("document")
         p_one.add_argument("name")
         p_one.set_defaults(run=run)
 
-    p_model = sub.add_parser("model", parents=[common], help="synthesize a loop of given rotation number")
+    p_model = sub.add_parser("model", parents=[writes], help="synthesize a loop of given rotation number")
     p_model.add_argument("-n", type=int, required=True, help="target rotation number")
-    p_model.add_argument("--seed", type=int, default=None,
-                         help="synthesis seed (default: ENGEL_SEED or 0)")
+    p_model.add_argument("--seed", type=int, default=0, help="synthesis seed (default 0)")
     p_model.set_defaults(run=_cmd_model)
 
-    p_hom = sub.add_parser("homotopy", parents=[common], help="execute and verify a move script")
+    p_hom = sub.add_parser("homotopy", parents=[writes], help="execute and verify a move script")
     p_hom.add_argument("action", choices=["run"])
     p_hom.add_argument("document")
     p_hom.add_argument("generator")

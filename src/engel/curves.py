@@ -76,12 +76,22 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _derivative(values: np.ndarray) -> np.ndarray:
+    """Grid samples of x' or y', refused when the rfft overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = fourier.derivative(values)
+    if not np.isfinite(d).all():
+        raise BadDescription("x' and y' samples must be finite")
+    return _readonly(d)
+
+
 class LegendrianGenerator:
     """Periodic planar loop (x(s), y(s)) sampled on s_k = k/N.
 
     Arrays are shared, not copied defensively, and marked read-only; all
     operations in this package treat generators as immutable values.
-    Non-finite samples raise BadDescription.  Off-grid values and
+    Non-finite samples raise BadDescription, and so does reading the grid
+    derivatives xp or yp when they overflow.  Off-grid values and
     derivatives come from x_interp and y_interp through .value(s, order).
     """
 
@@ -100,11 +110,11 @@ class LegendrianGenerator:
 
     @functools.cached_property
     def xp(self) -> np.ndarray:
-        return _readonly(fourier.derivative(self.x))
+        return _derivative(self.x)
 
     @functools.cached_property
     def yp(self) -> np.ndarray:
-        return _readonly(fourier.derivative(self.y))
+        return _derivative(self.y)
 
     @functools.cached_property
     def x_interp(self) -> fourier.Interpolant:
@@ -134,7 +144,7 @@ class LegendrianGenerator:
 class LegendrianLoop:
     """Sampled (x, y, z) loop in contact R^3, and its front.
 
-    z is the running integral of y dx from the base point, so the samples
+    z is the running integral of y dx from z(0) = 0, so the samples
     carry a linear ramp of rate closure_defect_z when the loop fails to
     close.  Use lifting.lift to construct one; direct construction is for
     trusted or deliberately raw data (tests, quadrature fixtures).
@@ -148,7 +158,6 @@ class LegendrianLoop:
 
     generator: LegendrianGenerator
     z: np.ndarray
-    z0: float
     closure_defect_z: float
 
     def __post_init__(self):
@@ -214,10 +223,10 @@ class LegendrianLoop:
 @dataclass(eq=False)
 class HorizontalLoop(LegendrianLoop):
     """Sampled (x, y, z, w) loop tangent to the rank-2 distribution: its
-    Legendrian loop (x, y, z) plus w, the running integral of z dx."""
+    Legendrian loop (x, y, z) plus w, the running integral of z dx from
+    w(0) = 0."""
 
     w: np.ndarray
-    w0: float
     closure_defect_w: float
 
     def __post_init__(self):
@@ -247,16 +256,11 @@ def sample_generator(description, n: int) -> LegendrianGenerator:
     ``description`` is a pair (x, y) where each entry is a TrigSeries of
     degree below n/2 (higher ones alias), a callable of the parameter, or
     an existing sample array (any length; it is identified with its
-    periodic interpolant and resampled).  n must be a power of two, at
-    least 16.
+    periodic interpolant and resampled); anything else raises
+    BadDescription.  n must be a power of two, at least 16.
     """
     if n < 16 or (n & (n - 1)) != 0:
         raise ValueError("sample count must be a power of two >= 16, got %r" % (n,))
-    if isinstance(description, dict):
-        try:
-            description = (description["x"], description["y"])
-        except KeyError as missing:
-            raise BadDescription("description dict needs 'x' and 'y'") from missing
     try:
         xd, yd = description
     except (TypeError, ValueError):

@@ -62,18 +62,24 @@ def _coeffs(values: np.ndarray):
     return n, np.fft.rfft(values)
 
 
+def _halved(n: int, c: np.ndarray) -> np.ndarray:
+    """A copy of the truncated rfft rows c with the mean, and the Nyquist
+    cosine (c/n) cos(pi n s) when the rows are full length, at half share."""
+    coef = c.copy()
+    coef[:, 0] *= 0.5
+    if n % 2 == 0 and c.shape[1] == n // 2 + 1:
+        coef[:, -1] = 0.5 * coef[:, -1].real
+    return coef
+
+
 def _weights(n: int, c: np.ndarray, orders) -> np.ndarray:
     """(orders * channels, 2K) real weights W such that W times the real
     view of the phase matrix exp(2 pi i k s), k < K, sums
     (2/n) Re(c_k (2 pi i k)^order exp(2 pi i k s)) for each truncated rfft
     row c and order: columns of W interleave (Re, -Im) of the coefficients.
-    The mean, and the Nyquist cosine (c/n) cos(pi n s) when the rows are
-    full length, enter as half harmonics."""
+    The mean and the Nyquist cosine enter as half harmonics (_halved)."""
     keep = c.shape[1]
-    coef = c.copy()
-    coef[:, 0] *= 0.5
-    if n % 2 == 0 and keep == n // 2 + 1:
-        coef[:, -1] = 0.5 * coef[:, -1].real
+    coef = _halved(n, c)
     by_order = [coef]
     for _ in range(max(orders)):
         by_order.append(by_order[-1] * (2j * np.pi * np.arange(keep)))
@@ -153,8 +159,9 @@ class Interpolant:
         (2 pi k)^q |c_k| over the kept harmonics (mean and Nyquist at half
         share).  It covers the periodic part: a drift adds |drift * s| to
         values, |drift| to first derivatives, nothing to higher ones."""
-        w = _weights(self.n, self._c, (order,))
-        out = np.hypot(w[:, 0::2], w[:, 1::2]).sum(axis=1).reshape(self.shape)
+        k = np.arange(self._c.shape[1])
+        terms = np.abs(_halved(self.n, self._c)) * (TAU * k) ** order
+        out = (2.0 / self.n) * terms.sum(axis=1).reshape(self.shape)
         return float(out) if out.ndim == 0 else out
 
 

@@ -43,7 +43,7 @@ def z_closure_defect(g: LegendrianGenerator) -> float:
 
 
 def w_closure_defect(g: LegendrianGenerator) -> float:
-    """∮ z dx for the z induced by g (independent of z0)."""
+    """∮ z dx for the z that lift induces from g."""
     return closure_functionals(g, g.y)[1]
 
 
@@ -63,30 +63,29 @@ def closure_functionals(g: LegendrianGenerator, phi: np.ndarray):
         )
 
 
-def lift(g: LegendrianGenerator, z0: float = 0.0, w0: float = 0.0) -> HorizontalLoop:
+def lift(g: LegendrianGenerator) -> HorizontalLoop:
     """Integrate the slope data to a loop tangent to the plane field.
 
-    z(s) = z0 + ∫₀ˢ y dx requires ∮ y dx = 0 (raises ZNotClosed
-    otherwise); w(s) = w0 + ∫₀ˢ z dx is always produced, with its own
-    closure defect recorded on the result.
+    z(s) = ∫₀ˢ y dx requires ∮ y dx = 0 (raises ZNotClosed otherwise);
+    w(s) = ∫₀ˢ z dx is always produced, with its own closure defect
+    recorded on the result.
     """
     # y x' past the float range gives an inf or nan m_z; the test refuses both.
     with np.errstate(over="ignore", invalid="ignore"):
-        f_z, m_z = fourier.antiderivative(g.y * g.xp)
+        z, m_z = fourier.antiderivative(g.y * g.xp)
     if not abs(m_z) <= TOL_CLOSURE:
         raise ZNotClosed(
             "∮ y dx = %.6e exceeds the closure tolerance %g; "
             "balance the generator first" % (m_z, TOL_CLOSURE)
         )
     s = fourier.grid(g.n)
-    z = z0 + f_z
     z_periodic = z - m_z * s
     f_w, m_w = fourier.antiderivative(z_periodic * g.xp)
     f_x, x_mean = fourier.antiderivative(g.x)
     # ∫₀ˢ t x'(t) dt = s x(s) - ∫₀ˢ x, entering through the z ramp.
-    w = w0 + f_w + m_z * (s * g.x - f_x)
+    w = f_w + m_z * (s * g.x - f_x)
     defect_w = float(m_w + m_z * (g.x[0] - x_mean))
-    return HorizontalLoop(g, z, float(z0), float(m_z), w, float(w0), defect_w)
+    return HorizontalLoop(g, z, float(m_z), w, defect_w)
 
 
 def area_integral(loop, s0: float, s1: float) -> float:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import fourier
 
 DECIMATION = 8
 MIN_COARSE = 64
@@ -50,15 +49,6 @@ POLISH_COST = 1e-8
 def _circ_dist(a, b):
     d = np.abs(np.mod(a - b, 1.0))
     return np.minimum(d, 1.0 - d)
-
-
-def _zp_samples(loop) -> np.ndarray:
-    """Grid samples of z', with the closure-defect ramp handled exactly."""
-    drift = loop.closure_defect_z
-    z = np.asarray(loop.z)
-    if drift == 0.0:
-        return fourier.derivative(z)
-    return fourier.derivative(z - drift * fourier.grid(z.shape[0])) + drift
 
 
 def _coarse_indices(n: int):
@@ -283,7 +273,8 @@ def coincident_pairs(loop):
     n = g.n
     idx, m, stride = _coarse_indices(n)
     pts = np.stack([g.x[idx], g.y[idx], np.asarray(loop.z)[idx]], axis=1)
-    speed = np.hypot(np.hypot(g.xp, g.yp), _zp_samples(loop))[idx]
+    # z' = y x' by construction of the lift.
+    speed = np.hypot(np.hypot(g.xp, g.yp), g.y * g.xp)[idx]
 
     ci, cj, cd = _coarse_candidates(pts, speed)
 

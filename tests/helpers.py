@@ -150,13 +150,13 @@ def mirror_loop(n, beta=0.0):
 
     s = np.arange(n) / n
     g = LegendrianGenerator(mirror_x(s, beta), mirror_y(s))
-    return LegendrianLoop(g, mirror_z(s, beta), 0.0, 0.0)
+    return LegendrianLoop(g, mirror_z(s, beta), 0.0)
 
 
 def raw_loop(x, y, z, defect=0.0):
     from engel.curves import LegendrianGenerator, LegendrianLoop
 
-    return LegendrianLoop(LegendrianGenerator(x, y), np.asarray(z, float), float(np.asarray(z, float)[0]), defect)
+    return LegendrianLoop(LegendrianGenerator(x, y), np.asarray(z, float), defect)
 
 
 def assert_channels_bitwise_equal(stacked, singles):
@@ -248,10 +248,8 @@ def orientation_reverse(loop):
     return HorizontalLoop(
         LegendrianGenerator(rev(loop.x), rev(loop.y)),
         rev(loop.z),
-        float(loop.z[0]),
         -loop.closure_defect_z,
         rev(loop.w),
-        float(loop.w[0]),
         -loop.closure_defect_w,
     )
 

@@ -201,7 +201,7 @@ def test_criterion_4_quadrature_matches_the_frozen_riemann_oracle():
     z = np.sin(TAU * s)
     direct = fourier.loop_integral(z * fourier.derivative(x))
     loop = curves.LegendrianLoop(
-        curves.LegendrianGenerator(x, np.zeros(n)), z, 0.0, 0.0
+        curves.LegendrianGenerator(x, np.zeros(n)), z, 0.0
     )
     routed = lifting.area_integral(loop, 0.0, 1.0)
     for label, value in (("loop_integral", direct), ("area_integral", routed)):

@@ -5,9 +5,11 @@ failure.  Most tests drive main() in process; one subprocess case pins
 the module entry point at the OS level.
 """
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -105,14 +107,16 @@ def test_model_builds_one_front(tmp_path, capsys, monkeypatch):
     assert calls == {"find_cusps": 1, "coincident_pairs": 1}
 
 
-def test_env_seed_is_the_default(tmp_path, capsys, monkeypatch):
+def test_env_seed_is_ignored(tmp_path, capsys, monkeypatch):
+    # The seed comes from --seed alone; a variable left in the shell
+    # does not change what model writes.
     monkeypatch.setenv("ENGEL_SEED", "5")
     code, out, _ = run_cli(
         capsys, "model", "-n", "-2", "--samples", "2048", "--out", str(tmp_path)
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["seed"] == 5
+    assert payload["seed"] == 0
     assert payload["invariants"]["rot_winding"] == -2
 
 
@@ -236,7 +240,7 @@ ZW_DOC = "generator g { x: cos(1); y: sin(2); }\n"  # z closes, w does not
 def test_check_reports_an_open_w_as_json(tmp_path, capsys):
     doc = tmp_path / "zw.front"
     doc.write_text(ZW_DOC)
-    code, out, _ = run_cli(capsys, "check", str(doc), "g", "--out", str(tmp_path))
+    code, out, _ = run_cli(capsys, "check", str(doc), "g")
     assert code == 3
     payload = json.loads(out)
     assert payload["closure"]["closed"] is False
@@ -247,24 +251,53 @@ def test_check_reports_an_open_w_as_json(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("rot", DEMO, "circ", "--frames", "7"),
     ("check", "ZW", "g", "--tol-closure", "10"),
-    ("lift", ZERO_AREA, "mirror", "--tol-embed", "0"),
-    ("model", "-n", "1", "--frames", "4"),
-    ("homotopy", "run", DEMO, "circ", "pass_and_fold", "--tol-closure", "1"),
+    ("lift", ZERO_AREA, "mirror", "--tol-embed", "0", "--out", "OUT"),
+    ("model", "-n", "1", "--frames", "4", "--out", "OUT"),
+    ("homotopy", "run", DEMO, "circ", "pass_and_fold", "--tol-closure", "1",
+     "--out", "OUT"),
+    ("rot", DEMO, "circ", "--out", "OUT"),
+    ("check", "ZW", "g", "--out", "OUT"),
 ], ids=["rot-frames", "check-tol-closure", "lift-tol-embed", "model-frames",
-        "homotopy-tol-closure"])
+        "homotopy-tol-closure", "rot-out", "check-out"])
 def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
-    # The certificates' tolerances are fixed, and --frames belongs to
-    # homotopy alone; argparse refuses the rest before anything runs.
+    # The certificates' tolerances are fixed, --frames belongs to homotopy
+    # alone, and rot and check write no files, so take no --out; argparse
+    # refuses the rest before anything runs.
     doc = tmp_path / "zw.front"
     doc.write_text(ZW_DOC)
-    argv = [str(doc) if a == "ZW" else a for a in argv]
+    places = {"ZW": str(doc), "OUT": str(tmp_path)}
     with pytest.raises(SystemExit) as info:
-        cli.main(argv + ["--out", str(tmp_path)])
+        cli.main([places.get(a, a) for a in argv])
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def run_module(*argv):
+def readme_flags():
+    """{subcommand: set of flags} from the README's table under "Flags, by
+    subcommand", each flag taken from its `--name VALUE` cell."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    rows = text.split("Flags, by subcommand:", 1)[1].strip().split("\n\n", 1)[0]
+    table = {}
+    for row in rows.splitlines()[2:]:
+        command, flags = (cell.strip() for cell in row.strip("|").split("|"))
+        table[command.strip("`")] = {cell.split()[0] for cell in re.findall(r"`([^`]+)`", flags)}
+    return table
+
+
+def test_readme_flags_table_matches_the_parser():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        command: {flag for action in sub._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for command, sub in subparsers.choices.items()
+    }
+    assert readme_flags() == parsed
+
+
+def run_module(*argv, cwd=None):
     """The CLI as its own process, importing the same engel as this suite.
     Warnings print to stderr there instead of failing the suite."""
     src = os.path.dirname(os.path.dirname(engel.__file__))
@@ -272,7 +305,7 @@ def run_module(*argv):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
         [sys.executable, "-m", "engel.cli", *argv],
-        capture_output=True, text=True, encoding="utf-8", env=env,
+        capture_output=True, text=True, encoding="utf-8", env=env, cwd=cwd,
     )
 
 
@@ -301,7 +334,7 @@ def test_check_on_an_overflowing_document_prints_no_warnings(tmp_path):
     # In a subprocess, where a RuntimeWarning would print to stderr.
     doc = tmp_path / "nan.front"
     doc.write_text("generator g { x: 1e300 cos(1); y: 1e300 sin(1); }\n")
-    proc = run_module("check", str(doc), "g", "--out", str(tmp_path))
+    proc = run_module("check", str(doc), "g")
     assert (proc.returncode, proc.stderr) == (3, "")
     closure = json.loads(proc.stdout)["closure"]
     assert closure == {"closed": False, "defect_w": None, "defect_z": None}
@@ -315,6 +348,18 @@ def test_a_document_that_samples_to_inf_is_a_usage_error(tmp_path):
     proc = run_module("rot", str(doc), "g")
     assert proc.returncode == 2
     assert proc.stderr.splitlines()[0] == "error: x and y samples must be finite"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["rot", "lift", "check"])
+def test_a_derivative_past_the_float_range_is_a_usage_error(tmp_path, command):
+    # The samples are finite but the rfft behind x' and y' overflows; the
+    # generator refuses them before any numpy warning prints.
+    doc = tmp_path / "big.front"
+    doc.write_text("generator g { x: 1e307 cos(1); y: 1e307 sin(1); }\n")
+    proc = run_module(command, str(doc), "g", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: x' and y' samples must be finite\n"
     assert proc.stdout == ""
 
 
@@ -370,11 +415,13 @@ def golden_text(name):
 
 @pytest.mark.parametrize("command", ["lift", "rot", "check"])
 @pytest.mark.parametrize("document, name", [("demo", "circ"), ("zero_area", "mirror")])
-def test_output_matches_golden_bytes(tmp_path, capsys, command, document, name):
+def test_output_matches_golden_bytes(tmp_path, capsys, monkeypatch, command, document, name):
     # The CLI's bytes for the shipped documents are a contract: stdout,
-    # stderr and the exit code match the golden files exactly.
+    # stderr and the exit code match the golden files exactly.  lift
+    # writes its files to the current directory.
+    monkeypatch.chdir(tmp_path)
     path = str(resources.files("engel.data").joinpath(document + ".front"))
-    code, out, err = run_cli(capsys, command, path, name, "--out", str(tmp_path))
+    code, out, err = run_cli(capsys, command, path, name)
 
     stem = "%s_%s_%s" % (command, document, name)
     assert out == golden_text(stem + ".out")

@@ -151,15 +151,15 @@ def test_loops_compare_and_hash_by_identity():
     assert a == a
     assert a != b
     assert len({a, b, a}) == 2
-    plain = LegendrianLoop(g, a.z, 0.0, a.closure_defect_z)
-    assert plain != LegendrianLoop(g, a.z, 0.0, a.closure_defect_z)
+    plain = LegendrianLoop(g, a.z, a.closure_defect_z)
+    assert plain != LegendrianLoop(g, a.z, a.closure_defect_z)
     assert plain in {plain}
 
 
 def _open_circle_loop():
     g = LegendrianGenerator(np.cos(TAU * fourier.grid(512)), np.sin(TAU * fourier.grid(512)))
     z, defect = fourier.antiderivative(g.y * g.xp)
-    return LegendrianLoop(g, z, 0.0, defect)
+    return LegendrianLoop(g, z, defect)
 
 
 @pytest.mark.parametrize("make", [
@@ -350,7 +350,7 @@ def test_an_on_grid_cusp_is_judged_on_the_chopped_interpolant():
 
 def test_cusps_refuse_a_nan_closure_defect():
     g = LegendrianGenerator(*fish_arrays(256)[:2])
-    loop = LegendrianLoop(g, fish_arrays(256)[2], 0.0, float("nan"))
+    loop = LegendrianLoop(g, fish_arrays(256)[2], float("nan"))
     with pytest.raises(NotClosed):
         loop.cusps
 
@@ -359,7 +359,7 @@ def test_front_of_requires_closure():
     s = fourier.grid(128)
     g = LegendrianGenerator(np.cos(TAU * s), np.sin(TAU * s))
     z = np.zeros(128)
-    loop = LegendrianLoop(g, z, 0.0, -np.pi)
+    loop = LegendrianLoop(g, z, -np.pi)
     assert not loop.closed
     with pytest.raises(NotClosed):
         loop.cusps
@@ -455,11 +455,11 @@ def test_horizontality_residual_accepts_true_lift_and_flags_fakes():
     n = 1024
     loop = mirror_loop(n)
     s = fourier.grid(n)
-    good = HorizontalLoop(loop.generator, loop.z, 0.0, 0.0, mirror_w(s), 0.0, 0.0)
+    good = HorizontalLoop(loop.generator, loop.z, 0.0, mirror_w(s), 0.0)
     r_z, r_w = horizontality_residual(good)
     assert r_z < 0.05
     assert r_w < 0.2
-    fake = HorizontalLoop(loop.generator, loop.z, 0.0, 0.0, loop.z.copy(), 0.0, 0.0)
+    fake = HorizontalLoop(loop.generator, loop.z, 0.0, loop.z.copy(), 0.0)
     _, r_bad = horizontality_residual(fake)
     assert r_bad > 1.0
 

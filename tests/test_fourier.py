@@ -306,6 +306,15 @@ def test_bound_of_a_cosine_is_its_peak_derivative(k):
     interp = fourier.Interpolant(np.cos(fourier.TAU * k * s))
     for q in range(4):
         assert interp.bound(q) == pytest.approx((fourier.TAU * k) ** q, rel=1e-13)
+    # Summed by hand: the mean and the Nyquist cosine (samples (-1)^j) at
+    # half share, a cos and a sin at the same k as one harmonic of size 1.
+    mixed = fourier.Interpolant(
+        0.75 + 0.6 * np.cos(fourier.TAU * k * s) - 0.8 * np.sin(fourier.TAU * k * s)
+        + 0.3 * (-1.0) ** np.arange(256)
+    )
+    for q in range(4):
+        want = 0.75 * (q == 0) + (fourier.TAU * k) ** q + 0.3 * (np.pi * 256) ** q
+        assert mixed.bound(q) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [256, 4096])

@@ -75,14 +75,10 @@ def test_lift_with_zero_slope_lifts_by_quadrature():
     n = 256
     s = fourier.grid(n)
     g = LegendrianGenerator(np.cos(TAU * s) - 0.5 * np.cos(2 * TAU * s), np.zeros(n))
-    flat = lifting.lift(g, z0=0.0, w0=-2.0)
+    flat = lifting.lift(g)
     assert np.all(flat.z == 0.0)
-    assert np.all(flat.w == -2.0)
-    raised = lifting.lift(g, z0=1.5, w0=-2.0)
-    assert np.all(raised.z == 1.5)
-    # dw = z dx with constant z integrates to z0 * (x - x(0))
-    assert np.allclose(raised.w, -2.0 + 1.5 * (g.x - g.x[0]), atol=1e-13)
-    assert raised.closed
+    assert np.all(flat.w == 0.0)
+    assert flat.closed
 
 
 def test_lift_reproduces_hand_integrated_mirror_curve():
@@ -94,18 +90,6 @@ def test_lift_reproduces_hand_integrated_mirror_curve():
     assert abs(loop.closure_defect_z) < 1e-14
     assert abs(loop.closure_defect_w) < 1e-14
     assert loop.closed
-
-
-def test_lift_base_point_offsets_shift_but_do_not_bend():
-    n = 1024
-    base = lifting.lift(mirror_generator(n))
-    moved = lifting.lift(mirror_generator(n), z0=2.0, w0=-1.0)
-    assert np.allclose(moved.z - base.z, 2.0, atol=1e-12)
-    # w picks up z0 * (x(s) - x(0)) on top of the w0 shift
-    s = fourier.grid(n)
-    expected = -1.0 + 2.0 * (mirror_x(s) - mirror_x(0.0))
-    assert np.allclose(moved.w - base.w, expected, atol=1e-11)
-    assert moved.closure_defect_w == pytest.approx(base.closure_defect_w, abs=1e-13)
 
 
 def test_area_integral_trivial_cases():
@@ -149,7 +133,7 @@ def test_area_integral_handles_defect_ramp():
     n = 1024
     g = circle(n)
     f_z, m_z = fourier.antiderivative(g.y * g.xp)
-    loop = LegendrianLoop(g, f_z, 0.0, m_z)
+    loop = LegendrianLoop(g, f_z, m_z)
     # z(s) = int_0^s -2 pi sin^2 = -pi s + sin(4 pi s)/4
     def z_exact(s):
         return -np.pi * s + np.sin(2 * TAU * s) / 4.0
@@ -199,7 +183,7 @@ def test_embedding_check_requires_closed_loop():
     with pytest.raises(NotClosed, match="^w does not close up"):
         lifting.embedding_check(lifting.lift(g))
     # open in z
-    raw = HorizontalLoop(circle(n), np.zeros(n), 0.0, -np.pi, np.zeros(n), 0.0, 0.0)
+    raw = HorizontalLoop(circle(n), np.zeros(n), -np.pi, np.zeros(n), 0.0)
     with pytest.raises(NotClosed, match="^z does not close up"):
         lifting.embedding_check(raw)
 
@@ -210,7 +194,7 @@ def test_embedding_check_requires_closed_loop():
 ])
 def test_embedding_check_refuses_a_nan_defect(defect_z, defect_w, which):
     n = 256
-    raw = HorizontalLoop(circle(n), np.zeros(n), 0.0, defect_z, np.zeros(n), 0.0, defect_w)
+    raw = HorizontalLoop(circle(n), np.zeros(n), defect_z, np.zeros(n), defect_w)
     with pytest.raises(NotClosed, match="^%s does not close up" % which):
         lifting.embedding_check(raw)
 

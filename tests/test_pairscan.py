@@ -104,7 +104,7 @@ def coarse_inputs(loop):
     g = loop.generator
     idx, m, _ = pairscan._coarse_indices(g.n)
     pts = np.stack([g.x[idx], g.y[idx], np.asarray(loop.z)[idx]], axis=1)
-    speed = np.hypot(np.hypot(g.xp, g.yp), pairscan._zp_samples(loop))[idx]
+    speed = np.hypot(np.hypot(g.xp, g.yp), g.y * g.xp)[idx]
     return pts, speed
 
 

@@ -87,7 +87,7 @@ def test_csv_round_trips_hand_built_loop():
     n = 64
     s = fourier.grid(n)
     leg = mirror_loop(n)
-    loop = curves.HorizontalLoop(leg.generator, leg.z, 0.0, 0.0, mirror_w(s), 0.0, 0.0)
+    loop = curves.HorizontalLoop(leg.generator, leg.z, 0.0, mirror_w(s), 0.0)
     lines = render.loop_csv_text(loop).strip().split("\n")
     assert lines[0] == "s,x,y,z,w"
     assert len(lines) == n + 1
@@ -109,7 +109,7 @@ def test_csv_matches_a_per_value_repr_oracle_byte_for_byte():
     w = -np.exp(-np.arange(n, dtype=float))
     w[9] = -1.5e-300
     loop = curves.HorizontalLoop(
-        curves.LegendrianGenerator(x, y), z, 0.1, 0.0, w, 0.0, 0.0
+        curves.LegendrianGenerator(x, y), z, 0.0, w, 0.0
     )
     want = csv_repr_table(loop)
     got = render.loop_csv_text(loop)
@@ -146,7 +146,7 @@ _ANY = st.one_of(_FINITE, st.sampled_from(_NON_FINITE))
 
 
 def _hand_loop(x, y, z, w):
-    return curves.HorizontalLoop(curves.LegendrianGenerator(x, y), z, 0.0, 0.0, w, 0.0, 0.0)
+    return curves.HorizontalLoop(curves.LegendrianGenerator(x, y), z, 0.0, w, 0.0)
 
 
 @st.composite
