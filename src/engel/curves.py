@@ -251,13 +251,12 @@ class Cusp:
 
 
 def sample_generator(description, n: int) -> LegendrianGenerator:
-    """Sample an analytic or tabulated description onto the n-point grid.
+    """Sample a pair (x, y) of TrigSeries onto the n-point grid.
 
-    ``description`` is a pair (x, y) where each entry is a TrigSeries of
-    degree below n/2 (higher ones alias), a callable of the parameter, or
-    an existing sample array (any length; it is identified with its
-    periodic interpolant and resampled); anything else raises
-    BadDescription.  n must be a power of two, at least 16.
+    Each series must have degree below n/2 (higher ones alias); anything
+    other than a pair of TrigSeries raises BadDescription.  Tabulated
+    samples go to LegendrianGenerator directly.  n must be a power of
+    two, at least 16.
     """
     if n < 16 or (n & (n - 1)) != 0:
         raise ValueError("sample count must be a power of two >= 16, got %r" % (n,))
@@ -265,41 +264,16 @@ def sample_generator(description, n: int) -> LegendrianGenerator:
         xd, yd = description
     except (TypeError, ValueError):
         raise BadDescription("description must be an (x, y) pair") from None
-    x = _sample_component(xd, n, "x")
-    y = _sample_component(yd, n, "y")
-    return LegendrianGenerator(x, y).require_immersed()
-
-
-def _sample_component(desc, n: int, label: str) -> np.ndarray:
     s = fourier.grid(n)
-    if isinstance(desc, TrigSeries):
+    samples = []
+    for label, desc in (("x", xd), ("y", yd)):
+        if not isinstance(desc, TrigSeries):
+            raise BadDescription("%s must be a TrigSeries" % label)
         if 2 * desc.degree >= n:
             raise BadDescription("%s has degree %d; %d samples need it below %d"
                                  % (label, desc.degree, n, n // 2))
-        return desc(s)
-    if callable(desc):
-        values = np.asarray(desc(s), dtype=float)
-        if values.shape != s.shape:
-            raise BadDescription("%s callable must map the grid to samples" % label)
-        scale = max(1.0, float(np.max(np.abs(values))))
-        for probe in (0.0, 0.37):
-            a, b = float(desc(probe)), float(desc(probe + 1.0))
-            if abs(a - b) > 1e-9 * scale:
-                raise BadDescription(
-                    "%s is not 1-periodic: f(%g) != f(%g)" % (label, probe, probe + 1)
-                )
-        return values
-    try:
-        values = np.asarray(desc, dtype=float)
-    except (TypeError, ValueError):
-        raise BadDescription("%s description is not numeric" % label) from None
-    if values.ndim != 1 or values.shape[0] < 4:
-        raise BadDescription("%s samples must be a 1-d array of length >= 4" % label)
-    if not np.all(np.isfinite(values)):
-        raise BadDescription("%s samples contain non-finite values" % label)
-    if values.shape[0] == n:
-        return values.copy()
-    return fourier.resample(values, n)
+        samples.append(desc(s))
+    return LegendrianGenerator(*samples).require_immersed()
 
 
 def find_cusps(g: LegendrianGenerator):

@@ -82,8 +82,8 @@ class FrontlangError(EngelError):
 class FrontSyntaxError(FrontlangError):
     """Tokenizer/parser rejection with a precise location.
 
-    Exposed as ``frontlang.SyntaxError`` as well; the class name avoids
-    shadowing the builtin inside this package's own code.
+    The one name for it; it is not called SyntaxError so that it does not
+    shadow the builtin.
     """
 
     def __init__(self, line: int, col: int, expected: str, found: str):

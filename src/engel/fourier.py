@@ -2,10 +2,10 @@
 
 All curve data in this package lives on the grid s_k = k/N with period 1.
 Smooth periodic samples are identified with their trigonometric interpolant,
-and every operation here (differentiation, antiderivatives, off-grid
-evaluation, resampling) is exact for that interpolant.  The one deliberate
-exception is :func:`fd_derivative`, a plain second-order centered difference
-kept around as an independent check on the spectral pipeline.
+and every operation here (differentiation, antiderivatives and off-grid
+evaluation) is exact for that interpolant.  The one deliberate exception
+is :func:`fd_derivative`, a plain second-order centered difference kept
+around as an independent check on the spectral pipeline.
 
 Convention for even N: the Nyquist mode is represented as a pure cosine,
 cos(pi*N*s), which matches the samples and keeps the interpolant real.  Its
@@ -208,30 +208,3 @@ def fd_derivative(values: np.ndarray, drift: float = 0.0) -> np.ndarray:
     n = values.shape[0]
     p = values - drift * grid(n)
     return (np.roll(p, -1) - np.roll(p, 1)) * (0.5 * n) + drift
-
-
-def resample(values: np.ndarray, m: int) -> np.ndarray:
-    """Samples of the band-limited projection of the interpolant on an m-grid.
-
-    Upsampling is exact (the interpolant is unchanged); downsampling keeps
-    the harmonics the coarse grid can represent and drops the rest.  The
-    Nyquist bin needs care in both directions because it carries a half-share
-    cosine in the real convention.
-    """
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    if m == n:
-        return values.copy()
-    if m < 4:
-        raise ValueError("resample target must be at least 4, got %d" % m)
-    c = np.fft.rfft(values)
-    d = np.zeros(m // 2 + 1, dtype=complex)
-    if m > n:
-        d[: c.shape[0]] = c
-        if n % 2 == 0:
-            d[n // 2] *= 0.5  # old Nyquist splits into a genuine +/- pair
-    else:
-        d[:] = c[: d.shape[0]]
-        if m % 2 == 0:
-            d[-1] = 2.0 * c[m // 2].real  # only the cosine half survives
-    return np.fft.irfft(d * (m / n), m)

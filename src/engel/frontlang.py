@@ -33,10 +33,6 @@ from .curves import TrigSeries
 from .errors import DuplicateName, FrontSyntaxError, UnknownMoveKind
 from .homotopy import MOVE_PARAMS, Move, MoveScript, _check_move
 
-# Callers catch parser rejections as frontlang.SyntaxError; the class
-# itself lives in errors.py under a name that does not shadow the builtin.
-SyntaxError = FrontSyntaxError
-
 MAX_HARMONIC = 64
 
 

@@ -6,7 +6,10 @@ to self-tangencies of the front, since equal slope is exactly equality of
 y.  front_crossings finds transverse double points of the (x, z) picture,
 where the slopes differ.  Both do a coarse pass on a decimated grid and
 polish every seed against the trigonometric interpolants, so the reported
-parameters do not degrade with the sampling rate.
+parameters do not degrade with the sampling rate.  Every coarse
+coincidence candidate is a seed of its own; the one clustering step
+merges the refined pairs that lie within MERGE_FINE_CELLS fine cells of
+each other, circularly.
 
 Neither coarse pass visits all m^2 cells of the m decimated samples.
 Both hand per-item intervals to one sort-and-sweep (Bentley and Ottmann,
@@ -36,7 +39,6 @@ MIN_COARSE = 64
 # Pair filters, in units of grid cells (coarse or fine as noted).
 EXCLUDE_COARSE_CELLS = 2  # near-diagonal seeds dropped outright
 CATCH_COARSE_CELLS = 3.0  # catch radius, times the larger local speed
-MERGE_COARSE_CELLS = 3.0  # seed clustering
 DIAGONAL_FINE_CELLS = 4.0  # refined pairs this close to s0 == s1 are noise
 MERGE_FINE_CELLS = 3.0  # refined pair deduplication
 
@@ -52,8 +54,10 @@ def _circ_dist(a, b):
 
 
 def _coarse_indices(n: int):
-    m = min(n, max(MIN_COARSE, n // DECIMATION))
-    stride = n // m
+    # Stride first, so the m strided samples reach around the whole loop
+    # whether or not m divides n.
+    stride = max(1, n // max(MIN_COARSE, n // DECIMATION))
+    m = n // stride
     return np.arange(m) * stride, m, stride
 
 
@@ -85,7 +89,7 @@ def _eval3(loop, u: np.ndarray, orders=(0, 1)):
     return np.swapaxes(loop.curve.value(u, orders), 1, 2)
 
 
-def _refine_coincidences(loop, seeds, tol: float):
+def _refine_coincidences(loop, seeds):
     """Damped least-squares polish of all seed pairs at once.
 
     The damping matters: a coincidence whose two velocities are parallel
@@ -109,7 +113,7 @@ def _refine_coincidences(loop, seeds, tol: float):
     v, delta, cost = batch(u)
     lam = np.full(k, 1e-3)
     fails = np.zeros(k, dtype=int)
-    target = (0.01 * tol) ** 2
+    target = (0.01 * COINCIDENCE_TOL) ** 2
     for _ in range(160):
         active = np.nonzero((cost > target) & (fails < 8))[0]
         if active.size == 0:
@@ -271,31 +275,16 @@ def coincident_pairs(loop):
     """
     g = loop.generator
     n = g.n
-    idx, m, stride = _coarse_indices(n)
+    idx, _, stride = _coarse_indices(n)
     pts = np.stack([g.x[idx], g.y[idx], np.asarray(loop.z)[idx]], axis=1)
     # z' = y x' by construction of the lift.
     speed = np.hypot(np.hypot(g.xp, g.yp), g.y * g.xp)[idx]
 
-    ci, cj, cd = _coarse_candidates(pts, speed)
-
-    # Greedy cluster merge, nearest first: a candidate within
-    # MERGE_COARSE_CELLS of an accepted seed, circularly on both indices,
-    # belongs to that seed's basin.  There are a few dozen candidates per
-    # scan, so each is tested against every accepted seed.
-    order = np.argsort(cd)
-    taken = []
-    seeds = []
-    for i, j in zip(ci[order].tolist(), cj[order].tolist()):
-        if not any(
-            min(abs(i - qi), m - abs(i - qi)) <= MERGE_COARSE_CELLS
-            and min(abs(j - qj), m - abs(j - qj)) <= MERGE_COARSE_CELLS
-            for qi, qj in taken
-        ):
-            taken.append((i, j))
-            seeds.append((i * stride / n, j * stride / n))
+    ci, cj, _ = _coarse_candidates(pts, speed)
+    seeds = np.stack([ci, cj], axis=1) * stride / n
 
     pairs = []
-    for r0, r1, gap in _refine_coincidences(loop, seeds, COINCIDENCE_TOL):
+    for r0, r1, gap in _refine_coincidences(loop, seeds):
         if gap > COINCIDENCE_TOL:
             continue
         r0, r1 = _canonical(r0, r1)

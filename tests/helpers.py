@@ -276,6 +276,32 @@ def companion_derivative_roots(x):
     return np.sort(np.mod(np.angle(on_circle) / TAU, 1.0))
 
 
+def resample(values, m):
+    """Samples of the band-limited projection of the interpolant on an m-grid.
+
+    Upsampling is exact (the interpolant is unchanged); downsampling keeps
+    the harmonics the coarse grid can represent and drops the rest.  The
+    Nyquist bin needs care in both directions because it carries a half-share
+    cosine in the real convention.  Built from the rfft alone, so it is an
+    oracle for the package's off-grid evaluator.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    if m == n:
+        return values.copy()
+    c = np.fft.rfft(values)
+    d = np.zeros(m // 2 + 1, dtype=complex)
+    if m > n:
+        d[: c.shape[0]] = c
+        if n % 2 == 0:
+            d[n // 2] *= 0.5  # old Nyquist splits into a genuine +/- pair
+    else:
+        d[:] = c[: d.shape[0]]
+        if m % 2 == 0:
+            d[-1] = 2.0 * c[m // 2].real  # only the cosine half survives
+    return np.fft.irfft(d * (m / n), m)
+
+
 def dense_winding(vx, vy, m, chunk=1 << 18):
     """(turns, largest step) of the plane curve s -> (vx(s), vy(s)) from
     the angle steps between m equispaced points, summed chunk by chunk:

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from engel import models, pairscan
+from engel import lifting, models, pairscan
+from engel.curves import LegendrianGenerator
 
 from helpers import (
     dense_crossing_hits,
     fish_arrays,
     mirror_loop,
+    mirror_x,
+    mirror_y,
     plain_arrays,
     raw_loop,
 )
@@ -216,17 +219,40 @@ def test_sweeps_expand_a_small_share_of_all_pairs(monkeypatch):
         assert pairs < 0.1 * items * (items - 1) / 2
 
 
-def test_seed_merge_is_circular_across_the_seam(monkeypatch):
-    # m = 64 coarse cells: candidates at i = 62 and i = 1 are three cells
-    # apart across index 0, so the farther one joins the nearer's basin.
-    seeds = []
+def test_seeds_of_one_basin_across_the_seam_give_one_pair(monkeypatch):
+    # m = 64 coarse cells of stride 8: three seeds of the mirror's basin
+    # at (0, 1/2), one of them past the 0/1 seam.  Each is refined on its
+    # own, and the refined pairs merge into one.
+    refined = []
+    real = pairscan._refine_coincidences
 
-    def refine(loop, got, tol):
-        seeds.extend(got)
-        return []
+    def recorded(loop, seeds):
+        out = real(loop, seeds)
+        refined.extend(out)
+        return out
 
-    candidates = (np.array([62, 1, 40]), np.array([20, 20, 20]), np.array([0.1, 0.2, 0.3]))
+    candidates = (np.array([0, 63, 1]), np.array([32, 31, 33]), np.array([0.1, 0.2, 0.3]))
     monkeypatch.setattr(pairscan, "_coarse_candidates", lambda pts, speed: candidates)
-    monkeypatch.setattr(pairscan, "_refine_coincidences", refine)
-    assert pairscan.coincident_pairs(mirror_loop(512)) == []
-    assert seeds == [(62 * 8 / 512, 20 * 8 / 512), (40 * 8 / 512, 20 * 8 / 512)]
+    monkeypatch.setattr(pairscan, "_refine_coincidences", recorded)
+    assert pairscan.coincident_pairs(mirror_loop(512)) == [(0.0, 0.5)]
+    assert len(refined) == 3
+    assert all(gap <= pairscan.COINCIDENCE_TOL for _, _, gap in refined)
+    assert any(s0 > 0.5 for s0, _, _ in refined)
+
+
+def _shifted_mirror(n, shift=0.3):
+    s = np.arange(n) / n + shift
+    return lifting.lift(LegendrianGenerator(mirror_x(s), mirror_y(s)))
+
+
+@pytest.mark.parametrize("n", [112, 120, 128])
+def test_coarse_samples_cover_the_whole_loop(n):
+    # At n = 112 and 120 the coarse grid used to stop short of s = 1 and
+    # miss the double point at (0.2, 0.7), whose w-gap is zero.
+    idx, _, stride = pairscan._coarse_indices(n)
+    assert n - idx[-1] < 2 * stride
+    check = lifting.embedding_check(_shifted_mirror(n))
+    assert not check.embedded
+    assert len(check.double_points) == 1
+    s0, s1, _ = check.double_points[0]
+    assert (s0, s1) == (pytest.approx(0.2, abs=1e-6), pytest.approx(0.7, abs=1e-6))
