@@ -1,9 +1,12 @@
 """Every integer is the rotation number of an embedded horizontal loop.
 
-model_front builds, for any integer n, a front whose lift is embedded
-with rot = n: the cusp surplus carries the rotation number, and a seeded
-perturbation keeps the double points honestly separated in w.  This
-demo walks n from -3 to 3 and certifies each loop.
+model_front builds, for an integer n with |n| <= models.MAX_ROT (64), a
+front whose lift is embedded with rot = n: the cusp surplus carries the
+rotation number, and a seeded perturbation keeps the double points
+honestly separated in w.  Inside that range it can still refuse with
+SynthesisFailed (at 4096 samples and seed 0, n = 26 and 40 do); ROADMAP
+item 4 plans a synthesis that covers the whole range.  This demo walks n
+from -3 to 3 and certifies each loop.
 """
 
 import pathlib

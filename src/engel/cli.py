@@ -66,12 +66,9 @@ def _load_document(path: str) -> frontlang.Document:
 
 
 def _realize(doc, name: str, samples: int):
-    """Sample a document's generator; non-finite samples are a bad document."""
+    """Sample a document's generator on the grid of the given size."""
     g = doc.generator(name)
-    try:
-        return curves.sample_generator((g.x, g.y), samples)
-    except BadDescription as err:
-        raise ValueError(str(err)) from err
+    return curves.sample_generator((g.x, g.y), samples)
 
 
 def _try_lift(gen):
@@ -165,13 +162,7 @@ def _cmd_model(args) -> int:
 def _cmd_homotopy(args) -> int:
     doc = _load_document(args.document)
     gen = _realize(doc, args.generator, args.samples)
-    moves = []
-    for move in doc.script(args.script).moves:
-        if move.kind != "balance" and "frames" not in move.params:
-            move = homotopy.Move(move.kind, {**move.params, "frames": float(args.frames)})
-        moves.append(move)
-
-    trace = homotopy.run_script(gen, moves)
+    trace = homotopy.run_script(gen, doc.script(args.script))
 
     out_dir = os.path.join(args.out, "%s_trace" % args.script)
     os.makedirs(out_dir, exist_ok=True)
@@ -230,11 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument("document")
     p_hom.add_argument("generator")
     p_hom.add_argument("script")
-    p_hom.add_argument(
-        "--frames", type=int, default=homotopy.DEFAULT_FRAMES,
-        help="frame count for moves that do not set one (default %d)"
-        % homotopy.DEFAULT_FRAMES,
-    )
     p_hom.set_defaults(run=_cmd_homotopy)
 
     return parser
@@ -245,7 +231,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (FrontlangError, ValueError) as err:
+    except (BadDescription, FrontlangError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_USAGE
     except EngelError as err:

@@ -44,12 +44,12 @@ class SingularSystem(EngelError):
 
 
 class ImmersionLost(EngelError):
-    """A correction or move frame dropped the velocity below the floor.
+    """A move frame dropped the velocity below the immersion floor.
 
-    ``frame`` is the index of the offending frame when raised by a move.
+    ``frame`` is the index of the offending frame within the move's path.
     """
 
-    def __init__(self, message: str, frame: int | None = None):
+    def __init__(self, message: str, frame: int):
         super().__init__(message)
         self.frame = frame
 

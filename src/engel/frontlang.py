@@ -241,7 +241,7 @@ class _Parser:
                 raise FrontSyntaxError(
                     ptok.line,
                     ptok.col,
-                    "a parameter of %s (%s)" % (kind, ", ".join(sorted(allowed)) or "none"),
+                    "a parameter of %s (%s)" % (kind, ", ".join(sorted(allowed))),
                     ptok.describe(),
                 )
             if ptok.text in params:

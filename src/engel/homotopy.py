@@ -18,13 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fourier, invariants, lifting
-from .curves import (
-    SPEED_FLOOR,
-    TOL_CLOSURE,
-    LegendrianGenerator,
-    find_cusps,
-)
-from .errors import ImmersionLost, MoveRefused, UnsupportedOverlap
+from .curves import TOL_CLOSURE, LegendrianGenerator, find_cusps
+from .errors import ImmersionLost, MoveRefused, NotImmersed, UnsupportedOverlap
 
 DEFAULT_FRAMES = 64
 
@@ -34,7 +29,6 @@ MOVE_PARAMS = {
     "swallowtail_birth": ("at", "width", "amplitude", "frames"),
     "swallowtail_death": ("at", "width", "amplitude", "frames"),
     "tangency_pass": ("at", "width", "amplitude", "frames"),
-    "balance": (),
 }
 
 # Moves whose middle frame is a singular event of the front homotopy.
@@ -95,8 +89,6 @@ def _check_move(move: Move):
 
 
 def _step_count(move: Move) -> int:
-    if move.kind == "balance":
-        return 1
     k = _param(move, "frames", DEFAULT_FRAMES)
     if not (k >= 2 and k % 2 == 0):
         raise ValueError("frames must be an even count of at least 2, got %.15g" % k)
@@ -268,15 +260,14 @@ def apply_move(g: LegendrianGenerator, move: Move, supports=None):
     so the fold threshold lands there.  `supports`, when given, pins the
     balancing bumps a tangency profile is orthogonalized against.
 
-    Raises ImmersionLost (with the frame index) if any frame stalls,
-    UnsupportedOverlap when a swallowtail support disagrees with the
-    cusps already present, and MoveRefused when a swallowtail cannot fold
-    the generator as asked.  Malformed moves raise ValueError.
+    Raises ImmersionLost (the frame index, then require_immersed's
+    message) if any frame stalls, UnsupportedOverlap when a swallowtail
+    support disagrees with the cusps already present, and MoveRefused
+    when a swallowtail cannot fold the generator as asked.  Malformed
+    moves raise ValueError.
     """
     _check_move(move)
     g.require_immersed()
-    if move.kind == "balance":
-        return [g, lifting.balance_closure(g, supports=supports)]
     if move.kind == "deform":
         k, frame = _deform(g, move)
     elif move.kind == "tangency_pass":
@@ -285,15 +276,10 @@ def apply_move(g: LegendrianGenerator, move: Move, supports=None):
         k, frame = _swallowtail(g, move, +1 if move.kind == "swallowtail_birth" else -1)
     path = []
     for j in range(k + 1):
-        gen = frame(j)
-        s, v = gen.min_speed()
-        if v < SPEED_FLOOR:
-            raise ImmersionLost(
-                "frame %d: velocity norm %.3e at s=%.6f is below the immersion floor"
-                % (j, v, s),
-                frame=j,
-            )
-        path.append(gen)
+        try:
+            path.append(frame(j).require_immersed())
+        except NotImmersed as err:
+            raise ImmersionLost("frame %d: %s" % (j, err), frame=j) from err
     return path
 
 

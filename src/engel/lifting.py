@@ -17,13 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .curves import (
-    SPEED_FLOOR,
-    TOL_CLOSURE,
-    HorizontalLoop,
-    LegendrianGenerator,
-)
-from .errors import ImmersionLost, NotClosed, SingularSystem, ZNotClosed
+from .curves import TOL_CLOSURE, HorizontalLoop, LegendrianGenerator
+from .errors import NotClosed, SingularSystem, ZNotClosed
 
 TOL_EMBED = 1e-7
 BUMP_WIDTH = 0.08
@@ -275,7 +270,7 @@ def balance_closure(g: LegendrianGenerator, supports=None) -> LegendrianGenerato
     exact solution of the 2x2 linear system the two bumps span.  Already
     balanced input (both defects at rounding level) is returned as-is.
     Raises SingularSystem when the bump functionals cannot reach the
-    defects, and ImmersionLost if the corrected curve stalls.
+    defects, and NotImmersed if the corrected curve stalls.
     """
     defect_z = z_closure_defect(g)
     defect_w = w_closure_defect(g)
@@ -285,12 +280,7 @@ def balance_closure(g: LegendrianGenerator, supports=None) -> LegendrianGenerato
     phi1, phi2, matrix = balancing_system(g, supports)
     a, b = np.linalg.solve(matrix, -np.array([defect_z, defect_w]))
 
-    out = LegendrianGenerator(g.x, g.y + a * phi1 + b * phi2)
-    s_min, v_min = out.min_speed()
-    if v_min < SPEED_FLOOR:
-        raise ImmersionLost(
-            "balancing stalls the curve (speed %.3e at s=%.6f)" % (v_min, s_min)
-        )
+    out = LegendrianGenerator(g.x, g.y + a * phi1 + b * phi2).require_immersed()
     res_z = z_closure_defect(out)
     res_w = w_closure_defect(out)
     if not (abs(res_z) <= SOLVER_RESIDUAL and abs(res_w) <= SOLVER_RESIDUAL):

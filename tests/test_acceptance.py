@@ -302,7 +302,6 @@ def _random_document(rng, stamp):
         "swallowtail_birth": ("at", "width", "amplitude", "frames"),
         "swallowtail_death": ("at", "width", "amplitude", "frames"),
         "tangency_pass": ("at", "width", "amplitude", "frames"),
-        "balance": (),
     }
     generators = tuple(
         frontlang.GeneratorDescription(

@@ -17,7 +17,7 @@ from importlib import resources
 import pytest
 
 import engel
-from engel import cli, curves, pairscan
+from engel import cli, curves, homotopy, pairscan
 
 from helpers import dense_winding, trig_series_derivative
 
@@ -156,6 +156,12 @@ def test_rot_bound_violation_exits_2(capsys):
     assert "64" in err
 
 
+def test_negative_model_seed_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "model", "-n", "3", "--seed", "-1", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "seed" in err and "-1" in err
+
+
 ALIASED_DOC = "generator g { x: cos(1) + 0.5 cos(15); y: sin(1); }\n"
 
 
@@ -220,7 +226,8 @@ def test_homotopy_run_writes_trace_directory(tmp_path, capsys):
     assert verification == payload
 
 
-def test_frames_flag_fills_unset_moves(tmp_path, capsys):
+def test_a_move_without_frames_takes_the_default_count(tmp_path, capsys):
+    # Step counts come from the document alone: 64 steps, 65 frames.
     doc = tmp_path / "doc.front"
     doc.write_text(
         "generator circ { x: cos(1); y: sin(1); }\n"
@@ -228,10 +235,10 @@ def test_frames_flag_fills_unset_moves(tmp_path, capsys):
     )
     code, out, _ = run_cli(
         capsys, "homotopy", "run", str(doc), "circ", "nudge",
-        "--frames", "2", "--out", str(tmp_path),
+        "--samples", "1024", "--out", str(tmp_path),
     )
     assert code == 0
-    assert json.loads(out)["frames"] == 3
+    assert json.loads(out)["frames"] == 65
 
 
 ZW_DOC = "generator g { x: cos(1); y: sin(2); }\n"  # z closes, w does not
@@ -255,14 +262,15 @@ def test_check_reports_an_open_w_as_json(tmp_path, capsys):
     ("model", "-n", "1", "--frames", "4", "--out", "OUT"),
     ("homotopy", "run", DEMO, "circ", "pass_and_fold", "--tol-closure", "1",
      "--out", "OUT"),
+    ("homotopy", "run", DEMO, "circ", "pass_and_fold", "--frames", "2", "--out", "OUT"),
     ("rot", DEMO, "circ", "--out", "OUT"),
     ("check", "ZW", "g", "--out", "OUT"),
 ], ids=["rot-frames", "check-tol-closure", "lift-tol-embed", "model-frames",
-        "homotopy-tol-closure", "rot-out", "check-out"])
+        "homotopy-tol-closure", "homotopy-frames", "rot-out", "check-out"])
 def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
-    # The certificates' tolerances are fixed, --frames belongs to homotopy
-    # alone, and rot and check write no files, so take no --out; argparse
-    # refuses the rest before anything runs.
+    # The certificates' tolerances are fixed, step counts come from each
+    # move's frames= in the document, and rot and check write no files, so
+    # take no --out; argparse refuses the rest before anything runs.
     doc = tmp_path / "zw.front"
     doc.write_text(ZW_DOC)
     places = {"ZW": str(doc), "OUT": str(tmp_path)}
@@ -272,13 +280,16 @@ def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def readme_text():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
 def readme_flags():
     """{subcommand: set of flags} from the README's table under "Flags, by
     subcommand", each flag taken from its `--name VALUE` cell."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    rows = text.split("Flags, by subcommand:", 1)[1].strip().split("\n\n", 1)[0]
+    rows = readme_text().split("Flags, by subcommand:", 1)[1].strip().split("\n\n", 1)[0]
     table = {}
     for row in rows.splitlines()[2:]:
         command, flags = (cell.strip() for cell in row.strip("|").split("|"))
@@ -295,6 +306,12 @@ def test_readme_flags_table_matches_the_parser():
         for command, sub in subparsers.choices.items()
     }
     assert readme_flags() == parsed
+
+
+def test_readme_move_kinds_match_the_move_table():
+    # Every backticked name in the paragraph that starts "Move kinds:".
+    paragraph = readme_text().split("\nMove kinds:", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"`([^`]+)`", paragraph)) == set(homotopy.MOVE_PARAMS)
 
 
 def run_module(*argv, cwd=None):
@@ -381,6 +398,8 @@ def test_fold_past_the_ceiling_is_a_certificate_failure_exit_3(tmp_path, capsys)
 
 @pytest.mark.parametrize("script, message", [
     ("slide at=0.3;", "unknown move kind"),
+    # Running a script re-balances every frame, so no move does it.
+    ("deform at=0.3 width=0.1 ax=0.02 frames=2; balance;", "unknown move kind 'balance' (one of"),
     ("deform at=0.3 width=0.1 amplitude=1 frames=2;", "amplitude"),
     ("tangency_pass at=0.55 width=0.08 frames=2;", "needs a 'amplitude'"),
     ("deform at=0.3 width=0.1 ax=0.05 frames=3;", "even count"),
@@ -403,6 +422,19 @@ def test_a_width_no_bump_can_take_is_a_usage_error(tmp_path, capsys, move, width
     code, out, err = run_script_doc(tmp_path, capsys, move % width)
     assert (code, out) == (2, "")
     assert err.startswith("error: width must be positive")
+
+
+@pytest.mark.parametrize("move", [
+    "deform at=0.3 width=0.1 ax=1e308 frames=2;",
+    "tangency_pass at=0.55 width=0.08 amplitude=1e308 frames=2;",
+])
+def test_a_move_that_overflows_a_frame_is_a_usage_error(tmp_path, capsys, move):
+    # The frame's samples are not finite: the document is at fault, not a
+    # certificate, wherever in the run that is found.
+    code, out, err = run_script_doc(tmp_path, capsys, move)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: x' and y' samples must be finite")
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")

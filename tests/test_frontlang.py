@@ -36,14 +36,15 @@ def test_single_generator_ast():
 
 def test_script_with_two_moves():
     doc = frontlang.parse(
-        "script demo { swallowtail_birth at=0.25 width=0.05 frames=64; balance; }"
+        "script demo { swallowtail_birth at=0.25 width=0.05 frames=64; "
+        "deform at=0.5 width=0.1; }"
     )
     assert doc.scripts == (
         MoveScript(
             "demo",
             (
                 Move("swallowtail_birth", {"at": 0.25, "width": 0.05, "frames": 64.0}),
-                Move("balance", {}),
+                Move("deform", {"at": 0.5, "width": 0.1}),
             ),
         ),
     )
@@ -85,7 +86,7 @@ def test_unknown_move_kind():
 
 def test_stray_parameter_rejected():
     with pytest.raises(FrontSyntaxError):
-        frontlang.parse("script s { balance at=1; }")
+        frontlang.parse("script s { deform amplitude=1; }")
 
 
 def test_duplicate_parameter_rejected():
@@ -142,7 +143,7 @@ def test_empty_document_round_trip():
     assert frontlang.parse("") == Document()
 
 
-@pytest.mark.parametrize("move", [Move("balance", {"at": 1.0}), Move("slide", {})])
+@pytest.mark.parametrize("move", [Move("deform", {"amplitude": 1.0}), Move("slide", {})])
 def test_emit_refuses_a_move_the_engine_refuses(move):
     # Text that parse would reject is never written.
     with pytest.raises(ValueError):
@@ -184,14 +185,13 @@ _params_for = {
     "swallowtail_birth": ("at", "width", "amplitude", "frames"),
     "swallowtail_death": ("at", "width", "amplitude", "frames"),
     "tangency_pass": ("at", "width", "amplitude", "frames"),
-    "balance": (),
 }
 
 
 @st.composite
 def _moves(draw):
     kind = draw(st.sampled_from(sorted(_params_for)))
-    keys = draw(st.sets(st.sampled_from(_params_for[kind])) if _params_for[kind] else st.just(set()))
+    keys = draw(st.sets(st.sampled_from(_params_for[kind])))
     return Move(kind, {k: draw(_floats) for k in sorted(keys)})
 
 

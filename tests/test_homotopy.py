@@ -76,15 +76,6 @@ def test_deform_moves_linearly_in_time():
         assert np.array_equal(gen.y, g.y + (r * ay) * phi)
 
 
-def test_balance_move_restores_closure():
-    g = circle()
-    path = apply_move(g, Move("balance"))
-    assert len(path) == 2
-    assert path[0] is g
-    assert abs(lifting.z_closure_defect(path[1])) <= 1e-12
-    assert abs(lifting.w_closure_defect(path[1])) <= 1e-12
-
-
 def test_stalled_frame_raises_immersion_lost_at_the_degenerate_step():
     # The circle's velocity at s=1/4 is purely horizontal, so pushing x
     # with a bump whose slope there cancels x' stalls the curve at the
@@ -94,7 +85,9 @@ def test_stalled_frame_raises_immersion_lost_at_the_degenerate_step():
     slope = fourier.Interpolant(phi).value(0.25, 1)
     a = -float(fourier.Interpolant(g.x).value(0.25, 1)) / float(slope)
     move = Move("deform", {"at": 0.28, "width": 0.1, "ax": 2 * a, "frames": 8})
-    with pytest.raises(ImmersionLost) as err:
+    with pytest.raises(
+        ImmersionLost, match="^frame 4: velocity norm .* is below the immersion floor$"
+    ) as err:
         apply_move(g, move)
     assert err.value.frame == 4
 
@@ -276,11 +269,11 @@ def test_zero_area_tangency_is_rejected_at_the_event_frame():
 def test_run_script_times_land_on_the_uniform_grid():
     sc = [
         Move("deform", {"at": 0.6, "width": 0.05, "ax": 0.02, "ay": 0.03, "frames": 4}),
-        Move("balance"),
+        Move("deform", {"at": 0.2, "width": 0.05, "ay": -0.03, "frames": 2}),
     ]
     trace = run_script(circle(), sc)
-    assert len(trace.frames) == 6
-    assert trace.times == tuple(k / 5 for k in range(6))
+    assert len(trace.frames) == 7
+    assert trace.times == tuple(k / 6 for k in range(7))
     assert trace.events == ()
     for frame in trace.frames:
         assert abs(frame.closure_defect_z) <= 1e-9
