@@ -498,3 +498,17 @@ def test_single_loop_csv_matches_golden_sha256(tmp_path, capsys, argv, csv_name,
     assert code == 0
     digest = hashlib.sha256((tmp_path / csv_name).read_bytes()).hexdigest()
     assert digest + "\n" == golden_text(golden + ".csv.sha256")
+
+
+def test_model_svg_and_report_match_golden(tmp_path, capsys):
+    # The report verbatim and the SVG through its sha256; the SVG's five
+    # crossing marks are front_crossings' pairs.
+    code, out, err = run_cli(
+        capsys, "model", "-n", "3", "--samples", "1024", "--seed", "0", "--out", str(tmp_path)
+    )
+    stem = "model_n3_samples1024_seed0"
+    assert (code, err) == (0, "")
+    assert out == golden_text(stem + ".out")
+    svg = (tmp_path / "model_rot3_seed0.svg").read_bytes()
+    assert svg.count(b'class="crossing"') == 5
+    assert hashlib.sha256(svg).hexdigest() + "\n" == golden_text(stem + ".svg.sha256")
