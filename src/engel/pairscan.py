@@ -5,11 +5,13 @@ where the space curve (x, y, z) returns to the same point; these project
 to self-tangencies of the front, since equal slope is exactly equality of
 y.  front_crossings finds transverse double points of the (x, z) picture,
 where the slopes differ.  Both do a coarse pass on a decimated grid and
-polish every seed against the trigonometric interpolants, so the reported
-parameters do not degrade with the sampling rate.  Every coarse
-coincidence candidate is a seed of its own; the one clustering step
-merges the refined pairs that lie within MERGE_FINE_CELLS fine cells of
-each other, circularly.
+hand every seed, in one batch, to the one refiner: a damped
+least-squares descent on the gap between the two points of each pair,
+taken against the trigonometric interpolants in (x, y, z) for a
+coincidence and in (x, z) for a crossing, so the reported parameters do
+not degrade with the sampling rate.  Every coarse candidate is a seed of
+its own; the one clustering step merges the refined pairs that lie
+within MERGE_FINE_CELLS fine cells of each other, circularly.
 
 Neither coarse pass visits all m^2 cells of the m decimated samples.
 Both hand per-item intervals to one sort-and-sweep (Bentley and Ottmann,
@@ -44,8 +46,6 @@ MERGE_FINE_CELLS = 3.0  # refined pair deduplication
 
 COINCIDENCE_TOL = 1e-10
 SLOPE_TOL = 1e-6
-# Near-miss cost (gap^2) below which a stalled pair earns a Newton polish.
-POLISH_COST = 1e-8
 
 
 def _circ_dist(a, b):
@@ -83,17 +83,13 @@ def _dedupe(pairs, radius: float):
     return out
 
 
-def _eval3(loop, u: np.ndarray, orders=(0, 1)):
-    """Points and velocities (and accelerations, with orders=(0, 1, 2)) of
-    the space curve at a parameter vector, shaped (orders, len(u), 3)."""
-    return np.swapaxes(loop.curve.value(u, orders), 1, 2)
-
-
-def _refine_coincidences(loop, seeds):
+def _refine_pairs(loop, seeds, rows):
     """Damped least-squares polish of all seed pairs at once.
 
-    The damping matters: a coincidence whose two velocities are parallel
-    or anti-parallel has a rank-1 Jacobian, and the plain normal equations
+    The gap is taken in the channels rows (a slice) of loop.curve:
+    (x, y, z) for a coincidence, (x, z) for a front crossing.  The
+    damping matters: a meeting whose two velocities are parallel or
+    anti-parallel has a rank-1 Jacobian, and the plain normal equations
     are singular there.  Each pair carries its own damping weight; a pair
     that fails to improve eight times in a row is abandoned where it is.
     Returns a list of (s0, s1, |gap|).
@@ -104,9 +100,8 @@ def _refine_coincidences(loop, seeds):
     k = u.shape[0]
 
     def batch(u_arr):
-        p, v = _eval3(loop, u_arr.ravel())
-        p = p.reshape(-1, 2, 3)
-        v = v.reshape(-1, 2, 3)
+        pv = np.swapaxes(loop.curve.value(u_arr.ravel(), (0, 1))[:, rows], 1, 2)
+        p, v = pv.reshape(2, -1, 2, pv.shape[-1])
         delta = p[:, 0, :] - p[:, 1, :]
         return v, delta, np.einsum("ij,ij->i", delta, delta)
 
@@ -144,61 +139,22 @@ def _refine_coincidences(loop, seeds):
         bad = active[~better]
         lam[bad] *= 10.0
         fails[bad] += 1
-
-    # A tangential meeting leaves the least-squares step blind along the
-    # touch direction (the cost is quartic there), so close near-misses
-    # stall above the target.  Polish those with the exact curvature.
-    stalled = [i for i in range(k) if target < cost[i] <= POLISH_COST]
-    for i in stalled:
-        u[i], cost[i] = _newton_polish(loop, u[i], cost[i], target)
     return [(float(u[i, 0]), float(u[i, 1]), float(np.sqrt(cost[i]))) for i in range(k)]
 
 
-def _newton_polish(loop, u0, c0, target: float):
-    """Full Newton descent on the squared gap of one pair.
-
-    Unlike the Gauss-Newton step above, the Hessian here keeps the
-    d . gamma'' terms, which carry the only signal along a tangency
-    valley.  The damping weight mu handles indefinite regions.
-    """
-
-    def measure(u):
-        p, v, acc = _eval3(loop, u, (0, 1, 2))
-        d = p[0] - p[1]
-        return v, acc, d, float(d @ d)
-
-    u = np.array(u0, dtype=float)
-    v, acc, d, c = measure(u)
-    if c >= c0:
-        u, c = np.array(u0, dtype=float), c0
-        v, acc, d, _ = measure(u)
-    mu = 1e-9
-    for _ in range(80):
-        if c <= target:
-            break
-        grad = 2.0 * np.array([d @ v[0], -(d @ v[1])])
-        h00 = v[0] @ v[0] + d @ acc[0]
-        h11 = v[1] @ v[1] - d @ acc[1]
-        h01 = -(v[0] @ v[1])
-        scale = abs(h00) + abs(h11) + 1.0
-        improved = False
-        for _ in range(12):
-            m = 2.0 * np.array([[h00 + mu * scale, h01], [h01, h11 + mu * scale]])
-            try:
-                step = np.linalg.solve(m, -grad)
-            except np.linalg.LinAlgError:
-                mu *= 10.0
-                continue
-            v_t, acc_t, d_t, c_t = measure(u + step)
-            if c_t < c:
-                u, v, acc, d, c = u + step, v_t, acc_t, d_t, c_t
-                mu = max(mu / 3.0, 1e-12)
-                improved = True
-                break
-            mu *= 10.0
-        if not improved:
-            break
-    return u, c
+def _accepted_pairs(loop, seeds, rows, tol: float):
+    """The refined seeds whose gap is at most tol, each canonical and off
+    the diagonal."""
+    n = loop.n
+    pairs = []
+    for r0, r1, gap in _refine_pairs(loop, seeds, rows):
+        if gap > tol:
+            continue
+        r0, r1 = _canonical(r0, r1)
+        if _circ_dist(r0, r1) < DIAGONAL_FINE_CELLS / n:
+            continue
+        pairs.append((r0, r1))
+    return pairs
 
 
 def _overlapping_pairs(lo: np.ndarray, hi: np.ndarray):
@@ -282,15 +238,7 @@ def coincident_pairs(loop):
 
     ci, cj, _ = _coarse_candidates(pts, speed)
     seeds = np.stack([ci, cj], axis=1) * stride / n
-
-    pairs = []
-    for r0, r1, gap in _refine_coincidences(loop, seeds):
-        if gap > COINCIDENCE_TOL:
-            continue
-        r0, r1 = _canonical(r0, r1)
-        if _circ_dist(r0, r1) < DIAGONAL_FINE_CELLS / n:
-            continue
-        pairs.append((r0, r1))
+    pairs = _accepted_pairs(loop, seeds, slice(None), COINCIDENCE_TOL)
     return _dedupe(pairs, MERGE_FINE_CELLS / n)
 
 
@@ -335,32 +283,13 @@ def _crossing_hits(q: np.ndarray):
     return i[hit], j[hit], d1[hit], d2[hit], d3[hit], d4[hit]
 
 
-def _refine_crossing(loop, s0: float, s1: float, scale: float):
-    u = np.array([s0, s1], dtype=float)
-    for _ in range(40):
-        (xv, _, zv), (xpv, _, zpv) = loop.curve.value(u, (0, 1))
-        rhs = np.array([xv[0] - xv[1], zv[0] - zv[1]])
-        jac = np.array([[xpv[0], -xpv[1]], [zpv[0], -zpv[1]]])
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if abs(det) < 1e-12 * scale * scale:
-            return None
-        step = np.linalg.solve(jac, -rhs)
-        if not np.all(np.isfinite(step)) or float(np.max(np.abs(step))) > 0.25:
-            return None
-        u = u + step
-        if float(np.max(np.abs(step))) < 1e-13:
-            break
-    xv, _, zv = loop.curve.value(u)
-    if max(abs(xv[0] - xv[1]), abs(zv[0] - zv[1])) > 1e-11 * scale:
-        return None
-    return float(u[0]), float(u[1])
-
-
 def front_crossings(loop):
     """Transverse double points of the front, as pairs (s0, s1), s0 < s1.
 
-    Pairs at which the slopes agree to SLOPE_TOL are not crossings but
-    tangencies; they are excluded here and belong to coincident_pairs.
+    A refined pair is accepted when its (x, z) gap is at most 1e-11 times
+    the front's extent (at least 1).  Pairs at which the slopes agree to
+    SLOPE_TOL are not crossings but tangencies; they are excluded here and
+    belong to coincident_pairs.
     """
     g = loop.generator
     n = g.n
@@ -378,21 +307,15 @@ def front_crossings(loop):
         float(np.max(loop.z) - np.min(loop.z)),
     )
 
-    i_all, j_all, d1, d2, d3, d4 = _crossing_hits(q)
-
-    pairs = []
-    t_all = d3 / (d3 - d4)
-    v_all = d1 / (d1 - d2)
-    for i, j, t, v in zip(i_all.tolist(), j_all.tolist(), t_all.tolist(), v_all.tolist()):
-        seed0 = ((i + t) * stride + shift) / n
-        seed1 = ((j + v) * stride + shift) / n
-        refined = _refine_crossing(loop, seed0, seed1, scale)
-        if refined is None:
-            continue
-        s0, s1 = _canonical(*refined)
-        if _circ_dist(s0, s1) < DIAGONAL_FINE_CELLS / n:
-            continue
-        if abs(g.y_interp.value(s0) - g.y_interp.value(s1)) <= SLOPE_TOL:
-            continue
-        pairs.append((s0, s1))
+    i, j, d1, d2, d3, d4 = _crossing_hits(q)
+    seed0 = ((i + d3 / (d3 - d4)) * stride + shift) / n
+    seed1 = ((j + d1 / (d1 - d2)) * stride + shift) / n
+    # Rows x and z of the curve: the crossing equations of the front.
+    pairs = _accepted_pairs(
+        loop, np.stack([seed0, seed1], axis=1), slice(None, None, 2), 1e-11 * scale
+    )
+    pairs = [
+        (s0, s1) for s0, s1 in pairs
+        if abs(g.y_interp.value(s0) - g.y_interp.value(s1)) > SLOPE_TOL
+    ]
     return _dedupe(pairs, MERGE_FINE_CELLS / n)

@@ -12,6 +12,7 @@ from helpers import (
     mirror_loop,
     mirror_x,
     mirror_y,
+    mirror_z,
     plain_arrays,
     raw_loop,
 )
@@ -65,6 +66,17 @@ def test_front_crossings_exclude_equal_slope_pairs():
     # the tangency pair (0, 1/2) is not among them
     for s0, s1 in crossings:
         assert not (abs(s0) < 1e-3 and abs(s1 - 0.5) < 1e-3)
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("beta, count", [(0.0, 5), (0.25, 6)])
+def test_mirror_crossings_meet_in_the_closed_form(n, beta, count):
+    # Each refined pair is a double point of the hand-derived front.
+    crossings = pairscan.front_crossings(mirror_loop(n, beta))
+    assert len(crossings) == count
+    for s0, s1 in crossings:
+        assert abs(mirror_x(s0, beta) - mirror_x(s1, beta)) <= 1e-11
+        assert abs(mirror_z(s0, beta) - mirror_z(s1, beta)) <= 1e-11
 
 
 def test_scans_are_stable_under_resolution_changes():
@@ -224,16 +236,16 @@ def test_seeds_of_one_basin_across_the_seam_give_one_pair(monkeypatch):
     # at (0, 1/2), one of them past the 0/1 seam.  Each is refined on its
     # own, and the refined pairs merge into one.
     refined = []
-    real = pairscan._refine_coincidences
+    real = pairscan._refine_pairs
 
-    def recorded(loop, seeds):
-        out = real(loop, seeds)
+    def recorded(loop, seeds, rows):
+        out = real(loop, seeds, rows)
         refined.extend(out)
         return out
 
     candidates = (np.array([0, 63, 1]), np.array([32, 31, 33]), np.array([0.1, 0.2, 0.3]))
     monkeypatch.setattr(pairscan, "_coarse_candidates", lambda pts, speed: candidates)
-    monkeypatch.setattr(pairscan, "_refine_coincidences", recorded)
+    monkeypatch.setattr(pairscan, "_refine_pairs", recorded)
     assert pairscan.coincident_pairs(mirror_loop(512)) == [(0.0, 0.5)]
     assert len(refined) == 3
     assert all(gap <= pairscan.COINCIDENCE_TOL for _, _, gap in refined)
