@@ -22,6 +22,9 @@ from .curves import TOL_CLOSURE, LegendrianGenerator, find_cusps
 from .errors import ImmersionLost, MoveRefused, NotImmersed, UnsupportedOverlap
 
 DEFAULT_FRAMES = 64
+# A run's steps, summed over its moves: frames are numbered 0..steps, and
+# frame files carry that number in four digits.
+MAX_STEPS = 9999
 
 # Each move kind and the parameters it takes, in the order emit writes them.
 MOVE_PARAMS = {
@@ -274,8 +277,8 @@ def apply_move(g: LegendrianGenerator, move: Move, supports=None):
         k, frame = _tangency(g, move, supports)
     else:
         k, frame = _swallowtail(g, move, +1 if move.kind == "swallowtail_birth" else -1)
-    path = []
-    for j in range(k + 1):
+    path = [g]
+    for j in range(1, k + 1):
         try:
             path.append(frame(j).require_immersed())
         except NotImmersed as err:
@@ -291,18 +294,21 @@ def run_script(g0: LegendrianGenerator, script):
     end state of each move feeds the next, every frame is re-balanced
     and lifted from the base point z = w = 0, and each event-bearing move
     records (time, kind) at its middle frame.  An empty script yields
-    the single-frame trace of g0's lift.
+    the single-frame trace of g0's lift; a script of more than MAX_STEPS
+    steps raises ValueError before any frame is built.
     """
     moves = tuple(script.moves) if isinstance(script, MoveScript) else tuple(script)
     for move in moves:
         _check_move(move)
+    total = sum(_step_count(m) for m in moves)
+    if total > MAX_STEPS:
+        raise ValueError("script takes %d steps, more than %d" % (total, MAX_STEPS))
     current = lifting.balance_closure(g0)
     supports = lifting.balance_supports(current)
 
     frames = [lifting.lift(current)]
     times = [0.0]
     events = []
-    total = sum(_step_count(m) for m in moves)
     done = 0
     for move in moves:
         path = apply_move(current, move, supports=supports)

@@ -411,6 +411,23 @@ def test_malformed_moves_are_usage_errors_exit_2(tmp_path, capsys, script, messa
     assert message in err
 
 
+def test_a_script_past_four_digit_frame_numbers_is_a_usage_error(tmp_path, capsys):
+    # Frame files are numbered in four digits, so a run takes at most 9999
+    # steps; the document is refused before any frame is built.
+    doc = tmp_path / "doc.front"
+    doc.write_text(
+        "generator circ { x: cos(1); y: sin(1); }\n"
+        "script s { deform at=0.3 width=0.1 ax=0.01 frames=1e15; }\n"
+    )
+    code, out, err = run_cli(
+        capsys, "homotopy", "run", str(doc), "circ", "s", "--samples", "16",
+        "--out", str(tmp_path),
+    )
+    assert (code, out) == (2, "")
+    assert "more than 9999" in err
+    assert not (tmp_path / "s_trace").exists()
+
+
 @pytest.mark.parametrize("width", ["0", "1e-200"])
 @pytest.mark.parametrize("move", [
     "deform at=0.3 width=%s ax=0.05 frames=2;",

@@ -92,6 +92,16 @@ def test_stalled_frame_raises_immersion_lost_at_the_degenerate_step():
     assert err.value.frame == 4
 
 
+@pytest.mark.parametrize("move", [
+    Move("deform", {"at": 0.3, "width": 0.1, "ax": 0.01, "frames": 2}),
+    Move("tangency_pass", {"at": 0.55, "width": 0.08, "amplitude": 0.1, "frames": 2}),
+    Move("swallowtail_birth", {"at": 0.12, "width": 0.06, "frames": 2}),
+], ids=lambda move: move.kind)
+def test_frame_zero_is_the_generator_itself(move):
+    g = lifting.balance_closure(circle())
+    assert apply_move(g, move)[0] is g
+
+
 # ----------------------------------------------------------- validation
 
 
@@ -288,6 +298,16 @@ def test_event_time_sits_at_the_middle_frame():
     trace = run_script(circle(), sc)
     assert trace.events == ((0.75, "swallowtail_birth"),)
     assert trace.times[6] == 0.75
+
+
+def test_a_script_past_max_steps_is_refused_before_any_frame(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a frame was built")
+
+    monkeypatch.setattr(lifting, "balance_closure", unreachable)
+    half = Move("deform", {"at": 0.3, "width": 0.1, "ax": 0.01, "frames": 5000})
+    with pytest.raises(ValueError, match="script takes 10000 steps, more than 9999"):
+        run_script(circle(), [half, half])
 
 
 def test_empty_script_gives_a_single_verified_frame():
