@@ -26,7 +26,8 @@ def main():
         print("n=%+d  rot %+d/%+d  cusps %d  margin %s"
               % (n, report["rot_winding"], report["rot_cusp"],
                  report["c_plus"] + report["c_minus"], margin))
-        render.render_svg(loop, OUT / ("model_rot%+d.svg" % n))
+        svg = render.front_svg_text(loop)
+        (OUT / ("model_rot%+d.svg" % n)).write_text(svg, encoding="utf-8")
     print("fronts written to", OUT)
 
 

@@ -31,11 +31,11 @@ def main():
 
     report = verify_isotopy(trace)
     print("verified: ok=%s  rot=%+d  smallest margin %.3e over %d frames"
-          % (report.ok, report.rot, report.margin, report.frames))
+          % (report.ok, report.rot, report.embedding.margin, report.frames))
 
     for tag, frame in (("start", trace.frames[0]), ("end", trace.frames[-1])):
         path = OUT / ("moves_%s.svg" % tag)
-        render.render_svg(frame, path)
+        path.write_text(render.front_svg_text(frame), encoding="utf-8")
         print("%-5s %d cusps, %d crossings -> %s"
               % (tag, len(frame.cusps), len(frame.double_points), path))
 

@@ -43,7 +43,7 @@ def main():
     event_frame = trace.times.index(trace.events[0][0])
     print("homotopy check: ok=%s  code=%s" % (report.ok, report.code))
     print("  refused at frame %d (the event frame is %d), margin %.2e"
-          % (report.frame, event_frame, report.margin))
+          % (report.frame, event_frame, report.embedding.margin))
 
 
 if __name__ == "__main__":

@@ -107,22 +107,32 @@ def _invariants_payload(gen, loop) -> dict:
     }
 
 
-def _cmd_lift(args) -> int:
-    gen = _realize(_load_document(args.document), args.name, args.samples)
-    loop = lifting.lift(gen)
+def _report_loop(out: str, stem: str, head: dict, loop, drawings) -> int:
+    """Print a lifted loop's report: `head`, then its closure, invariants
+    and embedding.  Write, in this order, out/stem.csv, draw(loop) to
+    out/stem + suffix for each (suffix, draw) of `drawings`, and the
+    report to out/stem.json."""
+    gen = loop.generator
     payload = {
-        "name": args.name,
-        "samples": args.samples,
+        **head,
         "closure": _closure_payload(gen, loop),
         "invariants": _invariants_payload(gen, loop),
         "embedding": lifting.embedding_check(loop).to_dict() if loop.closed else None,
     }
-    os.makedirs(args.out, exist_ok=True)
-    stem = os.path.join(args.out, args.name)
+    os.makedirs(out, exist_ok=True)
+    stem = os.path.join(out, stem)
     _write_lines(stem + ".csv", next(render.loop_csv_lines([loop])))
+    for suffix, draw in drawings:
+        _write_lines(stem + suffix, [draw(loop)])
     _write_lines(stem + ".json", [_json_text(payload)])
     _emit_json(payload)
     return EXIT_OK
+
+
+def _cmd_lift(args) -> int:
+    gen = _realize(_load_document(args.document), args.name, args.samples)
+    head = {"name": args.name, "samples": args.samples}
+    return _report_loop(args.out, args.name, head, lifting.lift(gen), ())
 
 
 def _cmd_rot(args) -> int:
@@ -142,21 +152,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_model(args) -> int:
     loop = models.model_front(args.n, seed=args.seed, samples=args.samples)
-    payload = {
-        "n": args.n,
-        "seed": args.seed,
-        "samples": args.samples,
-        "closure": _closure_payload(loop.generator, loop),
-        "invariants": invariants.invariant_report(loop),
-        "embedding": lifting.embedding_check(loop).to_dict(),
-    }
-    os.makedirs(args.out, exist_ok=True)
-    stem = os.path.join(args.out, "model_rot%d_seed%d" % (args.n, args.seed))
-    _write_lines(stem + ".csv", next(render.loop_csv_lines([loop])))
-    render.render_svg(loop, stem + ".svg")
-    _write_lines(stem + ".json", [_json_text(payload)])
-    _emit_json(payload)
-    return EXIT_OK
+    head = {"n": args.n, "seed": args.seed, "samples": args.samples}
+    stem = "model_rot%d_seed%d" % (args.n, args.seed)
+    return _report_loop(args.out, stem, head, loop, [(".svg", render.front_svg_text)])
 
 
 def _cmd_homotopy(args) -> int:

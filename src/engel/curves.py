@@ -367,19 +367,3 @@ def certify_cells(interps, left, accept, tally, error, what):
         cell, a = np.tile(cell, 2), np.concatenate([a, a + h])
         left, right = np.hstack([left, mid]), np.hstack([mid, right])
 
-
-def horizontality_residual(loop: HorizontalLoop):
-    """(r_z, r_w): worst sampled defect of z' = y x' and w' = z x'.
-
-    Derivatives here are second-order centered differences, independent of
-    the spectral antiderivatives that built the loop, so the residual is a
-    genuine consistency check rather than an algebraic identity.  It decays
-    like N^-2 on smooth closed loops.
-    """
-    dx = fourier.fd_derivative(loop.x)
-    dz = fourier.fd_derivative(loop.z, drift=loop.closure_defect_z)
-    dw = fourier.fd_derivative(loop.w, drift=loop.closure_defect_w)
-    r_z = float(np.max(np.abs(dz - loop.y * dx)))
-    r_w = float(np.max(np.abs(dw - loop.z * dx)))
-    return r_z, r_w
-

@@ -3,9 +3,7 @@
 All curve data in this package lives on the grid s_k = k/N with period 1.
 Smooth periodic samples are identified with their trigonometric interpolant,
 and every operation here (differentiation, antiderivatives and off-grid
-evaluation) is exact for that interpolant.  The one deliberate exception
-is :func:`fd_derivative`, a plain second-order centered difference kept
-around as an independent check on the spectral pipeline.
+evaluation) is exact for that interpolant.
 
 Convention for even N: the Nyquist mode is represented as a pure cosine,
 cos(pi*N*s), which matches the samples and keeps the interpolant real.  Its
@@ -39,11 +37,6 @@ def grid(n: int) -> np.ndarray:
     return np.arange(n) / n
 
 
-def loop_integral(values: np.ndarray) -> float:
-    """Integral over one period; the trapezoid rule collapses to the mean."""
-    return float(np.mean(values))
-
-
 def derivative(values: np.ndarray) -> np.ndarray:
     """Grid samples of the interpolant's derivative."""
     values = np.asarray(values, dtype=float)
@@ -54,12 +47,6 @@ def derivative(values: np.ndarray) -> np.ndarray:
     if n % 2 == 0:
         c[-1] = 0.0
     return np.fft.irfft(c, n)
-
-
-def _coeffs(values: np.ndarray):
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    return n, np.fft.rfft(values)
 
 
 def _halved(n: int, c: np.ndarray) -> np.ndarray:
@@ -172,9 +159,11 @@ def antiderivative(values: np.ndarray) -> tuple[np.ndarray, float]:
     m is the full-period integral of f.  F[0] is exactly 0.  For even N the
     Nyquist mode integrates to a sine that vanishes at every grid point, so
     it drops out of the samples (off-grid callers want
-    :func:`evaluate_antiderivative`).
+    :func:`antiderivative_evaluator`).
     """
-    n, c = _coeffs(values)
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    c = np.fft.rfft(values)
     mean = c[0].real / n
     k = np.arange(c.shape[0])
     d = np.zeros_like(c)
@@ -185,26 +174,18 @@ def antiderivative(values: np.ndarray) -> tuple[np.ndarray, float]:
     return mean * grid(n) + (p - p[0]), mean
 
 
-def evaluate_antiderivative(values: np.ndarray, s) -> np.ndarray:
-    """Integral of the interpolant from 0 to s, at arbitrary parameters."""
-    n, c = _coeffs(values)
-    f_samples, mean = antiderivative(values)
-    s = np.asarray(s, dtype=float)
-    out = Interpolant(f_samples, drift=mean).value(s)
-    if n % 2 == 0:
-        out = out + (c[n // 2].real / n) * np.sin(np.pi * n * s) / (np.pi * n)
-    return out if s.ndim else float(out)
+def antiderivative_evaluator(values: np.ndarray):
+    """The integral of the interpolant from 0 to s, as a function of real s
+    (a float, or an array of them).
 
-
-def fd_derivative(values: np.ndarray, drift: float = 0.0) -> np.ndarray:
-    """Second-order centered difference, wrapping around the period.
-
-    ``drift`` is the linear rate hidden in non-periodic samples such as an
-    antiderivative with nonzero mean: the ramp drift*s is removed before
-    differencing the periodic remainder and its exact rate is added back.
-    Deliberately not spectral; see the module docstring.
+    The FFTs run once, here: the function holds the Interpolant of the
+    antiderivative samples and, for even N, the Nyquist sine they miss.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    p = values - drift * grid(n)
-    return (np.roll(p, -1) - np.roll(p, 1)) * (0.5 * n) + drift
+    f_samples, mean = antiderivative(values)
+    interp = Interpolant(f_samples, drift=mean)
+    if n % 2:
+        return interp.value
+    nyquist = np.fft.rfft(values)[-1].real / n
+    return lambda s: interp.value(s) + nyquist * np.sin(np.pi * n * s) / (np.pi * n)

@@ -330,30 +330,28 @@ def run_script(g0: LegendrianGenerator, script):
 class VerificationReport:
     """Outcome of checking a trace frame by frame.
 
-    Verification stops at the first offense, so the fields describe the
-    frames examined up to that point: `margin` is the smallest embedding
-    margin seen and `double_points` belongs to the frame attaining it.
-    `code` is None on a pass, else NOT_CLOSED, NOT_EMBEDDED or
-    ROT_CHANGED with `frame` the first offending index.
+    Verification stops at the first offense, so `embedding` is the
+    lifting.EmbeddingReport of the smallest margin among the frames
+    examined up to that point, or of the frame that failed it.  `code` is
+    None on a pass, else NOT_CLOSED, NOT_EMBEDDED or ROT_CHANGED with
+    `frame` the first offending index.
     """
 
-    ok: bool
     code: str | None
     frame: int | None
     rot: int
-    rot_constant: bool
-    margin: float
-    double_points: tuple
+    embedding: lifting.EmbeddingReport
     frames: int
     events: tuple
 
+    @property
+    def ok(self) -> bool:
+        return self.code is None
+
     def to_dict(self) -> dict:
-        embedding = lifting.EmbeddingReport(
-            self.double_points, self.margin, self.code != "NOT_EMBEDDED"
-        )
         return {
-            **embedding.to_dict(),
-            "rot_constant": self.rot_constant,
+            **self.embedding.to_dict(),
+            "rot_constant": self.code != "ROT_CHANGED",
             "frames": self.frames,
             "events": [{"t": t, "kind": kind} for t, kind in self.events],
             "ok": self.ok,
@@ -377,31 +375,23 @@ def verify_isotopy(trace: HomotopyTrace) -> VerificationReport:
         raise ValueError("cannot verify an empty trace")
     rot0 = invariants.rot_winding(frames[0].generator)
     worst = lifting.EmbeddingReport((), math.inf, True)
-
-    def verdict(code=None, frame=None):
-        return VerificationReport(
-            ok=code is None,
-            code=code,
-            frame=frame,
-            rot=rot0,
-            rot_constant=code != "ROT_CHANGED",
-            margin=worst.margin,
-            double_points=worst.double_points,
-            frames=len(frames),
-            events=trace.events,
-        )
-
-    for idx, loop in enumerate(frames):
+    code = None
+    for frame, loop in enumerate(frames):
         g = loop.generator
         dz = lifting.z_closure_defect(g)
         dw = lifting.w_closure_defect(g)
         if not (abs(dz) <= TOL_CLOSURE and abs(dw) <= TOL_CLOSURE):
-            return verdict("NOT_CLOSED", idx)
+            code = "NOT_CLOSED"
+            break
         check = lifting.embedding_check(loop)
+        if not check.embedded:
+            worst, code = check, "NOT_EMBEDDED"
+            break
         if check.margin < worst.margin:
             worst = check
-        if not check.embedded:
-            return verdict("NOT_EMBEDDED", idx)
         if invariants.rot_winding(g) != rot0:
-            return verdict("ROT_CHANGED", idx)
-    return verdict()
+            code = "ROT_CHANGED"
+            break
+    return VerificationReport(
+        code, None if code is None else frame, rot0, worst, len(frames), trace.events
+    )

@@ -34,7 +34,7 @@ def z_closure_defect(g: LegendrianGenerator) -> float:
     # As in lift: a y x' past the float range yields an inf or nan defect,
     # which the closure tests refuse.
     with np.errstate(over="ignore", invalid="ignore"):
-        return fourier.loop_integral(g.y * g.xp)
+        return float(np.mean(g.y * g.xp))
 
 
 def w_closure_defect(g: LegendrianGenerator) -> float:
@@ -54,7 +54,7 @@ def closure_functionals(g: LegendrianGenerator, phi: np.ndarray):
         f, m = fourier.antiderivative(phi * g.xp)
         periodic = f - m * fourier.grid(g.n)
         return float(m), float(
-            m * (g.x[0] - np.mean(g.x)) + fourier.loop_integral(periodic * g.xp)
+            m * (g.x[0] - np.mean(g.x)) + np.mean(periodic * g.xp)
         )
 
 
@@ -95,18 +95,16 @@ def area_integral(loop, s0: float, s1: float) -> float:
     g = loop.generator
     m = loop.closure_defect_z
     z_periodic = loop.z - m * fourier.grid(g.n)
-    q = z_periodic * g.xp
-    total = fourier.evaluate_antiderivative(q, s1) - fourier.evaluate_antiderivative(
-        q, s0
-    )
+    # Each endpoint is its own scalar call: a vector call over both rounds
+    # differently, and dw's bits are pinned.
+    area = fourier.antiderivative_evaluator(z_periodic * g.xp)
+    total = area(s1) - area(s0)
     if m != 0.0:
+        x_area = fourier.antiderivative_evaluator(g.x)
         total += m * (
             s1 * g.x_interp.value(s1)
             - s0 * g.x_interp.value(s0)
-            - (
-                fourier.evaluate_antiderivative(g.x, s1)
-                - fourier.evaluate_antiderivative(g.x, s0)
-            )
+            - (x_area(s1) - x_area(s0))
         )
     return float(total)
 

@@ -96,12 +96,6 @@ def loop_csv_lines(loops):
         loop = following
 
 
-def loop_csv_text(loop) -> str:
-    """CSV table s,x,y,z,w of a horizontal loop, each value the shortest
-    string that reads back as the same float64."""
-    return "".join(next(loop_csv_lines([loop])))
-
-
 def front_svg_text(loop) -> str:
     """SVG for the front of a closed loop: polyline, cusp glyphs, meeting marks.
 
@@ -167,9 +161,3 @@ def front_svg_text(loop) -> str:
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def render_svg(loop, path) -> None:
-    """Write the SVG picture of a loop's front to a file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(front_svg_text(loop))

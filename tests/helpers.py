@@ -17,6 +17,7 @@ integrate to zero over half a period).
 """
 
 import math
+import os
 
 import numpy as np
 
@@ -159,6 +160,15 @@ def raw_loop(x, y, z, defect=0.0):
     return LegendrianLoop(LegendrianGenerator(x, y), np.asarray(z, float), defect)
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def golden_text(name):
+    """The text of a file under tests/golden, newlines untranslated."""
+    with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as handle:
+        return handle.read()
+
+
 def assert_channels_bitwise_equal(stacked, singles):
     """Row i of a multi-channel Interpolant holds exactly the bits of the
     single-channel singles[i]: its kept count, drift and coefficients."""
@@ -274,6 +284,36 @@ def companion_derivative_roots(x):
     roots = np.roots(full[::-1])
     on_circle = roots[np.abs(np.abs(roots) - 1.0) < 1e-6]
     return np.sort(np.mod(np.angle(on_circle) / TAU, 1.0))
+
+
+def fd_derivative(values, drift=0.0):
+    """Second-order centered difference, wrapping around the period.
+
+    ``drift`` is the linear rate hidden in non-periodic samples such as an
+    antiderivative with nonzero mean: the ramp drift*s is removed before
+    differencing the periodic remainder and its exact rate is added back.
+    Deliberately not spectral, so it checks the spectral pipeline.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    p = values - drift * (np.arange(n) / n)
+    return (np.roll(p, -1) - np.roll(p, 1)) * (0.5 * n) + drift
+
+
+def horizontality_residual(loop):
+    """(r_z, r_w): worst sampled defect of z' = y x' and w' = z x'.
+
+    Derivatives here are second-order centered differences, independent of
+    the spectral antiderivatives that built the loop, so the residual is a
+    genuine consistency check rather than an algebraic identity.  It decays
+    like N^-2 on smooth closed loops.
+    """
+    dx = fd_derivative(loop.x)
+    dz = fd_derivative(loop.z, drift=loop.closure_defect_z)
+    dw = fd_derivative(loop.w, drift=loop.closure_defect_w)
+    r_z = float(np.max(np.abs(dz - loop.y * dx)))
+    r_w = float(np.max(np.abs(dw - loop.z * dx)))
+    return r_z, r_w
 
 
 def resample(values, m):

@@ -19,10 +19,11 @@ import pytest
 import engel
 from engel import cli, curves, homotopy, pairscan
 
-from helpers import dense_winding, trig_series_derivative
+from helpers import dense_winding, golden_text, trig_series_derivative
 
 DEMO = str(resources.files("engel.data").joinpath("demo.front"))
 ZERO_AREA = str(resources.files("engel.data").joinpath("zero_area.front"))
+SHIFTED = os.path.join(os.path.dirname(__file__), "data", "shifted_symmetric.front")
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +58,18 @@ def test_check_rejects_zero_area_fixture(capsys):
     assert payload["embedding"]["margin"] <= 1e-9
     pair = payload["embedding"]["double_points"][0]
     assert (pair["s0"], pair["s1"]) == (0.0, 0.5)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the pair scan keeps no coarse cell near the tangent "
+    "double point of this document and calls it embedded",
+)
+@pytest.mark.parametrize("samples", ["1024", "4096"])
+def test_check_refuses_the_shifted_symmetric_document(capsys, samples):
+    code, out, _ = run_cli(capsys, "check", SHIFTED, "shifted", "--samples", samples)
+    assert json.loads(out)["closure"]["closed"] is True
+    assert code == 3
 
 
 def test_check_unbalanced_circle_fails_on_closure(capsys):
@@ -452,14 +465,6 @@ def test_a_move_that_overflows_a_frame_is_a_usage_error(tmp_path, capsys, move):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: x' and y' samples must be finite")
-
-
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-
-
-def golden_text(name):
-    with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as handle:
-        return handle.read()
 
 
 @pytest.mark.parametrize("command", ["lift", "rot", "check"])

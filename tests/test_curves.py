@@ -12,7 +12,6 @@ from engel.curves import (
     Orientation,
     TrigSeries,
     find_cusps,
-    horizontality_residual,
     sample_generator,
 )
 from engel.errors import BadDescription, DegenerateCusp, NotClosed, NotImmersed
@@ -23,6 +22,7 @@ from helpers import (
     assert_channels_bitwise_equal,
     companion_derivative_roots,
     fish_arrays,
+    horizontality_residual,
     mirror_loop,
     mirror_w,
     mirror_x,

@@ -10,7 +10,7 @@ import pytest
 
 from engel import fourier
 
-from helpers import assert_channels_bitwise_equal, resample
+from helpers import assert_channels_bitwise_equal, fd_derivative, resample
 
 
 def trig_series(s, const, cos_terms, sin_terms):
@@ -124,7 +124,7 @@ def test_antiderivative_against_riemann_sum():
         cells = 2_000_000
         mid = (np.arange(cells) + 0.5) * (s_end / cells)
         oracle = float(np.sum(f(mid))) * (s_end / cells)
-        got = fourier.evaluate_antiderivative(f(fourier.grid(512)), s_end)
+        got = fourier.antiderivative_evaluator(f(fourier.grid(512)))(s_end)
         assert got == pytest.approx(oracle, abs=2e-10)
 
 
@@ -132,7 +132,7 @@ def test_antiderivative_nyquist_sine_off_grid():
     n = 16
     values = (-1.0) ** np.arange(n)
     s = np.array([0.11, 1.0 / (4 * n), 0.6])
-    got = fourier.evaluate_antiderivative(values, s)
+    got = fourier.antiderivative_evaluator(values)(s)
     assert np.allclose(got, np.sin(np.pi * n * s) / (np.pi * n), atol=1e-13)
     # and on the grid the samples vanish identically
     got_grid, mean = fourier.antiderivative(values)
@@ -146,7 +146,7 @@ def test_fd_derivative_is_second_order():
     errs = []
     for n in (128, 256, 512):
         s = fourier.grid(n)
-        errs.append(np.max(np.abs(fourier.fd_derivative(f(s)) - fp(s))))
+        errs.append(np.max(np.abs(fd_derivative(f(s)) - fp(s))))
     assert errs[0] / errs[1] > 3.5
     assert errs[1] / errs[2] > 3.5
 
@@ -156,18 +156,11 @@ def test_fd_derivative_handles_drift():
     n = 256
     s = fourier.grid(n)
     values = drift * s + np.sin(fourier.TAU * s)
-    got = fourier.fd_derivative(values, drift=drift)
+    got = fd_derivative(values, drift=drift)
     want = drift + fourier.TAU * np.cos(fourier.TAU * s)
     assert np.max(np.abs(got - want)) < 2e-3  # h^2 error, no seam artifact
     seam = abs(got[0] - want[0])
     assert seam < 2e-3
-
-
-def test_loop_integral_reads_constant_term():
-    rng = np.random.default_rng(5)
-    const, cos_t, sin_t = random_series(rng)
-    values = trig_series(fourier.grid(64), const, cos_t, sin_t)
-    assert fourier.loop_integral(values) == pytest.approx(const, abs=1e-14)
 
 
 # ------------------------------------ helpers.resample, the upsampling oracle

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from engel import curves, fourier, invariants, lifting, models, pairscan
+from engel import cli, curves, fourier, invariants, lifting, models, pairscan
 from engel import homotopy
 from engel.errors import EngelError, ImmersionLost, MoveRefused, UnsupportedOverlap
 from engel.homotopy import (
@@ -25,6 +25,8 @@ from engel.homotopy import (
     tangency_profile,
     verify_isotopy,
 )
+
+from helpers import golden_text
 
 # Tangency amplitude calibrated so the middle frame of the pass touches
 # the opposite strand exactly (the same value ships in data/demo.front).
@@ -261,8 +263,8 @@ def test_zero_area_tangency_is_rejected_at_the_event_frame():
     assert not report.ok
     assert report.code == "NOT_EMBEDDED"
     assert report.frame == 8
-    assert report.margin <= 1e-9
-    (s0, s1, dw) = report.double_points[0]
+    assert report.embedding.margin <= 1e-9
+    (s0, s1, dw) = report.embedding.double_points[0]
     assert abs(s0 - 0.0) < 1e-6
     assert abs(s1 - 0.5) < 1e-6
 
@@ -270,7 +272,7 @@ def test_zero_area_tangency_is_rejected_at_the_event_frame():
     assert payload["embedded"] is False
     assert payload["code"] == "NOT_EMBEDDED"
     assert payload["frame"] == 8
-    json.dumps(payload)
+    assert cli._json_text(payload) == golden_text("verification_zero_area_tangency.json")
 
 
 # ------------------------------------------------------------ the trace
@@ -331,6 +333,7 @@ def test_a_nan_closure_defect_is_not_closed(which, monkeypatch):
     monkeypatch.setattr(lifting, which, lambda g: float("nan"))
     report = verify_isotopy(trace)
     assert (report.ok, report.code, report.frame) == (False, "NOT_CLOSED", 0)
+    assert cli._json_text(report.to_dict()) == golden_text("verification_nan_closure_defect.json")
 
 
 def test_rot_change_between_frames_is_flagged():
@@ -342,7 +345,9 @@ def test_rot_change_between_frames_is_flagged():
     assert report.code == "ROT_CHANGED"
     assert report.frame == 1
     assert report.rot == 1
-    assert not report.rot_constant
+    payload = report.to_dict()
+    assert payload["rot_constant"] is False
+    assert cli._json_text(payload) == golden_text("verification_rot_changed.json")
 
 
 @pytest.mark.parametrize("func, params", [

@@ -58,6 +58,19 @@ def test_z_closure_defect_vanishes_for_constant_slope():
     assert abs(lifting.z_closure_defect(g)) < 1e-14
 
 
+def test_z_closure_defect_reads_the_constant_term_of_y_dx():
+    # With x = cos 2πs, y x' = -2π sin(2πs) y, whose constant term is
+    # -π b_1 for b_1 the sin(2πs) coefficient of y: no other harmonic of y
+    # reaches the mean.
+    rng = np.random.default_rng(5)
+    s = fourier.grid(64)
+    a, b = rng.normal(size=11) / np.arange(1, 12), rng.normal(size=11) / np.arange(1, 12)
+    k = np.arange(1, 11)[:, None]
+    y = a[0] + a[1:] @ np.cos(TAU * k * s) + b[1:] @ np.sin(TAU * k * s)
+    g = LegendrianGenerator(np.cos(TAU * s), y)
+    assert lifting.z_closure_defect(g) == pytest.approx(-np.pi * b[1], abs=1e-14)
+
+
 def test_z_closure_defect_circle_matches_riemann_oracle():
     oracle = riemann(lambda s: np.sin(TAU * s) * (-TAU * np.sin(TAU * s)), 0.0, 1.0)
     assert oracle == pytest.approx(-np.pi, abs=1e-10)

@@ -12,6 +12,11 @@ from engel import curves, fourier, lifting, models, render
 from helpers import csv_repr_table, mirror_loop, mirror_w
 
 
+def csv_text(loop):
+    """The CSV table of one loop, as the CLI writes it."""
+    return "".join(next(render.loop_csv_lines([loop])))
+
+
 def balanced_circle(n=1024):
     s = fourier.grid(n)
     g = curves.LegendrianGenerator(np.cos(fourier.TAU * s), np.sin(fourier.TAU * s))
@@ -56,18 +61,15 @@ def test_svg_is_well_formed_and_viewbox_fits_with_margin():
     assert abs(h - ((z.max() - z.min()) + 2 * pad)) < 1e-5
 
 
-def test_identical_input_gives_byte_identical_svg(tmp_path):
-    front = balanced_circle()
-    a = tmp_path / "a.svg"
-    b = tmp_path / "b.svg"
-    render.render_svg(front, a)
-    render.render_svg(front, b)
-    assert a.read_bytes() == b.read_bytes()
+def test_identical_input_gives_byte_identical_svg():
+    a = render.front_svg_text(balanced_circle())
+    b = render.front_svg_text(balanced_circle())
+    assert a.encode("utf-8") == b.encode("utf-8")
 
 
 def test_csv_values_round_trip_exactly():
     loop = balanced_circle(n=256)
-    text = render.loop_csv_text(loop)
+    text = csv_text(loop)
     lines = text.strip().split("\n")
     assert lines[0] == "s,x,y,z,w"
     assert len(lines) == 257
@@ -88,7 +90,7 @@ def test_csv_round_trips_hand_built_loop():
     s = fourier.grid(n)
     leg = mirror_loop(n)
     loop = curves.HorizontalLoop(leg.generator, leg.z, 0.0, mirror_w(s), 0.0)
-    lines = render.loop_csv_text(loop).strip().split("\n")
+    lines = csv_text(loop).strip().split("\n")
     assert lines[0] == "s,x,y,z,w"
     assert len(lines) == n + 1
     row = lines[1 + 7].split(",")
@@ -112,7 +114,7 @@ def test_csv_matches_a_per_value_repr_oracle_byte_for_byte():
         curves.LegendrianGenerator(x, y), z, 0.0, w, 0.0
     )
     want = csv_repr_table(loop)
-    got = render.loop_csv_text(loop)
+    got = csv_text(loop)
     assert got == want
     assert "-0.0," in got and "e-05," in got and "e+17," in got
 
@@ -230,7 +232,7 @@ def test_csv_sequence_writer_formats_changed_bits_not_changed_values():
     assert rows[3].split(",")[3] == "9.999999999999999e-05"
     assert rows[7].endswith(",-inf")
     assert texts[4].split("\n")[2].endswith(",1.0")
-    assert render.loop_csv_text(fourth) == texts[4]
+    assert csv_text(fourth) == texts[4]
 
 
 def test_csv_tables_longer_than_a_block_match_the_oracle():
@@ -246,7 +248,7 @@ def test_csv_tables_longer_than_a_block_match_the_oracle():
     loops = [first, second, second]
     texts = ["".join(lines) for lines in render.loop_csv_lines(loops)]
     assert texts == [csv_repr_table(loop) for loop in loops]
-    assert render.loop_csv_text(second) == texts[1]
+    assert csv_text(second) == texts[1]
 
 
 def test_csv_sequence_writer_formats_only_the_moved_values(monkeypatch):
