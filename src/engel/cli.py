@@ -16,6 +16,7 @@ points at all) appears as null.
 """
 
 import argparse
+import collections
 import json
 import math
 import os
@@ -157,25 +158,42 @@ def _cmd_model(args) -> int:
     return _report_loop(args.out, stem, head, loop, [(".svg", render.front_svg_text)])
 
 
+def _written(frames, out_dir: str, records: list):
+    """Pass on each (t, loop, kind) of `frames` once its CSV is written to
+    out_dir, appending its time and closure defects to `records`.  out_dir
+    is made with the first CSV, so a run that stops before has none."""
+    held = collections.deque()
+
+    def loops():
+        for triple in frames:
+            held.append(triple)
+            yield triple[1]
+
+    # Each table comes once the next frame is built, so `held` keeps two.
+    for idx, lines in enumerate(render.loop_csv_lines(loops())):
+        if idx == 0:
+            os.makedirs(out_dir, exist_ok=True)
+        _write_lines(os.path.join(out_dir, "frame_%04d.csv" % idx), lines)
+        t, loop, kind = held.popleft()
+        records.append(
+            {"t": t, "defect_z": loop.closure_defect_z, "defect_w": loop.closure_defect_w}
+        )
+        yield t, loop, kind
+
+
 def _cmd_homotopy(args) -> int:
     doc = _load_document(args.document)
     gen = _realize(doc, args.generator, args.samples)
-    trace = homotopy.run_script(gen, doc.script(args.script))
-
+    frames = homotopy.script_frames(gen, doc.script(args.script))
     out_dir = os.path.join(args.out, "%s_trace" % args.script)
-    os.makedirs(out_dir, exist_ok=True)
-    for idx, lines in enumerate(render.loop_csv_lines(trace.frames)):
-        _write_lines(os.path.join(out_dir, "frame_%04d.csv" % idx), lines)
+    records = []
+    report = homotopy.verify_isotopy(_written(frames, out_dir, records))
     events = {
-        "times": list(trace.times),
-        "events": [{"t": t, "kind": kind} for t, kind in trace.events],
-        "frames": [
-            {"t": t, "defect_z": loop.closure_defect_z, "defect_w": loop.closure_defect_w}
-            for t, loop in zip(trace.times, trace.frames)
-        ],
+        "times": [record["t"] for record in records],
+        "events": [{"t": t, "kind": kind} for t, kind in report.events],
+        "frames": records,
     }
     _write_lines(os.path.join(out_dir, "events.json"), [_json_text(events)])
-    report = homotopy.verify_isotopy(trace)
     verification = report.to_dict()
     _write_lines(os.path.join(out_dir, "verification.json"), [_json_text(verification)])
     _emit_json(verification)

@@ -3,8 +3,10 @@
 A move carries an immersed generator through a short path of immersed
 generators.  Executing a script chains such paths, re-balances the two
 closure integrals on every frame, lifts every frame from the same base
-values, and records each singular event at the middle frame of its move.
-Verification is a separate pass that re-derives every certificate per
+values, and marks each singular event at the middle frame of its move.
+The frames come as one stream, each built only when it is asked for, so
+a run holds a frame or two whatever its length.  Verification is one
+in-order pass over that stream that re-derives every certificate per
 frame: closure of the lift, embeddedness (through tangency events via
 the w-separation at the double point), and constancy of the rotation
 number.
@@ -64,12 +66,18 @@ class HomotopyTrace:
     """A discretely sampled homotopy: lifted frames at increasing times.
 
     ``events`` holds (time, kind) for each singular moment; every event
-    time lies on the frame grid.
+    time lies on the frame grid.  Iterating yields the (t, loop, kind)
+    triples of script_frames, kind being None at a frame with no event.
     """
 
     frames: tuple
     times: tuple
     events: tuple
+
+    def __iter__(self):
+        kinds = dict(self.events)
+        for t, loop in zip(self.times, self.frames):
+            yield t, loop, kinds.get(t)
 
 
 def _param(move: Move, name: str, default=None) -> float:
@@ -89,6 +97,17 @@ def _check_move(move: Move):
         raise ValueError(
             "%s move does not take %s" % (move.kind, ", ".join(sorted(stray)))
         )
+
+
+def _check_fields(move: Move):
+    """Raise what the move's builder would on a missing or unusable field,
+    in its order: at, width, a tangency pass's amplitude, then a width no
+    bump can take."""
+    _param(move, "at")
+    width = _param(move, "width")
+    if move.kind == "tangency_pass":
+        _param(move, "amplitude")
+    lifting.bump_power(width)
 
 
 def _step_count(move: Move) -> int:
@@ -254,20 +273,23 @@ def _tangency(g: LegendrianGenerator, move: Move, supports):
 
 
 def apply_move(g: LegendrianGenerator, move: Move, supports=None):
-    """Path of immersed generators realizing one move, endpoints included.
+    """Iterator over the path of immersed generators realizing one move,
+    endpoints included.
 
     The path has frames at t = j/K for j = 0..K where K is the move's
     even step count; frame 0 is g itself.  Event-bearing moves place
     their singular moment exactly at the middle frame: a tangency pass
     reaches half its amplitude there, and a swallowtail shapes its ramp
     so the fold threshold lands there.  `supports`, when given, pins the
-    balancing bumps a tangency profile is orthogonalized against.
+    balancing bumps a tangency profile is orthogonalized against.  The
+    move keeps g alone and builds each later frame as it is read.
 
-    Raises ImmersionLost (the frame index, then require_immersed's
-    message) if any frame stalls, UnsupportedOverlap when a swallowtail
-    support disagrees with the cusps already present, and MoveRefused
-    when a swallowtail cannot fold the generator as asked.  Malformed
-    moves raise ValueError.
+    Raised by the call itself: UnsupportedOverlap when a swallowtail
+    support disagrees with the cusps already present, MoveRefused when a
+    swallowtail cannot fold the generator as asked, and ValueError for a
+    malformed move.  Raised while reading: ImmersionLost (the frame
+    index, then require_immersed's message) at the first frame that
+    stalls.
     """
     _check_move(move)
     g.require_immersed()
@@ -277,25 +299,33 @@ def apply_move(g: LegendrianGenerator, move: Move, supports=None):
         k, frame = _tangency(g, move, supports)
     else:
         k, frame = _swallowtail(g, move, +1 if move.kind == "swallowtail_birth" else -1)
-    path = [g]
+    return _path(g, k, frame)
+
+
+def _path(g: LegendrianGenerator, k: int, frame):
+    yield g
     for j in range(1, k + 1):
         try:
-            path.append(frame(j).require_immersed())
+            yield frame(j).require_immersed()
         except NotImmersed as err:
             raise ImmersionLost("frame %d: %s" % (j, err), frame=j) from err
-    return path
 
 
-def run_script(g0: LegendrianGenerator, script):
+def script_frames(g0: LegendrianGenerator, script):
     """Execute a move script from g0: balance, move, re-balance, lift.
+
+    Returns an iterator over (t, loop, kind) per frame in time order:
+    kind is the event-bearing move's kind at its middle frame, else
+    None.  Each frame is built when it is read, and nothing keeps it.
 
     g0 is balanced first; the two balancing supports are then frozen for
     the whole run so consecutive frames solve the same 2x2 system.  The
-    end state of each move feeds the next, every frame is re-balanced
-    and lifted from the base point z = w = 0, and each event-bearing move
-    records (time, kind) at its middle frame.  An empty script yields
-    the single-frame trace of g0's lift; a script of more than MAX_STEPS
-    steps raises ValueError before any frame is built.
+    end state of each move feeds the next, and every frame is
+    re-balanced and lifted from the base point z = w = 0.  An empty
+    script yields g0's lift alone.  The document is checked by the call
+    itself, before any frame is built: a malformed move, a missing or
+    unusable field, or more than MAX_STEPS steps raises ValueError.  A
+    move that its start frame refuses raises when the stream reaches it.
     """
     moves = tuple(script.moves) if isinstance(script, MoveScript) else tuple(script)
     for move in moves:
@@ -303,38 +333,49 @@ def run_script(g0: LegendrianGenerator, script):
     total = sum(_step_count(m) for m in moves)
     if total > MAX_STEPS:
         raise ValueError("script takes %d steps, more than %d" % (total, MAX_STEPS))
+    for move in moves:
+        _check_fields(move)
+    return _script_frames(g0, moves, total)
+
+
+def _script_frames(g0: LegendrianGenerator, moves, total: int):
     current = lifting.balance_closure(g0)
     supports = lifting.balance_supports(current)
-
-    frames = [lifting.lift(current)]
-    times = [0.0]
-    events = []
+    loop = lifting.lift(current)
+    yield 0.0, loop, None
     done = 0
     for move in moves:
         path = apply_move(current, move, supports=supports)
-        k = len(path) - 1
-        for j in range(1, k + 1):
-            gen = lifting.balance_closure(path[j], supports=supports)
-            loop = lifting.lift(gen)
-            t = (done + j) / total
-            frames.append(loop)
-            times.append(t)
-        if move.kind in EVENT_KINDS:
-            events.append(((done + k // 2) / total, move.kind))
-        current = frames[-1].generator
+        next(path)  # frame 0 is the frame the last move ended on
+        k = _step_count(move)
+        event = move.kind if move.kind in EVENT_KINDS else None
+        for j, gen in enumerate(path, 1):
+            loop = lifting.lift(lifting.balance_closure(gen, supports=supports))
+            yield (done + j) / total, loop, event if 2 * j == k else None
+        current = loop.generator
         done += k
-    return HomotopyTrace(frames=tuple(frames), times=tuple(times), events=tuple(events))
+
+
+def run_script(g0: LegendrianGenerator, script) -> HomotopyTrace:
+    """script_frames(g0, script), materialized as a HomotopyTrace."""
+    frames = tuple(script_frames(g0, script))
+    return HomotopyTrace(
+        frames=tuple(loop for _, loop, _ in frames),
+        times=tuple(t for t, _, _ in frames),
+        events=tuple((t, kind) for t, _, kind in frames if kind is not None),
+    )
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of checking a trace frame by frame.
 
-    Verification stops at the first offense, so `embedding` is the
-    lifting.EmbeddingReport of the smallest margin among the frames
-    examined up to that point, or of the frame that failed it.  `code` is
-    None on a pass, else NOT_CLOSED, NOT_EMBEDDED or ROT_CHANGED with
-    `frame` the first offending index.
+    Verification checks no frame after the first offense, so `embedding`
+    is the lifting.EmbeddingReport of the smallest margin among the
+    frames examined up to that point, or of the frame that failed it.
+    `code` is None on a pass, else NOT_CLOSED, NOT_EMBEDDED or
+    ROT_CHANGED with `frame` the first offending index.  `frames` counts
+    every frame of the trace, checked or not.
     """
 
     code: str | None
@@ -360,8 +401,13 @@ class VerificationReport:
         }
 
 
-def verify_isotopy(trace: HomotopyTrace) -> VerificationReport:
+def verify_isotopy(trace) -> VerificationReport:
     """Re-derive every frame certificate of a trace from its samples.
+
+    `trace` is a HomotopyTrace or any iterable of the (t, loop, kind)
+    triples of script_frames.  It is read once, in order, and no frame
+    is kept once it is checked; after the first offense the remaining
+    frames are read, counted and not checked.
 
     Per frame: both closure defects, recomputed from the generator, at
     most curves.TOL_CLOSURE; the lift embedded by lifting.embedding_check,
@@ -370,28 +416,38 @@ def verify_isotopy(trace: HomotopyTrace) -> VerificationReport:
     margin); and the winding rotation number equal to frame 0's.  Both
     tolerances are fixed.  Failures are report content, never exceptions.
     """
-    frames = trace.frames
-    if not frames:
-        raise ValueError("cannot verify an empty trace")
-    rot0 = invariants.rot_winding(frames[0].generator)
+    rot0 = code = None
     worst = lifting.EmbeddingReport((), math.inf, True)
-    code = None
-    for frame, loop in enumerate(frames):
-        g = loop.generator
-        dz = lifting.z_closure_defect(g)
-        dw = lifting.w_closure_defect(g)
-        if not (abs(dz) <= TOL_CLOSURE and abs(dw) <= TOL_CLOSURE):
-            code = "NOT_CLOSED"
-            break
-        check = lifting.embedding_check(loop)
-        if not check.embedded:
-            worst, code = check, "NOT_EMBEDDED"
-            break
-        if check.margin < worst.margin:
-            worst = check
-        if invariants.rot_winding(g) != rot0:
-            code = "ROT_CHANGED"
-            break
+    events = []
+    count = 0
+    for count, (t, loop, kind) in enumerate(trace, 1):
+        if kind is not None:
+            events.append((t, kind))
+        if code is None:
+            if rot0 is None:
+                rot0 = invariants.rot_winding(loop.generator)
+            code, worst = _check_frame(loop, rot0, worst)
+            frame = count - 1
+    if not count:
+        raise ValueError("cannot verify an empty trace")
     return VerificationReport(
-        code, None if code is None else frame, rot0, worst, len(frames), trace.events
+        code, None if code is None else frame, rot0, worst, count, tuple(events)
     )
+
+
+def _check_frame(loop, rot0: int, worst):
+    """(offense, worst): the frame's verification code or None, and the
+    report of the smallest margin so far."""
+    g = loop.generator
+    dz = lifting.z_closure_defect(g)
+    dw = lifting.w_closure_defect(g)
+    if not (abs(dz) <= TOL_CLOSURE and abs(dw) <= TOL_CLOSURE):
+        return "NOT_CLOSED", worst
+    check = lifting.embedding_check(loop)
+    if not check.embedded:
+        return "NOT_EMBEDDED", check
+    if check.margin < worst.margin:
+        worst = check
+    if invariants.rot_winding(g) != rot0:
+        return "ROT_CHANGED", worst
+    return None, worst

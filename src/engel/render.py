@@ -127,11 +127,11 @@ def front_svg_text(loop) -> str:
         % (_fmt(0.006 * span), _fmt(0.004 * span))
     )
 
-    steps = ["M %s %s" % (_fmt(x[0]), _fmt(-z[0]))]
-    for k in range(1, x.shape[0]):
-        steps.append("L %s %s" % (_fmt(x[k]), _fmt(-z[k])))
-    steps.append("Z")
-    parts.append('<path class="front" d="%s"/>' % " ".join(steps))
+    # One format over the interleaved x, -z values, each as _fmt writes it.
+    points = np.empty(2 * x.shape[0])
+    points[0::2], points[1::2] = x, -z
+    steps = "M %.6f %.6f" + " L %.6f %.6f" * (x.shape[0] - 1) + " Z"
+    parts.append('<path class="front" d="%s"/>' % (steps % tuple(points.tolist())))
 
     r = 0.018 * span
     for cusp in loop.cusps:

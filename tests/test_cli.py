@@ -400,13 +400,28 @@ def run_script_doc(tmp_path, capsys, script):
 
 
 def test_fold_past_the_ceiling_is_a_certificate_failure_exit_3(tmp_path, capsys):
-    code, _, err = run_script_doc(
-        tmp_path, capsys,
-        "swallowtail_birth at=0.12 width=0.06 frames=2; "
-        "swallowtail_death at=0.12 width=0.06 amplitude=50 frames=2;",
+    # The death move is refused once the stream reaches it.  The frames
+    # written by then are those of the birth alone, and no JSON is.
+    birth = "swallowtail_birth at=0.12 width=0.06 frames=2; "
+    code, out, err = run_script_doc(
+        tmp_path, capsys, birth + "swallowtail_death at=0.12 width=0.06 amplitude=50 frames=2;"
     )
-    assert code == 3
-    assert "fold the opposite flank" in err
+    assert (code, out) == (3, "")
+    assert err == (
+        "certificate failure: amplitude 50 would fold the opposite flank (limit 0.216698)\n"
+    )
+    trace_dir = tmp_path / "s_trace"
+    assert not (trace_dir / "events.json").exists()
+    assert not (trace_dir / "verification.json").exists()
+    written = sorted(p.name for p in trace_dir.glob("frame_*.csv"))
+    assert written
+
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    assert run_script_doc(alone, capsys, birth)[0] == 0
+    assert set(written) <= {p.name for p in (alone / "s_trace").glob("frame_*.csv")}
+    for name in written:
+        assert (trace_dir / name).read_bytes() == (alone / "s_trace" / name).read_bytes()
 
 
 @pytest.mark.parametrize("script, message", [
@@ -422,6 +437,7 @@ def test_malformed_moves_are_usage_errors_exit_2(tmp_path, capsys, script, messa
     code, _, err = run_script_doc(tmp_path, capsys, script)
     assert code == 2
     assert message in err
+    assert not (tmp_path / "s_trace").exists()
 
 
 def test_a_script_past_four_digit_frame_numbers_is_a_usage_error(tmp_path, capsys):
@@ -452,6 +468,7 @@ def test_a_width_no_bump_can_take_is_a_usage_error(tmp_path, capsys, move, width
     code, out, err = run_script_doc(tmp_path, capsys, move % width)
     assert (code, out) == (2, "")
     assert err.startswith("error: width must be positive")
+    assert not (tmp_path / "s_trace").exists()
 
 
 @pytest.mark.parametrize("move", [
@@ -465,6 +482,7 @@ def test_a_move_that_overflows_a_frame_is_a_usage_error(tmp_path, capsys, move):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: x' and y' samples must be finite")
+    assert not (tmp_path / "s_trace").exists()
 
 
 @pytest.mark.parametrize("command", ["lift", "rot", "check"])
@@ -501,6 +519,57 @@ def test_demo_homotopy_matches_golden_bytes(tmp_path, capsys):
     assert len(frames) == 129
     digest = hashlib.sha256(b"".join(path.read_bytes() for path in frames)).hexdigest()
     assert digest + "\n" == golden_text(stem + ".frames.sha256")
+
+
+# Runs two homotopies in one process and prints its peak RSS in KiB after
+# each.  The peak is VmHWM, that of the process's own address space:
+# Linux carries ru_maxrss over fork and exec, so there it would start at
+# the RSS of the test process that started the child.
+PEAK_RSS_CHILD = """
+import contextlib, io, sys
+from engel import cli
+
+def peak_kib():
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+
+peaks = []
+for script in ("short", "long"):
+    argv = ["homotopy", "run", sys.argv[1], "circ", script, "--samples", "1024",
+            "--out", sys.argv[2]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv):
+            raise SystemExit("homotopy run %s failed" % script)
+    peaks.append(peak_kib())
+print(*peaks)
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs Linux /proc/self/status"
+)
+def test_a_longer_homotopy_takes_no_more_memory(tmp_path):
+    # Frames are written and verified as they are built, so 96 more frames
+    # of 1024 samples leave the peak where the 16-frame run put it.  A run
+    # that kept every frame grew it by about 7 MB.
+    doc = tmp_path / "doc.front"
+    doc.write_text(
+        "generator circ { x: cos(1); y: sin(1); }\n"
+        "script short { deform at=0.3 width=0.1 ax=0.01 frames=16; }\n"
+        "script long { deform at=0.3 width=0.1 ax=0.01 frames=112; }\n"
+    )
+    src = os.path.dirname(os.path.dirname(engel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, str(doc), str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    short_kib, long_kib = map(int, proc.stdout.split())
+    assert long_kib - short_kib < 2048
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from engel.homotopy import (
     MoveScript,
     apply_move,
     run_script,
+    script_frames,
     tangency_profile,
     verify_isotopy,
 )
@@ -58,7 +59,7 @@ def cusp_count(loop):
 
 def test_zero_amplitude_deform_repeats_the_frame():
     g = mirror()
-    path = apply_move(g, Move("deform", {"at": 0.3, "width": 0.05, "frames": 4}))
+    path = list(apply_move(g, Move("deform", {"at": 0.3, "width": 0.05, "frames": 4})))
     assert len(path) == 5
     for gen in path:
         assert np.array_equal(gen.x, g.x)
@@ -70,7 +71,8 @@ def test_deform_moves_linearly_in_time():
     k = 6
     ax, ay = 0.07, -0.04
     move = Move("deform", {"at": 0.6, "width": 0.05, "ax": ax, "ay": ay, "frames": k})
-    path = apply_move(g, move)
+    path = list(apply_move(g, move))
+    assert len(path) == k + 1
     phi = lifting.bump_samples(fourier.grid(g.n), 0.6, 0.05)
     for j, gen in enumerate(path):
         r = j / k
@@ -90,7 +92,7 @@ def test_stalled_frame_raises_immersion_lost_at_the_degenerate_step():
     with pytest.raises(
         ImmersionLost, match="^frame 4: velocity norm .* is below the immersion floor$"
     ) as err:
-        apply_move(g, move)
+        list(apply_move(g, move))
     assert err.value.frame == 4
 
 
@@ -101,7 +103,7 @@ def test_stalled_frame_raises_immersion_lost_at_the_degenerate_step():
 ], ids=lambda move: move.kind)
 def test_frame_zero_is_the_generator_itself(move):
     g = lifting.balance_closure(circle())
-    assert apply_move(g, move)[0] is g
+    assert next(apply_move(g, move)) is g
 
 
 # ----------------------------------------------------------- validation
@@ -310,6 +312,70 @@ def test_a_script_past_max_steps_is_refused_before_any_frame(monkeypatch):
     half = Move("deform", {"at": 0.3, "width": 0.1, "ax": 0.01, "frames": 5000})
     with pytest.raises(ValueError, match="script takes 10000 steps, more than 9999"):
         run_script(circle(), [half, half])
+
+
+def test_frames_are_built_one_at_a_time_in_order(monkeypatch):
+    lifted = []
+    real_lift = lifting.lift
+
+    def lift(g):
+        lifted.append(g)
+        return real_lift(g)
+
+    monkeypatch.setattr(lifting, "lift", lift)
+    sc = [
+        Move("deform", {"at": 0.6, "width": 0.05, "ax": 0.02, "frames": 2}),
+        Move("swallowtail_birth", {"at": 0.12, "width": 0.06, "frames": 2}),
+    ]
+    frames = script_frames(circle(), sc)
+    assert lifted == []
+    handed = []
+    for j, triple in enumerate(frames):
+        assert len(lifted) == j + 1
+        handed.append(triple)
+    assert len(lifted) == 5
+
+    monkeypatch.setattr(lifting, "lift", real_lift)
+    trace = run_script(circle(), sc)
+    assert [(t, kind) for t, _, kind in handed] == [(t, kind) for t, _, kind in trace]
+    assert trace.events == ((0.75, "swallowtail_birth"),)
+    for (_, streamed, _), kept in zip(handed, trace.frames):
+        assert np.array_equal(streamed.w, kept.w)
+
+
+def test_verification_reads_a_one_shot_stream_to_its_end(monkeypatch):
+    # The mirror's double point fails frame 0.  The four frames after it
+    # are read and counted, and none of them is checked.
+    checked = []
+    real_check = lifting.embedding_check
+
+    def embedding_check(loop):
+        checked.append(loop)
+        return real_check(loop)
+
+    monkeypatch.setattr(lifting, "embedding_check", embedding_check)
+    sc = [Move("deform", {"at": 0.3, "width": 0.1, "ax": 0.01, "frames": 4})]
+    frames = script_frames(mirror(), sc)
+    report = verify_isotopy(frames)
+    assert (report.code, report.frame, report.frames) == ("NOT_EMBEDDED", 0, 5)
+    assert len(checked) == 1
+    assert next(frames, None) is None
+    assert report.to_dict() == verify_isotopy(run_script(mirror(), sc)).to_dict()
+
+
+@pytest.mark.parametrize("move, message", [
+    (Move("tangency_pass", {"at": 0.55, "width": 0.08, "frames": 2}), "needs a 'amplitude'"),
+    (Move("deform", {"width": 0.1, "ax": 0.01, "frames": 2}), "needs a 'at'"),
+    (Move("swallowtail_birth", {"at": 0.12, "width": 0.0, "frames": 2}), "width must be"),
+], ids=["tangency_pass", "deform", "swallowtail_birth"])
+def test_the_whole_script_is_checked_before_any_frame(monkeypatch, move, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a frame was built")
+
+    monkeypatch.setattr(lifting, "balance_closure", unreachable)
+    first = Move("deform", {"at": 0.3, "width": 0.1, "ax": 0.01, "frames": 2})
+    with pytest.raises(ValueError, match=message):
+        script_frames(circle(), [first, move])
 
 
 def test_empty_script_gives_a_single_verified_frame():
