@@ -12,7 +12,7 @@ import importlib.resources
 import pathlib
 
 from engel import curves, frontlang, render
-from engel.homotopy import run_script, verify_isotopy
+from engel.homotopy import script_frames, verify_isotopy
 
 OUT = pathlib.Path(__file__).resolve().parent / "out"
 
@@ -25,15 +25,14 @@ def main():
     g0 = curves.sample_generator((gen.x, gen.y), 4096)
 
     print("running script 'pass_and_fold' (129 frames; takes a few seconds)")
-    trace = run_script(g0, doc.script("pass_and_fold"))
-    for t, kind in trace.events:
-        print("  event %-18s at t=%.4f" % (kind, t))
-
+    trace = list(script_frames(g0, doc.script("pass_and_fold").moves))
     report = verify_isotopy(trace)
+    for t, kind in report.events:
+        print("  event %-18s at t=%.4f" % (kind, t))
     print("verified: ok=%s  rot=%+d  smallest margin %.3e over %d frames"
           % (report.ok, report.rot, report.embedding.margin, report.frames))
 
-    for tag, frame in (("start", trace.frames[0]), ("end", trace.frames[-1])):
+    for tag, (_, frame, _) in (("start", trace[0]), ("end", trace[-1])):
         path = OUT / ("moves_%s.svg" % tag)
         path.write_text(render.front_svg_text(frame), encoding="utf-8")
         print("%-5s %d cusps, %d crossings -> %s"

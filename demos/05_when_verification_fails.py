@@ -10,7 +10,7 @@ but not embedded, and everything downstream must say so.
 import numpy as np
 
 from engel import curves, fourier, lifting
-from engel.homotopy import Move, run_script, tangency_profile, verify_isotopy
+from engel.homotopy import Move, script_frames, tangency_profile, verify_isotopy
 
 TAU = fourier.TAU
 
@@ -37,10 +37,10 @@ def main():
     psi = tangency_profile(bal, 0.25, 0.08,
                            supports=lifting.balance_supports(bal))
     g0 = curves.LegendrianGenerator(bal.x, bal.y - 0.05 * psi)
-    trace = run_script(g0, [Move("tangency_pass", {
-        "at": 0.25, "width": 0.08, "amplitude": 0.1, "frames": 16})])
+    trace = list(script_frames(g0, [Move("tangency_pass", {
+        "at": 0.25, "width": 0.08, "amplitude": 0.1, "frames": 16})]))
     report = verify_isotopy(trace)
-    event_frame = trace.times.index(trace.events[0][0])
+    event_frame = [kind for _, _, kind in trace].index("tangency_pass")
     print("homotopy check: ok=%s  code=%s" % (report.ok, report.code))
     print("  refused at frame %d (the event frame is %d), margin %.2e"
           % (report.frame, event_frame, report.embedding.margin))

@@ -184,7 +184,7 @@ def _written(frames, out_dir: str, records: list):
 def _cmd_homotopy(args) -> int:
     doc = _load_document(args.document)
     gen = _realize(doc, args.generator, args.samples)
-    frames = homotopy.script_frames(gen, doc.script(args.script))
+    frames = homotopy.script_frames(gen, doc.script(args.script).moves)
     out_dir = os.path.join(args.out, "%s_trace" % args.script)
     records = []
     report = homotopy.verify_isotopy(_written(frames, out_dir, records))

@@ -61,25 +61,6 @@ class MoveScript:
     moves: tuple
 
 
-@dataclass(frozen=True)
-class HomotopyTrace:
-    """A discretely sampled homotopy: lifted frames at increasing times.
-
-    ``events`` holds (time, kind) for each singular moment; every event
-    time lies on the frame grid.  Iterating yields the (t, loop, kind)
-    triples of script_frames, kind being None at a frame with no event.
-    """
-
-    frames: tuple
-    times: tuple
-    events: tuple
-
-    def __iter__(self):
-        kinds = dict(self.events)
-        for t, loop in zip(self.times, self.frames):
-            yield t, loop, kinds.get(t)
-
-
 def _param(move: Move, name: str, default=None) -> float:
     value = move.params.get(name, default)
     if value is None:
@@ -99,21 +80,19 @@ def _check_move(move: Move):
         )
 
 
-def _check_fields(move: Move):
-    """Raise what the move's builder would on a missing or unusable field,
-    in its order: at, width, a tangency pass's amplitude, then a width no
-    bump can take."""
+def _step_count(move: Move) -> int:
+    """The move's even step count k, once the move is checked: its kind
+    and field names, then frames, at, width, a tangency pass's amplitude
+    and a width no bump can take, in the order the builders read them."""
+    _check_move(move)
+    k = _param(move, "frames", DEFAULT_FRAMES)
+    if not (k >= 2 and k % 2 == 0):
+        raise ValueError("frames must be an even count of at least 2, got %.15g" % k)
     _param(move, "at")
     width = _param(move, "width")
     if move.kind == "tangency_pass":
         _param(move, "amplitude")
     lifting.bump_power(width)
-
-
-def _step_count(move: Move) -> int:
-    k = _param(move, "frames", DEFAULT_FRAMES)
-    if not (k >= 2 and k % 2 == 0):
-        raise ValueError("frames must be an even count of at least 2, got %.15g" % k)
     return int(k)
 
 
@@ -210,20 +189,17 @@ def tangency_profile(g: LegendrianGenerator, center: float, width: float, suppor
     return psi - alpha[0] * phi1 - alpha[1] * phi2
 
 
-def _deform(g: LegendrianGenerator, move: Move):
-    k = _step_count(move)
-    center = _param(move, "at")
-    width = _param(move, "width")
-    ax = float(move.params.get("ax", 0.0))
-    ay = float(move.params.get("ay", 0.0))
-    phi = lifting.bump_samples(fourier.grid(g.n), center, width)
-    return k, lambda j: LegendrianGenerator(g.x + (j / k * ax) * phi, g.y + (j / k * ay) * phi)
+def _deform(g: LegendrianGenerator, move: Move, k: int):
+    params = move.params
+    ax = float(params.get("ax", 0.0))
+    ay = float(params.get("ay", 0.0))
+    phi = lifting.bump_samples(fourier.grid(g.n), float(params["at"]), float(params["width"]))
+    return lambda j: LegendrianGenerator(g.x + (j / k * ax) * phi, g.y + (j / k * ay) * phi)
 
 
-def _swallowtail(g: LegendrianGenerator, move: Move, direction: int):
-    k = _step_count(move)
-    center = _param(move, "at")
-    width = _param(move, "width")
+def _swallowtail(g: LegendrianGenerator, move: Move, k: int, direction: int):
+    center = float(move.params["at"])
+    width = float(move.params["width"])
     inside = _cusps_in_window(g, center, width)
     if direction > 0:
         if inside:
@@ -258,18 +234,17 @@ def _swallowtail(g: LegendrianGenerator, move: Move, direction: int):
             )
 
     phi = lifting.bump_samples(fourier.grid(g.n), center, width)
-    return k, lambda j: LegendrianGenerator(
+    return lambda j: LegendrianGenerator(
         g.x - (direction * _shaped_ramp(j, k, crossing, final)) * phi, g.y
     )
 
 
-def _tangency(g: LegendrianGenerator, move: Move, supports):
-    k = _step_count(move)
-    center = _param(move, "at")
-    width = _param(move, "width")
-    amplitude = _param(move, "amplitude")
-    psi = tangency_profile(g, center, width, supports=supports)
-    return k, lambda j: LegendrianGenerator(g.x, g.y + (amplitude * j / k) * psi)
+def _tangency(g: LegendrianGenerator, move: Move, k: int, supports):
+    amplitude = float(move.params["amplitude"])
+    psi = tangency_profile(
+        g, float(move.params["at"]), float(move.params["width"]), supports=supports
+    )
+    return lambda j: LegendrianGenerator(g.x, g.y + (amplitude * j / k) * psi)
 
 
 def apply_move(g: LegendrianGenerator, move: Move, supports=None):
@@ -291,14 +266,14 @@ def apply_move(g: LegendrianGenerator, move: Move, supports=None):
     index, then require_immersed's message) at the first frame that
     stalls.
     """
-    _check_move(move)
+    k = _step_count(move)
     g.require_immersed()
     if move.kind == "deform":
-        k, frame = _deform(g, move)
+        frame = _deform(g, move, k)
     elif move.kind == "tangency_pass":
-        k, frame = _tangency(g, move, supports)
+        frame = _tangency(g, move, k, supports)
     else:
-        k, frame = _swallowtail(g, move, +1 if move.kind == "swallowtail_birth" else -1)
+        frame = _swallowtail(g, move, k, +1 if move.kind == "swallowtail_birth" else -1)
     return _path(g, k, frame)
 
 
@@ -311,31 +286,29 @@ def _path(g: LegendrianGenerator, k: int, frame):
             raise ImmersionLost("frame %d: %s" % (j, err), frame=j) from err
 
 
-def script_frames(g0: LegendrianGenerator, script):
-    """Execute a move script from g0: balance, move, re-balance, lift.
+def script_frames(g0: LegendrianGenerator, moves):
+    """Execute a sequence of Move from g0: balance, move, re-balance, lift.
 
-    Returns an iterator over (t, loop, kind) per frame in time order:
-    kind is the event-bearing move's kind at its middle frame, else
-    None.  Each frame is built when it is read, and nothing keeps it.
+    A document's MoveScript passes its `moves`.  Returns an iterator
+    over (t, loop, kind) per frame in time order: kind is the
+    event-bearing move's kind at its middle frame, else None.  Each
+    frame is built when it is read, and nothing keeps it.
 
     g0 is balanced first; the two balancing supports are then frozen for
     the whole run so consecutive frames solve the same 2x2 system.  The
     end state of each move feeds the next, and every frame is
     re-balanced and lifted from the base point z = w = 0.  An empty
-    script yields g0's lift alone.  The document is checked by the call
+    script yields g0's lift alone.  The moves are checked by the call
     itself, before any frame is built: a malformed move, a missing or
     unusable field, or more than MAX_STEPS steps raises ValueError.  A
     move that its start frame refuses raises when the stream reaches it.
     """
-    moves = tuple(script.moves) if isinstance(script, MoveScript) else tuple(script)
-    for move in moves:
-        _check_move(move)
-    total = sum(_step_count(m) for m in moves)
+    moves = tuple(moves)
+    steps = [_step_count(move) for move in moves]
+    total = sum(steps)
     if total > MAX_STEPS:
         raise ValueError("script takes %d steps, more than %d" % (total, MAX_STEPS))
-    for move in moves:
-        _check_fields(move)
-    return _script_frames(g0, moves, total)
+    return _script_frames(g0, zip(moves, steps), total)
 
 
 def _script_frames(g0: LegendrianGenerator, moves, total: int):
@@ -344,26 +317,15 @@ def _script_frames(g0: LegendrianGenerator, moves, total: int):
     loop = lifting.lift(current)
     yield 0.0, loop, None
     done = 0
-    for move in moves:
+    for move, k in moves:
         path = apply_move(current, move, supports=supports)
         next(path)  # frame 0 is the frame the last move ended on
-        k = _step_count(move)
         event = move.kind if move.kind in EVENT_KINDS else None
         for j, gen in enumerate(path, 1):
             loop = lifting.lift(lifting.balance_closure(gen, supports=supports))
             yield (done + j) / total, loop, event if 2 * j == k else None
         current = loop.generator
         done += k
-
-
-def run_script(g0: LegendrianGenerator, script) -> HomotopyTrace:
-    """script_frames(g0, script), materialized as a HomotopyTrace."""
-    frames = tuple(script_frames(g0, script))
-    return HomotopyTrace(
-        frames=tuple(loop for _, loop, _ in frames),
-        times=tuple(t for t, _, _ in frames),
-        events=tuple((t, kind) for t, _, kind in frames if kind is not None),
-    )
 
 
 @dataclass(frozen=True)
@@ -404,9 +366,9 @@ class VerificationReport:
 def verify_isotopy(trace) -> VerificationReport:
     """Re-derive every frame certificate of a trace from its samples.
 
-    `trace` is a HomotopyTrace or any iterable of the (t, loop, kind)
-    triples of script_frames.  It is read once, in order, and no frame
-    is kept once it is checked; after the first offense the remaining
+    `trace` is any iterable of the (t, loop, kind) triples of
+    script_frames.  It is read once, in order, and no frame is kept
+    once it is checked; after the first offense the remaining
     frames are read, counted and not checked.
 
     Per frame: both closure defects, recomputed from the generator, at
@@ -414,7 +376,9 @@ def verify_isotopy(trace) -> VerificationReport:
     whose margin must exceed lifting.TOL_EMBED (at a tangency event the
     front has a double point and the w-separation must still clear that
     margin); and the winding rotation number equal to frame 0's.  Both
-    tolerances are fixed.  Failures are report content, never exceptions.
+    tolerances are fixed.  A failed certificate is report content.  A
+    winding number that cannot be certified is not: rot_winding's
+    AmbiguousWinding propagates, as does ValueError on an empty trace.
     """
     rot0 = code = None
     worst = lifting.EmbeddingReport((), math.inf, True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from engel import cli, curves, fourier, frontlang, invariants, lifting, models
 from engel.errors import FrontlangError
-from engel.homotopy import Move, run_script, tangency_profile, verify_isotopy
+from engel.homotopy import Move, script_frames, tangency_profile, verify_isotopy
 
 from helpers import horizontality_residual
 
@@ -245,7 +245,7 @@ def test_criterion_6_the_shipped_demo_verifies_and_the_zero_area_trace_fails():
     )
     gen = doc.generator("circ")
     g0 = curves.sample_generator((gen.x, gen.y), WORKING_GRID)
-    trace = run_script(g0, doc.script("pass_and_fold"))
+    trace = list(script_frames(g0, doc.script("pass_and_fold").moves))
     report = verify_isotopy(trace)
     if not report.ok:
         problems.append("demo verdict %s at frame %s" % (report.code, report.frame))
@@ -255,11 +255,11 @@ def test_criterion_6_the_shipped_demo_verifies_and_the_zero_area_trace_fails():
         problems.append("demo margin %.2e" % report.embedding.margin)
     if len(report.events) != 2:
         problems.append("demo saw %d events" % len(report.events))
-    for t, frame in zip(trace.times, trace.frames):
+    for t, frame, _ in trace:
         if max(abs(frame.closure_defect_z), abs(frame.closure_defect_w)) > TOL_DEFECT:
             problems.append("frame at t=%.3f not closed" % t)
             break
-    first, last = trace.frames[0], trace.frames[-1]
+    first, last = trace[0][1], trace[-1][1]
     cusps = (len(first.cusps), len(last.cusps))
     if invariants.rot_winding(first.generator) != 1 or cusps[0] == cusps[1]:
         problems.append("endpoints not two distinct rot=1 loops (cusps %s)" % (cusps,))
@@ -271,12 +271,12 @@ def test_criterion_6_the_shipped_demo_verifies_and_the_zero_area_trace_fails():
     supports = lifting.balance_supports(bal)
     psi = tangency_profile(bal, 0.25, 0.08, supports=supports)
     g0 = curves.LegendrianGenerator(bal.x, bal.y - 0.05 * psi)
-    bad = run_script(
+    bad = list(script_frames(
         g0,
         [Move("tangency_pass", {"at": 0.25, "width": 0.08, "amplitude": 0.1, "frames": 16})],
-    )
+    ))
     verdict = verify_isotopy(bad)
-    event_frame = bad.times.index(bad.events[0][0])
+    event_frame = [kind for _, _, kind in bad].index("tangency_pass")
     if verdict.ok or verdict.code != "NOT_EMBEDDED":
         problems.append("zero-area trace verdict %s" % verdict.code)
     elif verdict.frame != event_frame:

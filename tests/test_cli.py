@@ -424,6 +424,23 @@ def test_fold_past_the_ceiling_is_a_certificate_failure_exit_3(tmp_path, capsys)
         assert (trace_dir / name).read_bytes() == (alone / "s_trace" / name).read_bytes()
 
 
+def test_an_uncertifiable_winding_stops_the_run_exit_3(tmp_path, capsys):
+    # At 64 samples the velocity comes too near zero for the winding of
+    # frame 0 to be certified.  That is no verdict: the run stops with
+    # nothing on stdout and no JSON, as a refused move does.
+    doc = tmp_path / "doc.front"
+    doc.write_text(
+        "generator g { x: cos(1) + 0.9 cos(14); y: sin(1); }\nscript nothing { }\n"
+    )
+    code, out, err = run_cli(
+        capsys, "homotopy", "run", str(doc), "g", "nothing", "--samples", "64",
+        "--out", str(tmp_path),
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("certificate failure: velocity under-resolved near s=0.000000: ")
+    assert [p.name for p in (tmp_path / "nothing_trace").iterdir()] == ["frame_0000.csv"]
+
+
 @pytest.mark.parametrize("script, message", [
     ("slide at=0.3;", "unknown move kind"),
     # Running a script re-balances every frame, so no move does it.

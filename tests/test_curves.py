@@ -297,9 +297,8 @@ def _swallowtail_refusals(width, n):
     desc = doc.generator("circ")
     g0 = sample_generator((desc.x, desc.y), n)
     move = homotopy.Move("swallowtail_birth", {"at": 0.12, "width": width})
-    trace = homotopy.run_script(g0, [move])
     refused = []
-    for j, loop in enumerate(trace.frames):
+    for j, (_, loop, _) in enumerate(homotopy.script_frames(g0, [move])):
         g = loop.generator
         try:
             got = np.array([s_c for s_c, _ in find_cusps(g)])
@@ -313,7 +312,7 @@ def _swallowtail_refusals(width, n):
         # on a sample (the circle's at s=0) on either side of it.
         gap = _circular_distance(got[:, None], dense + step / 2) - step / 2
         assert np.max(np.min(gap, axis=1)) <= 1e-9, j
-    return refused, len(find_cusps(trace.frames[-1].generator))
+    return refused, len(find_cusps(loop.generator))
 
 
 @pytest.mark.parametrize("width", [0.04, 0.02])

@@ -1,5 +1,5 @@
-"""Every script in demos/ runs to completion, and README's library quick
-start prints what its comments say.
+"""Every script in demos/ runs to completion, and every python block of
+README prints what its comments say.
 
 Each demo runs from a copy in a temporary directory, so the artifacts it
 writes next to itself land there and not in demos/out.
@@ -38,22 +38,27 @@ def test_demo_runs_to_completion(tmp_path, demo):
     assert proc.stdout
 
 
-def readme_library_quick_start():
-    """(code, expected lines) of README's "Quick start, library" block;
-    each print's expected line is the `# ...` comment under it."""
+def readme_python_blocks():
+    """(code, expected lines) of each python block in README; each
+    print's expected line is the `# ...` comment under it."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    code = text.split("## Quick start, library", 1)[1].split("```python\n", 1)[1]
-    code = code.split("```", 1)[0]
-    lines = code.splitlines()
-    expected = [after[2:] for line, after in zip(lines, lines[1:])
-                if line.startswith("print(") and after.startswith("# ")]
-    return code, expected
+    blocks = []
+    for block in text.split("```python\n")[1:]:
+        code = block.split("```", 1)[0]
+        lines = code.splitlines()
+        expected = [after[2:] for line, after in zip(lines, lines[1:])
+                    if line.startswith("print(") and after.startswith("# ")]
+        blocks.append((code, expected))
+    return blocks
 
 
 def test_readme_library_quick_start_prints_its_comments():
-    code, expected = readme_library_quick_start()
-    assert len(expected) == 3
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        exec(compile(code, "README.md", "exec"), {})
-    assert out.getvalue().splitlines() == expected
+    # Both blocks sit in "Quick start, library": the first lifts a circle,
+    # the second streams and verifies the shipped move script.
+    blocks = readme_python_blocks()
+    assert [len(expected) for _, expected in blocks] == [3, 1]
+    for code, expected in blocks:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(code, "README.md", "exec"), {})
+        assert out.getvalue().splitlines() == expected

@@ -17,11 +17,8 @@ from engel import cli, curves, fourier, invariants, lifting, models, pairscan
 from engel import homotopy
 from engel.errors import EngelError, ImmersionLost, MoveRefused, UnsupportedOverlap
 from engel.homotopy import (
-    HomotopyTrace,
     Move,
-    MoveScript,
     apply_move,
-    run_script,
     script_frames,
     tangency_profile,
     verify_isotopy,
@@ -137,8 +134,8 @@ def test_frames_must_be_a_positive_even_count(frames):
 
 def test_birth_adds_a_cusp_pair_and_keeps_rot():
     sc = [Move("swallowtail_birth", {"at": 0.12, "width": 0.06, "frames": 8})]
-    trace = run_script(circle(), sc)
-    first, last = trace.frames[0], trace.frames[-1]
+    loops = [loop for _, loop, _ in script_frames(circle(), sc)]
+    first, last = loops[0], loops[-1]
     assert cusp_count(first) == 2
     assert cusp_count(last) == 4
     assert invariants.rot_winding(first.generator) == 1
@@ -150,8 +147,8 @@ def test_death_undoes_a_birth():
         Move("swallowtail_birth", {"at": 0.12, "width": 0.06, "frames": 6}),
         Move("swallowtail_death", {"at": 0.12, "width": 0.06, "frames": 6}),
     ]
-    trace = run_script(circle(), sc)
-    first, mid, last = trace.frames[0], trace.frames[6], trace.frames[-1]
+    loops = [loop for _, loop, _ in script_frames(circle(), sc)]
+    first, mid, last = loops[0], loops[6], loops[-1]
     assert cusp_count(first) == 2
     assert cusp_count(mid) == 4
     assert cusp_count(last) == 2
@@ -195,7 +192,7 @@ def test_no_fold_direction_is_a_refusal_not_a_usage_error():
 
 def test_death_amplitude_past_the_ceiling_is_refused():
     sc = [Move("swallowtail_birth", {"at": 0.12, "width": 0.06, "frames": 2})]
-    g = run_script(circle(), sc).frames[-1].generator
+    g = list(script_frames(circle(), sc))[-1][1].generator
     move = Move("swallowtail_death", {"at": 0.12, "width": 0.06, "amplitude": 50.0, "frames": 2})
     with pytest.raises(MoveRefused, match="opposite flank"):
         apply_move(g, move)
@@ -215,8 +212,7 @@ def test_tangency_profile_preserves_both_closures():
 
 def test_deform_keeps_the_crossing_count():
     sc = [Move("deform", {"at": 0.6, "width": 0.05, "ax": 0.04, "ay": 0.03, "frames": 4})]
-    trace = run_script(circle(), sc)
-    counts = [len(pairscan.front_crossings(f)) for f in trace.frames]
+    counts = [len(pairscan.front_crossings(f)) for _, f, _ in script_frames(circle(), sc)]
     assert counts == [counts[0]] * len(counts)
     assert counts[0] > 0
 
@@ -228,15 +224,15 @@ def test_tangency_event_changes_the_crossing_count_by_two():
             {"at": 0.55, "width": 0.08, "amplitude": TOUCH_AMPLITUDE, "frames": 4},
         )
     ]
-    trace = run_script(circle(4096), sc)
-    before = pairscan.front_crossings(trace.frames[0])
-    after = pairscan.front_crossings(trace.frames[-1])
+    loops = [loop for _, loop, _ in script_frames(circle(4096), sc)]
+    before = pairscan.front_crossings(loops[0])
+    after = pairscan.front_crossings(loops[-1])
     assert len(after) == len(before) + 2
 
     # At the event frame the front touches itself, yet the lift stays
     # embedded: the near pair separates in w by three decades more than
     # the certification tolerance.
-    check = lifting.embedding_check(trace.frames[2])
+    check = lifting.embedding_check(loops[2])
     assert check.embedded
     assert math.isfinite(check.margin)
     assert 1e-5 < check.margin < 1e-3
@@ -261,7 +257,7 @@ def test_zero_area_tangency_is_rejected_at_the_event_frame():
             {"at": 0.25, "width": 0.08, "amplitude": 2 * a0, "frames": 16},
         )
     ]
-    report = verify_isotopy(run_script(g0, sc))
+    report = verify_isotopy(script_frames(g0, sc))
     assert not report.ok
     assert report.code == "NOT_EMBEDDED"
     assert report.frame == 8
@@ -280,16 +276,14 @@ def test_zero_area_tangency_is_rejected_at_the_event_frame():
 # ------------------------------------------------------------ the trace
 
 
-def test_run_script_times_land_on_the_uniform_grid():
+def test_frame_times_land_on_the_uniform_grid():
     sc = [
         Move("deform", {"at": 0.6, "width": 0.05, "ax": 0.02, "ay": 0.03, "frames": 4}),
         Move("deform", {"at": 0.2, "width": 0.05, "ay": -0.03, "frames": 2}),
     ]
-    trace = run_script(circle(), sc)
-    assert len(trace.frames) == 7
-    assert trace.times == tuple(k / 6 for k in range(7))
-    assert trace.events == ()
-    for frame in trace.frames:
+    trace = list(script_frames(circle(), sc))
+    assert [(t, kind) for t, _, kind in trace] == [(k / 6, None) for k in range(7)]
+    for _, frame, _ in trace:
         assert abs(frame.closure_defect_z) <= 1e-9
         assert abs(frame.closure_defect_w) <= 1e-9
 
@@ -299,9 +293,8 @@ def test_event_time_sits_at_the_middle_frame():
         Move("deform", {"at": 0.6, "width": 0.05, "ax": 0.02, "frames": 4}),
         Move("swallowtail_birth", {"at": 0.12, "width": 0.06, "frames": 4}),
     ]
-    trace = run_script(circle(), sc)
-    assert trace.events == ((0.75, "swallowtail_birth"),)
-    assert trace.times[6] == 0.75
+    events = [(j, t, kind) for j, (t, _, kind) in enumerate(script_frames(circle(), sc)) if kind]
+    assert events == [(6, 0.75, "swallowtail_birth")]
 
 
 def test_a_script_past_max_steps_is_refused_before_any_frame(monkeypatch):
@@ -311,7 +304,7 @@ def test_a_script_past_max_steps_is_refused_before_any_frame(monkeypatch):
     monkeypatch.setattr(lifting, "balance_closure", unreachable)
     half = Move("deform", {"at": 0.3, "width": 0.1, "ax": 0.01, "frames": 5000})
     with pytest.raises(ValueError, match="script takes 10000 steps, more than 9999"):
-        run_script(circle(), [half, half])
+        script_frames(circle(), [half, half])
 
 
 def test_frames_are_built_one_at_a_time_in_order(monkeypatch):
@@ -334,13 +327,9 @@ def test_frames_are_built_one_at_a_time_in_order(monkeypatch):
         assert len(lifted) == j + 1
         handed.append(triple)
     assert len(lifted) == 5
-
-    monkeypatch.setattr(lifting, "lift", real_lift)
-    trace = run_script(circle(), sc)
-    assert [(t, kind) for t, _, kind in handed] == [(t, kind) for t, _, kind in trace]
-    assert trace.events == ((0.75, "swallowtail_birth"),)
-    for (_, streamed, _), kept in zip(handed, trace.frames):
-        assert np.array_equal(streamed.w, kept.w)
+    assert [(t, kind) for t, _, kind in handed] == [
+        (0.0, None), (0.25, None), (0.5, None), (0.75, "swallowtail_birth"), (1.0, None)
+    ]
 
 
 def test_verification_reads_a_one_shot_stream_to_its_end(monkeypatch):
@@ -360,7 +349,7 @@ def test_verification_reads_a_one_shot_stream_to_its_end(monkeypatch):
     assert (report.code, report.frame, report.frames) == ("NOT_EMBEDDED", 0, 5)
     assert len(checked) == 1
     assert next(frames, None) is None
-    assert report.to_dict() == verify_isotopy(run_script(mirror(), sc)).to_dict()
+    assert report.to_dict() == verify_isotopy(list(script_frames(mirror(), sc))).to_dict()
 
 
 @pytest.mark.parametrize("move, message", [
@@ -379,10 +368,8 @@ def test_the_whole_script_is_checked_before_any_frame(monkeypatch, move, message
 
 
 def test_empty_script_gives_a_single_verified_frame():
-    trace = run_script(circle(4096), MoveScript("nothing", ()))
-    assert len(trace.frames) == 1
-    assert trace.times == (0.0,)
-    assert trace.events == ()
+    trace = list(script_frames(circle(4096), ()))
+    assert [(t, kind) for t, _, kind in trace] == [(0.0, None)]
     report = verify_isotopy(trace)
     assert report.ok
     assert report.code is None
@@ -395,7 +382,7 @@ def test_empty_script_gives_a_single_verified_frame():
 
 @pytest.mark.parametrize("which", ["z_closure_defect", "w_closure_defect"])
 def test_a_nan_closure_defect_is_not_closed(which, monkeypatch):
-    trace = run_script(circle(1024), MoveScript("nothing", ()))
+    trace = list(script_frames(circle(1024), ()))
     monkeypatch.setattr(lifting, which, lambda g: float("nan"))
     report = verify_isotopy(trace)
     assert (report.ok, report.code, report.frame) == (False, "NOT_CLOSED", 0)
@@ -405,8 +392,7 @@ def test_a_nan_closure_defect_is_not_closed(which, monkeypatch):
 def test_rot_change_between_frames_is_flagged():
     plain = lifting.lift(lifting.balance_closure(circle(4096)))
     doubled = models.model_front(2, seed=0, samples=4096)
-    trace = HomotopyTrace(frames=(plain, doubled), times=(0.0, 1.0), events=())
-    report = verify_isotopy(trace)
+    report = verify_isotopy([(0.0, plain, None), (1.0, doubled, None)])
     assert not report.ok
     assert report.code == "ROT_CHANGED"
     assert report.frame == 1
@@ -418,7 +404,7 @@ def test_rot_change_between_frames_is_flagged():
 
 @pytest.mark.parametrize("func, params", [
     (verify_isotopy, ["trace"]),
-    (run_script, ["g0", "script"]),
+    (script_frames, ["g0", "moves"]),
     (pairscan.coincident_pairs, ["loop"]),
     (pairscan.front_crossings, ["loop"]),
 ], ids=lambda v: getattr(v, "__name__", None))
