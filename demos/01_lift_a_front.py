@@ -53,7 +53,7 @@ def main():
 
     svg, csv = OUT / "lifted_front.svg", OUT / "lifted_loop.csv"
     svg.write_text(render.front_svg_text(loop), encoding="utf-8")
-    csv.write_text("".join(next(render.loop_csv_lines([loop]))), encoding="utf-8")
+    csv.write_text("".join(render.loop_csv_lines(loop)), encoding="utf-8")
     print("wrote", svg, "and", csv)
 
 

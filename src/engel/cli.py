@@ -6,7 +6,8 @@ print a JSON report; lift, model and homotopy also write their artifacts
 
     0   success, certificates hold
     1   internal error
-    2   parse or usage error (bad document, bad flag, unknown name)
+    2   parse or usage error (bad document, bad flag, unknown name, an
+        --out that cannot be written)
     3   certificate failure (not closed, not embedded, synthesis or
         verification failed)
 
@@ -16,7 +17,6 @@ points at all) appears as null.
 """
 
 import argparse
-import collections
 import json
 import math
 import os
@@ -24,7 +24,7 @@ import sys
 import traceback
 
 from . import curves, frontlang, homotopy, invariants, lifting, models, render
-from .errors import BadDescription, EngelError, FrontlangError, ZNotClosed
+from .errors import BadDescription, EngelError, FrontlangError, NotClosed
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -52,8 +52,14 @@ def _emit_json(payload: dict) -> None:
 
 
 def _write_lines(path: str, lines) -> None:
-    """Write an iterable of strings to a file as they come."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write an iterable of strings to a file as they come, making the
+    file's directory first."""
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as err:
+        raise ValueError("cannot write %r: %s" % (path, err)) from err
+    with handle:
         handle.writelines(lines)
 
 
@@ -76,7 +82,7 @@ def _try_lift(gen):
     """The lift of gen, or None when z does not close up."""
     try:
         return lifting.lift(gen)
-    except ZNotClosed:
+    except NotClosed:
         return None
 
 
@@ -120,9 +126,8 @@ def _report_loop(out: str, stem: str, head: dict, loop, drawings) -> int:
         "invariants": _invariants_payload(gen, loop),
         "embedding": lifting.embedding_check(loop).to_dict() if loop.closed else None,
     }
-    os.makedirs(out, exist_ok=True)
     stem = os.path.join(out, stem)
-    _write_lines(stem + ".csv", next(render.loop_csv_lines([loop])))
+    _write_lines(stem + ".csv", render.loop_csv_lines(loop))
     for suffix, draw in drawings:
         _write_lines(stem + suffix, [draw(loop)])
     _write_lines(stem + ".json", [_json_text(payload)])
@@ -162,19 +167,11 @@ def _written(frames, out_dir: str, records: list):
     """Pass on each (t, loop, kind) of `frames` once its CSV is written to
     out_dir, appending its time and closure defects to `records`.  out_dir
     is made with the first CSV, so a run that stops before has none."""
-    held = collections.deque()
-
-    def loops():
-        for triple in frames:
-            held.append(triple)
-            yield triple[1]
-
-    # Each table comes once the next frame is built, so `held` keeps two.
-    for idx, lines in enumerate(render.loop_csv_lines(loops())):
-        if idx == 0:
-            os.makedirs(out_dir, exist_ok=True)
-        _write_lines(os.path.join(out_dir, "frame_%04d.csv" % idx), lines)
-        t, loop, kind = held.popleft()
+    kept = []
+    for idx, (t, loop, kind) in enumerate(frames):
+        _write_lines(
+            os.path.join(out_dir, "frame_%04d.csv" % idx), render.loop_csv_lines(loop, kept)
+        )
         records.append(
             {"t": t, "defect_z": loop.closure_defect_z, "defect_w": loop.closure_defect_w}
         )

@@ -31,12 +31,9 @@ class DegenerateCusp(EngelError):
     floor, a touch without sign change, or an under-resolved grid cell."""
 
 
-class ZNotClosed(EngelError):
-    """Lift requested for a generator whose z closure defect is too large."""
-
-
 class NotClosed(EngelError):
-    """An operation that needs a closed loop received an open one."""
+    """An operation that needs a closed loop received an open one, or a
+    lift was asked of a generator whose z closure defect is too large."""
 
 
 class SingularSystem(EngelError):
@@ -67,12 +64,9 @@ class SynthesisFailed(EngelError):
     """Model construction exhausted its retry budget."""
 
 
-class UnsupportedOverlap(EngelError):
-    """A move support collides with existing cusps."""
-
-
 class MoveRefused(EngelError):
-    """A swallowtail cannot fold the generator as asked (numerical refusal)."""
+    """A swallowtail cannot fold the generator as asked: its support
+    disagrees with the cusps already there, or no amplitude folds it."""
 
 
 class FrontlangError(EngelError):

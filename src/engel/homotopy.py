@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fourier, invariants, lifting
 from .curves import TOL_CLOSURE, LegendrianGenerator, find_cusps
-from .errors import ImmersionLost, MoveRefused, NotImmersed, UnsupportedOverlap
+from .errors import ImmersionLost, MoveRefused, NotImmersed
 
 DEFAULT_FRAMES = 64
 # A run's steps, summed over its moves: frames are numbered 0..steps, and
@@ -203,7 +203,7 @@ def _swallowtail(g: LegendrianGenerator, move: Move, k: int, direction: int):
     inside = _cusps_in_window(g, center, width)
     if direction > 0:
         if inside:
-            raise UnsupportedOverlap(
+            raise MoveRefused(
                 "swallowtail_birth support (%.4f +- %.4f) contains a cusp at "
                 "s=%.6f" % (center, width, inside[0])
             )
@@ -211,7 +211,7 @@ def _swallowtail(g: LegendrianGenerator, move: Move, k: int, direction: int):
         ceiling = math.inf
     else:
         if len(inside) != 2:
-            raise UnsupportedOverlap(
+            raise MoveRefused(
                 "swallowtail_death needs exactly the two cusps it merges "
                 "inside its support; found %d" % len(inside)
             )
@@ -259,9 +259,9 @@ def apply_move(g: LegendrianGenerator, move: Move, supports=None):
     balancing bumps a tangency profile is orthogonalized against.  The
     move keeps g alone and builds each later frame as it is read.
 
-    Raised by the call itself: UnsupportedOverlap when a swallowtail
-    support disagrees with the cusps already present, MoveRefused when a
-    swallowtail cannot fold the generator as asked, and ValueError for a
+    Raised by the call itself: MoveRefused when a swallowtail cannot
+    fold the generator as asked (its support disagrees with the cusps
+    already present, or no amplitude folds it), and ValueError for a
     malformed move.  Raised while reading: ImmersionLost (the frame
     index, then require_immersed's message) at the first frame that
     stalls.

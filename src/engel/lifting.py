@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fourier
 from .curves import TOL_CLOSURE, HorizontalLoop, LegendrianGenerator
-from .errors import NotClosed, SingularSystem, ZNotClosed
+from .errors import NotClosed, SingularSystem
 
 TOL_EMBED = 1e-7
 BUMP_WIDTH = 0.08
@@ -61,7 +61,7 @@ def closure_functionals(g: LegendrianGenerator, phi: np.ndarray):
 def lift(g: LegendrianGenerator) -> HorizontalLoop:
     """Integrate the slope data to a loop tangent to the plane field.
 
-    z(s) = ∫₀ˢ y dx requires ∮ y dx = 0 (raises ZNotClosed otherwise);
+    z(s) = ∫₀ˢ y dx requires ∮ y dx = 0 (raises NotClosed otherwise);
     w(s) = ∫₀ˢ z dx is always produced, with its own closure defect
     recorded on the result.
     """
@@ -69,7 +69,7 @@ def lift(g: LegendrianGenerator) -> HorizontalLoop:
     with np.errstate(over="ignore", invalid="ignore"):
         z, m_z = fourier.antiderivative(g.y * g.xp)
     if not abs(m_z) <= TOL_CLOSURE:
-        raise ZNotClosed(
+        raise NotClosed(
             "∮ y dx = %.6e exceeds the closure tolerance %g; "
             "balance the generator first" % (m_z, TOL_CLOSURE)
         )

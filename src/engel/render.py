@@ -4,11 +4,12 @@ Output is a pure function of the input data: no timestamps, no
 randomness, so identical inputs give byte-identical files.  SVG
 coordinates are fixed-point with six decimals.  CSV values are Python's
 shortest round-trip `repr` of each float64 sample.  The text of a value
-is a function of its 64 bits alone, so a table that follows another
-(the frames of a homotopy) reuses the previous table's text at every row
-where a column's bits are unchanged and formats only the values that
-moved.  The z axis is flipped when mapping to SVG user units (SVG y
-grows downward).
+is a function of its 64 bits alone, so a caller that writes a run of
+tables (the frames of a homotopy) keeps each table's text and the next
+table reuses it at every value whose bits are unchanged, formatting only
+the values that moved.  A table written alone is formatted a block of
+rows at a time as it is read.  The z axis is flipped when mapping to
+SVG user units (SVG y grows downward).
 """
 
 import itertools
@@ -32,12 +33,12 @@ _CSV_HEADER = "s,x,y,z,w\n"
 # Column formatters; the last one ends the row.
 _CSV_FORMATS = (repr, repr, repr, repr, "{!r}\n".format)
 
-# Rows of a last table formatted at a time: no later table reuses its
-# text, so it is formatted as it is read and never held whole.
+# Rows of a table written alone formatted at a time: no later table
+# reuses its text, so it is formatted as it is read and never held whole.
 _CSV_BLOCK = 1024
 
 
-def _column_text(fmt, values, bits, old):
+def _column_text(fmt, values, bits=None, old=None):
     """One column's text as an object array: the previous table's text
     where the bits did not move, fmt(value) elsewhere.  `old` is that
     column's (text, bits), or None to format every value."""
@@ -49,51 +50,44 @@ def _column_text(fmt, values, bits, old):
     return text
 
 
-def _table_text(columns, bits, old, rows):
-    """The text of every column over `rows` (a slice)."""
-    return [
-        _column_text(fmt, c[rows], b[rows], None if o is None else (o[0][rows], o[1][rows]))
-        for fmt, c, b, o in zip(_CSV_FORMATS, columns, bits, old)
-    ]
-
-
 def _lines(text):
     return map(",".join, zip(*(t.tolist() for t in text)))
 
 
-def _block_lines(columns, bits, old):
+def _block_lines(columns):
     for start in range(0, columns[0].size, _CSV_BLOCK):
-        yield from _lines(_table_text(columns, bits, old, slice(start, start + _CSV_BLOCK)))
+        rows = slice(start, start + _CSV_BLOCK)
+        yield from _lines([_column_text(fmt, c[rows]) for fmt, c in zip(_CSV_FORMATS, columns)])
 
 
-def loop_csv_lines(loops):
-    """For each loop in turn, an iterator over the lines of its CSV table
-    s,x,y,z,w (header first, each line ending in a newline).
+def loop_csv_lines(loop, kept=None):
+    """An iterator over the lines of the loop's CSV table s,x,y,z,w
+    (header first, each line ending in a newline).
 
-    A value is written as the `repr` of its float64.  A column reuses the
-    previous loop's text at every row whose value has the same bits (the
-    int64 view, so 0.0 and -0.0 differ) and formats only the others.
-    A table's lines may be read after later tables have been yielded.
+    A value is written as the `repr` of its float64.  Without `kept` the
+    table is formatted a block of rows at a time as it is read.  `kept`
+    is a list the caller owns, empty at first: the table is then
+    formatted within the call, reusing the text that `kept` holds from
+    the previous table at every row whose value has the same bits (the
+    int64 view, so 0.0 and -0.0 differ) and formatting only the others,
+    and it leaves this table's text in `kept` for the next one.
     """
-    loops = iter(loops)
-    loop, old = next(loops, None), [None] * 5
-    while loop is not None:
-        following = next(loops, None)
-        columns = [
-            np.asarray(c, dtype=np.float64)
-            for c in (fourier.grid(loop.n), loop.x, loop.y, loop.z, loop.w)
-        ]
+    columns = [
+        np.asarray(c, dtype=np.float64)
+        for c in (fourier.grid(loop.n), loop.x, loop.y, loop.z, loop.w)
+    ]
+    if kept is None:
+        lines = _block_lines(columns)
+    else:
         bits = [c.view(np.int64).copy() for c in columns]
-        if old[0] is not None and old[0][1].shape != bits[0].shape:
-            old = [None] * 5
-        if following is None:
-            lines = _block_lines(columns, bits, old)
-        else:
-            text = _table_text(columns, bits, old, slice(None))
-            old = list(zip(text, bits))
-            lines = _lines(text)
-        yield itertools.chain((_CSV_HEADER,), lines)
-        loop = following
+        old = kept if kept and kept[0][1].shape == bits[0].shape else [None] * 5
+        text = [
+            _column_text(fmt, c, b, o)
+            for fmt, c, b, o in zip(_CSV_FORMATS, columns, bits, old)
+        ]
+        kept[:] = zip(text, bits)
+        lines = _lines(text)
+    return itertools.chain((_CSV_HEADER,), lines)
 
 
 def front_svg_text(loop) -> str:

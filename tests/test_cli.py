@@ -400,8 +400,8 @@ def run_script_doc(tmp_path, capsys, script):
 
 
 def test_fold_past_the_ceiling_is_a_certificate_failure_exit_3(tmp_path, capsys):
-    # The death move is refused once the stream reaches it.  The frames
-    # written by then are those of the birth alone, and no JSON is.
+    # The death move is refused once the stream reaches it.  Every frame
+    # built by then is written, those of the birth alone, and no JSON is.
     birth = "swallowtail_birth at=0.12 width=0.06 frames=2; "
     code, out, err = run_script_doc(
         tmp_path, capsys, birth + "swallowtail_death at=0.12 width=0.06 amplitude=50 frames=2;"
@@ -414,12 +414,12 @@ def test_fold_past_the_ceiling_is_a_certificate_failure_exit_3(tmp_path, capsys)
     assert not (trace_dir / "events.json").exists()
     assert not (trace_dir / "verification.json").exists()
     written = sorted(p.name for p in trace_dir.glob("frame_*.csv"))
-    assert written
+    assert written == ["frame_0000.csv", "frame_0001.csv", "frame_0002.csv"]
 
     alone = tmp_path / "alone"
     alone.mkdir()
     assert run_script_doc(alone, capsys, birth)[0] == 0
-    assert set(written) <= {p.name for p in (alone / "s_trace").glob("frame_*.csv")}
+    assert written == sorted(p.name for p in (alone / "s_trace").glob("frame_*.csv"))
     for name in written:
         assert (trace_dir / name).read_bytes() == (alone / "s_trace" / name).read_bytes()
 
@@ -494,12 +494,30 @@ def test_a_width_no_bump_can_take_is_a_usage_error(tmp_path, capsys, move, width
 ])
 def test_a_move_that_overflows_a_frame_is_a_usage_error(tmp_path, capsys, move):
     # The frame's samples are not finite: the document is at fault, not a
-    # certificate, wherever in the run that is found.
+    # certificate, wherever in the run that is found.  Frame 0 was built
+    # and written before frame 1 overflowed.
     code, out, err = run_script_doc(tmp_path, capsys, move)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: x' and y' samples must be finite")
-    assert not (tmp_path / "s_trace").exists()
+    assert [p.name for p in (tmp_path / "s_trace").iterdir()] == ["frame_0000.csv"]
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["lift", ZERO_AREA, "mirror"], "mirror.csv"),
+    (["model", "-n", "1"], "model_rot1_seed0.csv"),
+    (["homotopy", "run", DEMO, "circ", "pass_and_fold"], "pass_and_fold_trace/frame_0000.csv"),
+], ids=["lift", "model", "homotopy"])
+def test_an_out_that_is_a_file_is_a_usage_error(tmp_path, capsys, argv, written):
+    # The first artifact cannot be written under a regular file: one
+    # error line, exit 2, no report, and the file is left as it was.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    code, out, err = run_cli(capsys, *argv, "--samples", "256", "--out", str(blocker))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write %r: " % os.path.join(str(blocker), written))
+    assert len(err.splitlines()) == 1
+    assert blocker.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("command", ["lift", "rot", "check"])

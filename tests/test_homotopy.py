@@ -15,7 +15,7 @@ import pytest
 
 from engel import cli, curves, fourier, invariants, lifting, models, pairscan
 from engel import homotopy
-from engel.errors import EngelError, ImmersionLost, MoveRefused, UnsupportedOverlap
+from engel.errors import EngelError, ImmersionLost, MoveRefused
 from engel.homotopy import (
     Move,
     apply_move,
@@ -160,13 +160,13 @@ def test_death_undoes_a_birth():
 
 def test_birth_rejects_a_window_holding_a_cusp():
     move = Move("swallowtail_birth", {"at": 0.0, "width": 0.06, "frames": 4})
-    with pytest.raises(UnsupportedOverlap, match="contains a cusp"):
+    with pytest.raises(MoveRefused, match="^swallowtail_birth support .* contains a cusp at"):
         apply_move(lifting.balance_closure(circle()), move)
 
 
 def test_death_needs_exactly_two_cusps():
     move = Move("swallowtail_death", {"at": 0.12, "width": 0.06, "frames": 4})
-    with pytest.raises(UnsupportedOverlap, match="found 0"):
+    with pytest.raises(MoveRefused, match="^swallowtail_death needs exactly the two cusps .*; found 0$"):
         apply_move(lifting.balance_closure(circle()), move)
 
 

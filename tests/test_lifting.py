@@ -11,7 +11,7 @@ from engel.curves import (
     TrigSeries,
     sample_generator,
 )
-from engel.errors import NotClosed, SingularSystem, ZNotClosed
+from engel.errors import NotClosed, SingularSystem
 from engel.homotopy import tangency_profile
 
 from helpers import (
@@ -80,7 +80,7 @@ def test_z_closure_defect_circle_matches_riemann_oracle():
 
 
 def test_lift_rejects_unbalanced_generator():
-    with pytest.raises(ZNotClosed):
+    with pytest.raises(NotClosed, match="^∮ y dx = .* exceeds the closure tolerance 1e-09; balance"):
         lifting.lift(circle())
 
 

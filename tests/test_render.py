@@ -1,6 +1,7 @@
 """SVG and CSV emission: counts, bounds, and byte-level determinism."""
 
 import math
+import tracemalloc
 import types
 import xml.etree.ElementTree as ET
 
@@ -14,7 +15,14 @@ from helpers import csv_repr_table, mirror_loop, mirror_w
 
 def csv_text(loop):
     """The CSV table of one loop, as the CLI writes it."""
-    return "".join(next(render.loop_csv_lines([loop])))
+    return "".join(render.loop_csv_lines(loop))
+
+
+def csv_tables(loops):
+    """The line iterators of a run of tables, each one reusing the text
+    its predecessor left in one kept list, as the CLI writes frames."""
+    kept = []
+    return [render.loop_csv_lines(loop, kept) for loop in loops]
 
 
 def balanced_circle(n=1024):
@@ -190,8 +198,7 @@ def _loop_sequences(draw):
 def test_csv_sequence_writer_matches_the_per_loop_oracle(loops):
     # Every table is taken from the writer before any is read, so a table
     # must not change when the writer moves on to the next loop.
-    tables = list(render.loop_csv_lines(loops))
-    assert len(tables) == len(loops)
+    tables = csv_tables(loops)
     for loop, lines in zip(loops, tables):
         assert "".join(lines) == csv_repr_table(loop)
 
@@ -224,7 +231,7 @@ def test_csv_sequence_writer_formats_changed_bits_not_changed_values():
     fourth = types.SimpleNamespace(n=32, x=third.x, y=third.y, z=third.z, w=np.arange(32))
 
     loops = [first, second, second, third, fourth]
-    texts = ["".join(lines) for lines in render.loop_csv_lines(loops)]
+    texts = ["".join(lines) for lines in csv_tables(loops)]
     assert texts == [csv_repr_table(loop) for loop in loops]
     rows = texts[1].split("\n")
     assert rows[1].split(",")[3] == "-0.0"
@@ -236,8 +243,8 @@ def test_csv_sequence_writer_formats_changed_bits_not_changed_values():
 
 
 def test_csv_tables_longer_than_a_block_match_the_oracle():
-    # The last table of a sequence is formatted a block of rows at a time,
-    # with or without a previous table to reuse.
+    # A table written alone is formatted a block of rows at a time; one
+    # written after another reuses its text.
     n = 2 * render._CSV_BLOCK + 16
     s = fourier.grid(n)
     first = _hand_loop(np.cos(fourier.TAU * s), np.sin(fourier.TAU * s), np.zeros(n), s)
@@ -246,9 +253,9 @@ def test_csv_tables_longer_than_a_block_match_the_oracle():
     z[-1] = 1e-300
     second = _hand_loop(first.x, first.y + (s > 0.5) * 1e-3, z, s)
     loops = [first, second, second]
-    texts = ["".join(lines) for lines in render.loop_csv_lines(loops)]
+    texts = ["".join(lines) for lines in csv_tables(loops)]
     assert texts == [csv_repr_table(loop) for loop in loops]
-    assert csv_text(second) == texts[1]
+    assert [csv_text(loop) for loop in loops] == texts
 
 
 def test_csv_sequence_writer_formats_only_the_moved_values(monkeypatch):
@@ -271,6 +278,26 @@ def test_csv_sequence_writer_formats_only_the_moved_values(monkeypatch):
     monkeypatch.setattr(render, "_CSV_FORMATS", tuple(map(counted, render._CSV_FORMATS)))
     for loops in ([first, second], [first, second, second]):
         calls.clear()
-        for lines in render.loop_csv_lines(loops):
+        for lines in csv_tables(loops):
             "".join(lines)
         assert len(calls) == 5 * n + 200 + len(z[::7])
+    calls.clear()
+    "".join(render.loop_csv_lines(second))
+    assert len(calls) == 5 * n
+
+
+def test_a_table_written_alone_is_never_held_whole():
+    # Under tracemalloc, 16384 rows peak at about 7.6 MB when their text
+    # is held whole (as a kept table is) and at about 0.6 MB a block at a
+    # time.
+    n = 16384
+    s = fourier.grid(n)
+    loop = _hand_loop(np.cos(fourier.TAU * s), np.sin(fourier.TAU * s), s / 3.0, s / 7.0)
+    tracemalloc.start()
+    try:
+        size = sum(map(len, render.loop_csv_lines(loop)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 16384 * 50
+    assert peak < 4_000_000
