@@ -203,10 +203,14 @@ class LegendrianLoop:
                 % (TOL_CLOSURE, self.closure_defect_z)
             )
         g = self.generator
+        found = find_cusps(g)  # never empty: x' of a periodic x changes sign
+        s = np.array([s_c for s_c, _ in found])
+        x, z, yp = g.x_interp.value(s), self.z_interp.value(s), g.y_interp.value(s, 1)
+        # find_cusps held each |y'| at least Y_PRIME_FLOOR away from 0.
         return [
-            Cusp(s_c, (g.x_interp.value(s_c), self.z_interp.value(s_c)),
-                 Orientation.UP if g.y_interp.value(s_c, 1) * direction > 0 else Orientation.DOWN)
-            for s_c, direction in find_cusps(g)
+            Cusp(s_c, (float(x[i]), float(z[i])),
+                 Orientation.UP if yp[i] * direction > 0 else Orientation.DOWN)
+            for i, (s_c, direction) in enumerate(found)
         ]
 
     @functools.cached_property
@@ -283,14 +287,14 @@ def find_cusps(g: LegendrianGenerator):
     after the root.  A cusp points Up when the front crosses its tangent
     line upward there, i.e. when y'(s_c) * direction > 0; the caller builds
     Cusp records from this.  A sign scan of the grid brackets the roots and
-    bisection refines them.  Guarantee: every grid cell holds at most one
-    root of x', and one only where the scan found it (certify_cells, on
-    the chopped x_interp); otherwise, and for roots with |y'| under the
-    floor or vertical tangencies without a sign change, this raises
-    DegenerateCusp.
+    a bracketed Newton iteration refines them.  Guarantee: every grid cell
+    holds at most one root of x', and one only where the scan found it
+    (certify_cells, on the chopped x_interp); otherwise, and for roots with
+    |y'| under the floor or vertical tangencies without a sign change, this
+    raises DegenerateCusp.
     """
     n, xi = g.n, g.x_interp
-    xp = xi.samples(1)
+    xp = xi.samples(1).copy()
     on_grid = np.abs(xp) <= TOL_ROOT
     xp[on_grid] = 0.0
     sg = np.sign(xp)
@@ -317,16 +321,32 @@ def find_cusps(g: LegendrianGenerator):
     if unseen.size:
         raise DegenerateCusp("under-resolved cusp pair in the grid cell at s=%.6f" % (unseen[0] / n))
 
+    # Newton on x' inside each bracket [lo, hi], shrunk by the sign of x'
+    # at every iterate, from the secant point of the grid values.  A step
+    # that leaves the bracket, or is not at most half the previous one,
+    # is replaced by the midpoint (rtsafe).  On the certified piece that
+    # holds the root x'' keeps its sign, so Newton converges there.
     kb, ke = np.flatnonzero(bracketed), np.flatnonzero(on_grid)
-    lo, hi = kb / n, (kb + 1) / n
-    if kb.size:
-        sign_lo = np.sign(xi.value(lo, 1))  # lo only moves to points of this sign
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            move_lo = np.sign(xi.value(mid, 1)) == sign_lo
-            lo = np.where(move_lo, mid, lo)
-            hi = np.where(move_lo, hi, mid)
-    s = np.concatenate([0.5 * (lo + hi), ke / n])
+    lo, hi, sign_lo = kb / n, (kb + 1) / n, sg[kb]
+    s = lo + xp[kb] / (xp[kb] - np.roll(xp, -1)[kb]) / n
+    last, live, tiny = hi - lo, np.arange(kb.size), 4 * fourier.EPS
+    for _ in range(60):
+        if not live.size:
+            break
+        at = s[live]
+        d1, d2 = xi.value(at, (1, 2))
+        move_lo = np.sign(d1) == sign_lo[live]
+        lo[live] = np.where(move_lo, at, lo[live])
+        hi[live] = np.where(move_lo, hi[live], at)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = d1 / d2  # x'' = 0 gives inf or nan, which fail the tests below
+        nxt = at - step
+        newton = (lo[live] <= nxt) & (nxt <= hi[live]) & (np.abs(step) <= 0.5 * last[live])
+        nxt = np.where(d1 == 0, at, np.where(newton, nxt, 0.5 * (lo[live] + hi[live])))
+        done = (d1 == 0) | (newton & (np.abs(step) <= tiny)) | (hi[live] - lo[live] <= tiny)
+        last[live], s[live] = np.abs(nxt - at), nxt
+        live = live[~done]
+    s = np.concatenate([s, ke / n])
     direction = np.concatenate([after[kb], after[ke]])
     order = np.lexsort((direction, s))
     s, direction = np.mod(s[order], 1.0), direction[order]

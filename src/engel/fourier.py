@@ -107,6 +107,7 @@ class Interpolant:
             row[kept:] = 0.0
         self._c = c[:, : self.kept.max()].copy()
         self._weights = {}
+        self._rows = {}
 
     def value(self, s, order=0):
         """Derivative of the given order (0 is the value itself) at s.
@@ -136,10 +137,16 @@ class Interpolant:
         return float(out) if out.ndim == 0 else out
 
     def samples(self, order=0):
-        """Grid samples of the periodic part's order-th derivative (no phase matrix)."""
-        k = np.arange(self._c.shape[1])
-        out = np.fft.irfft(self._c * (2j * np.pi * k) ** order, self.n)
-        return out.reshape(self.shape + (self.n,))
+        """Grid samples of the periodic part's order-th derivative (no phase
+        matrix).  Each order's row is computed once and shared read-only:
+        copy it before writing."""
+        out = self._rows.get(order)
+        if out is None:
+            k = np.arange(self._c.shape[1])
+            out = np.fft.irfft(self._c * (2j * np.pi * k) ** order, self.n)
+            out = self._rows[order] = out.reshape(self.shape + (self.n,))
+            out.setflags(write=False)
+        return out
 
     def bound(self, order):
         """Bound on |value(s, order)| over all real s, per channel: (2/N) sum

@@ -172,10 +172,14 @@ def bump_samples(s, center: float, width: float) -> np.ndarray:
 
 def _refine_edge(g: LegendrianGenerator, s_in: float, s_out: float, half: float) -> float:
     """Continuous support-edge location: bisect |x'| - half between a
-    sample inside the region and its neighbor outside."""
+    sample inside the region and its neighbor outside.  It stops at the
+    floating-point fixed point: once the midpoint rounds to an end, no
+    further halving moves the result."""
     lo, hi = s_in, s_out
     for _ in range(50):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if abs(g.x_interp.value(mid, 1)) >= half:
             lo = mid
         else:

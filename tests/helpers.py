@@ -286,6 +286,30 @@ def companion_derivative_roots(x):
     return np.sort(np.mod(np.angle(on_circle) / TAU, 1.0))
 
 
+def bisected_derivative_roots(g):
+    """All roots of g.x_interp's x' in [0, 1), sorted: the grid samples
+    within TOL_ROOT of zero, and 60 halvings of each grid cell whose ends
+    differ in sign, keeping the half whose ends still differ.  This is the
+    refinement find_cusps used before its Newton iteration, kept as the
+    slow oracle for it; it certifies nothing."""
+    from engel.curves import TOL_ROOT
+
+    n, xi = g.n, g.x_interp
+    row = xi.samples(1)
+    xp = np.where(np.abs(row) <= TOL_ROOT, 0.0, row)
+    sg = np.sign(xp)
+    kb = np.flatnonzero(sg * np.roll(sg, -1) < 0)
+    lo, hi = kb / n, (kb + 1) / n
+    if kb.size:
+        sign_lo = np.sign(xi.value(lo, 1))
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            move_lo = np.sign(xi.value(mid, 1)) == sign_lo
+            lo = np.where(move_lo, mid, lo)
+            hi = np.where(move_lo, hi, mid)
+    return np.sort(np.mod(np.concatenate([0.5 * (lo + hi), np.flatnonzero(xp == 0) / n]), 1.0))
+
+
 def fd_derivative(values, drift=0.0):
     """Second-order centered difference, wrapping around the period.
 

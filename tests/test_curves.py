@@ -2,6 +2,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from engel import curves, fourier, frontlang, homotopy, invariants, lifting, models, pairscan, render
 from engel.curves import (
@@ -20,6 +21,7 @@ from helpers import (
     TAU,
     StandardStructures,
     assert_channels_bitwise_equal,
+    bisected_derivative_roots,
     companion_derivative_roots,
     fish_arrays,
     horizontality_residual,
@@ -248,6 +250,121 @@ def test_find_cusps_matches_companion_matrix_oracle(case, arg):
     got = [s_c for s_c, _ in find_cusps(g)]
     assert len(got) == len(want)
     assert np.max(_circular_distance(np.sort(got), want)) < 1e-9
+
+
+BISECTION_CASES = (
+    [("degree8_seed%d" % seed, seed) for seed in range(20)]
+    + [("model%d" % n_rot, n_rot) for n_rot in (-3, 0, 3, 5)]
+)
+
+
+@pytest.mark.parametrize("case, arg", BISECTION_CASES, ids=[c for c, _ in BISECTION_CASES])
+def test_find_cusps_matches_the_bisection_oracle(case, arg):
+    if case.startswith("degree8"):
+        g = _balanced_degree_8(arg, 4096)
+    else:
+        g = models.model_front(arg, seed=0, samples=16384).generator
+    want = bisected_derivative_roots(g)
+    got = [s_c for s_c, _ in find_cusps(g)]
+    assert len(got) == len(want)
+    assert np.max(_circular_distance(np.sort(got), want)) <= 1e-14
+
+
+def test_find_cusps_refines_in_a_few_evaluations():
+    # A count, not a timing: the Newton iteration needs a handful of
+    # evaluations of x' where the 60-step bisection needed 62.
+    for seed in range(20):
+        g = _balanced_degree_8(seed, 4096)
+        xi, calls = g.x_interp, []
+        value = xi.value
+
+        def counted(*args):
+            calls.append(args)
+            return value(*args)
+
+        xi.value = counted
+        assert len(find_cusps(g)) > 0
+        assert len(calls) <= 8, seed
+
+
+def _known_x_prime(roots, s):
+    """prod_i sin pi(s - r_i), as (len(s),) samples."""
+    return np.prod(np.sin(np.pi * (np.asarray(s)[:, None] - np.asarray(roots)[None, :])), axis=1)
+
+
+def _known_root_generator(roots, n):
+    """(g, every): x' = prod sin pi(s - r) over `roots` and one more root,
+    placed so that x' has mean zero: tan pi r = <Q sin pi s> / <Q cos pi s>
+    with Q the product over `roots`.  every holds all the roots, sorted.
+    y' = sin 2 pi (s - phi) with phi midway in the widest gap of the roots
+    mod 1/2, so |y'| >= sin(pi / 16) > 0.19 at each of at most 8 roots.
+    x and y are the exact antiderivatives of the exact samples."""
+    fine = np.arange(64) / 64
+    q = _known_x_prime(roots, fine)
+    r = np.arctan2(np.mean(q * np.sin(np.pi * fine)), np.mean(q * np.cos(np.pi * fine))) / np.pi
+    every = np.sort(np.mod(np.append(roots, r), 1.0))
+    half = np.sort(np.mod(every, 0.5))
+    gaps = np.diff(np.append(half, half[0] + 0.5))
+    phi = half[np.argmax(gaps)] + 0.5 * np.max(gaps)
+    s = fourier.grid(n)
+    c = np.fft.rfft(_known_x_prime(every, s))
+    k = np.arange(1, c.shape[0])
+    c[0], c[1:] = 0.0, c[1:] / (TAU * 1j * k)
+    c[-1] = 0.0
+    return LegendrianGenerator(np.fft.irfft(c, n), -np.cos(TAU * (s - phi)) / TAU), every
+
+
+@st.composite
+def _root_sets(draw):
+    """(roots, split): all but one root of an even number, 2 to 8, of
+    roots of x' (_known_root_generator places the last one), spaced at
+    least 0.04 apart; unless split is None, the first root has a twin
+    split (1e-14 to 1e-8) after it, a near-double root."""
+    split = draw(st.one_of(st.none(), st.floats(1e-14, 1e-8)))
+    sites = draw(st.sampled_from([4, 6, 8] if split else [2, 4, 6, 8])) - 1 - (split is not None)
+    start = draw(st.floats(0.0, 1.0, exclude_max=True))
+    gaps = draw(st.lists(st.floats(0.04, 0.12), min_size=sites - 1, max_size=sites - 1))
+    roots = list(start + np.cumsum([0.0] + gaps))
+    return (roots if split is None else roots + [roots[0] + split]), split
+
+
+@settings(max_examples=100, deadline=None)
+@given(_root_sets())
+def test_find_cusps_finds_known_roots_or_refuses(drawn):
+    roots, split = drawn
+    _, every = _known_root_generator(roots, 16)
+    apart = np.sort(_circular_distance(every[:, None], every[None, :]), axis=None)[len(every):]
+    # The placed root must keep the spacing too; a twin pair counts twice.
+    assume(apart[0 if split is None else 2] >= 0.04)
+    for n in 2 ** np.arange(8, 15):
+        g, every = _known_root_generator(roots, n)
+        try:
+            got = np.array([s_c for s_c, _ in find_cusps(g)])
+        except DegenerateCusp:
+            assert split is not None, n  # a refusal, never a wrong answer
+            continue
+        assert split is None, (n, got)  # near-double roots are refused
+        assert len(got) == len(every), n
+        dist = _circular_distance(every[:, None], got[None, :])
+        nearest = np.argmin(dist, axis=1)
+        assert len(set(nearest.tolist())) == len(every), n
+        # A root on a sample where |x'| <= TOL_ROOT is taken as that sample.
+        on_sample = (got * n == np.round(got * n)) & (np.abs(_known_x_prime(every, got)) <= curves.TOL_ROOT)
+        assert np.all((np.min(dist, axis=1) <= 1e-12) | on_sample[nearest]), n
+
+
+def test_cusp_search_and_winding_share_read_only_rows():
+    # The circle's cusps sit on the grid at s = 0 and 0.5, where
+    # find_cusps zeroes x' in its own copy of the shared row.
+    s = fourier.grid(256)
+    loop = lifting.lift(lifting.balance_closure(LegendrianGenerator(np.cos(TAU * s), np.sin(TAU * s))))
+    assert [c.s for c in loop.cusps] == [0.0, 0.5]
+    invariants.rot_winding(loop.generator)
+    row = loop.generator.x_interp.samples(1)
+    assert row is loop.generator.x_interp.samples(1)
+    assert row.tobytes() == fourier.Interpolant(loop.x).samples(1).tobytes()
+    with pytest.raises(ValueError):
+        row[0] = 1.0
 
 
 def _dense_roots(g, refine=16):
