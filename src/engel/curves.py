@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fourier, pairscan
-from .errors import BadDescription, DegenerateCusp, NotClosed, NotImmersed
+from .errors import BadDescription, DegenerateCusp, NotClosed, NotImmersed, Unresolved
 
 TOL_CLOSURE = 1e-9
 TOL_ROOT = 1e-10
@@ -289,9 +289,8 @@ def find_cusps(g: LegendrianGenerator):
     Cusp records from this.  A sign scan of the grid brackets the roots and
     a bracketed Newton iteration refines them.  Guarantee: every grid cell
     holds at most one root of x', and one only where the scan found it
-    (certify_cells, on the chopped x_interp); otherwise, and for roots with
-    |y'| under the floor or vertical tangencies without a sign change, this
-    raises DegenerateCusp.
+    (certify_cells, on the chopped x_interp), or this raises Unresolved;
+    a root that is not a generic cusp raises DegenerateCusp.
     """
     n, xi = g.n, g.x_interp
     xp = xi.samples(1).copy()
@@ -316,10 +315,10 @@ def find_cusps(g: LegendrianGenerator):
         (xi,), np.stack([xp, xi.samples(2)]),
         lambda lt, rt, h: np.any((lt * rt > 0) & (np.abs(lt) + np.abs(rt) > h * bounds), axis=0),
         lambda cell, lt, rt, done: np.bincount(cell, (lt[0] * rt[0] < 0) & done, minlength=n),
-        DegenerateCusp, "x'")
+        "x'")
     unseen = np.flatnonzero(found > bracketed)
     if unseen.size:
-        raise DegenerateCusp("under-resolved cusp pair in the grid cell at s=%.6f" % (unseen[0] / n))
+        raise Unresolved("under-resolved cusp pair in the grid cell at s=%.6f" % (unseen[0] / n))
 
     # Newton on x' inside each bracket [lo, hi], shrunk by the sign of x'
     # at every iterate, from the secant point of the grid values.  A step
@@ -361,12 +360,12 @@ def find_cusps(g: LegendrianGenerator):
     return list(zip(s.tolist(), direction.tolist()))
 
 
-def certify_cells(interps, left, accept, tally, error, what):
+def certify_cells(interps, left, accept, tally, what):
     """Sum tally(cell, left, right, done) over the depths, `done` marking
     the pieces of grid cells that accept(left, right, h) passes; the
     others are halved.  `left` holds orders 1 and 2 of each of `interps`
     on the grid, `right` the next point's; a piece failing after
-    CERTIFY_DEPTH halvings, or past CERTIFY_BUDGET, raises `error`."""
+    CERTIFY_DEPTH halvings, or past CERTIFY_BUDGET, raises Unresolved."""
     n, cost, total = interps[0].n, sum(i.kept.max() for i in interps), 0
     h, cell = 1.0 / n, np.arange(n)
     a, right = cell / n, np.roll(left, -1, axis=1)
@@ -377,7 +376,7 @@ def certify_cells(interps, left, accept, tally, error, what):
         if not live.size:
             return total
         if depth == CERTIFY_DEPTH or live.size * cost > CERTIFY_BUDGET * n:
-            raise error(
+            raise Unresolved(
                 "%s under-resolved near s=%.6f: %d pieces of grid cells uncertified "
                 "after %d halvings" % (what, np.min(a[live]), live.size, depth)
             )

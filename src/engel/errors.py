@@ -27,8 +27,13 @@ class NotImmersed(EngelError):
 
 
 class DegenerateCusp(EngelError):
-    """A root of x' that is not a certified generic cusp: |y'| below the
-    floor, a touch without sign change, or an under-resolved grid cell."""
+    """A root of x' that is not a generic cusp: zeros on consecutive
+    samples, a touch without sign change, a refinement that stalls, or
+    |y'| below the floor."""
+
+
+class Unresolved(EngelError):
+    """The grid cannot decide: no halving certifies a cell, or a sum is off an integer."""
 
 
 class NotClosed(EngelError):
@@ -38,22 +43,6 @@ class NotClosed(EngelError):
 
 class SingularSystem(EngelError):
     """The 2x2 closure-balancing system is too ill-conditioned to solve."""
-
-
-class ImmersionLost(EngelError):
-    """A move frame dropped the velocity below the immersion floor.
-
-    ``frame`` is the index of the offending frame within the move's path.
-    """
-
-    def __init__(self, message: str, frame: int):
-        super().__init__(message)
-        self.frame = frame
-
-
-class AmbiguousWinding(EngelError):
-    """The velocity came too near the origin for every halving of a grid
-    cell to certify its turning, or the turns summed off an integer."""
 
 
 class OddCuspImbalance(EngelError):

@@ -125,7 +125,7 @@ class Interpolant:
         flat = s.reshape(-1)
         k = np.arange(self._c.shape[1])
         phase = np.exp(2j * np.pi * flat[:, None] * k[None, :])
-        out = (weights @ phase.view(float).T).reshape(len(orders), -1, flat.shape[0])
+        out = (weights @ phase.view(float).T).reshape(len(orders), len(self._c), flat.shape[0])
         for row, q in zip(out, orders):
             if q == 0:
                 row += self.drift.reshape(-1, 1) * flat

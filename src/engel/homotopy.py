@@ -14,6 +14,7 @@ number.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import fourier, invariants, lifting
 from .curves import TOL_CLOSURE, LegendrianGenerator, find_cusps
-from .errors import ImmersionLost, MoveRefused, NotImmersed
+from .errors import MoveRefused, NotImmersed
 
 DEFAULT_FRAMES = 64
 # A run's steps, summed over its moves: frames are numbered 0..steps, and
@@ -189,7 +190,7 @@ def tangency_profile(g: LegendrianGenerator, center: float, width: float, suppor
     return psi - alpha[0] * phi1 - alpha[1] * phi2
 
 
-def _deform(g: LegendrianGenerator, move: Move, k: int):
+def _deform(g: LegendrianGenerator, move: Move, k: int, supports):
     params = move.params
     ax = float(params.get("ax", 0.0))
     ay = float(params.get("ay", 0.0))
@@ -197,7 +198,8 @@ def _deform(g: LegendrianGenerator, move: Move, k: int):
     return lambda j: LegendrianGenerator(g.x + (j / k * ax) * phi, g.y + (j / k * ay) * phi)
 
 
-def _swallowtail(g: LegendrianGenerator, move: Move, k: int, direction: int):
+def _swallowtail(g: LegendrianGenerator, move: Move, k: int, supports):
+    direction = 1 if move.kind == "swallowtail_birth" else -1
     center = float(move.params["at"])
     width = float(move.params["width"])
     inside = _cusps_in_window(g, center, width)
@@ -247,6 +249,12 @@ def _tangency(g: LegendrianGenerator, move: Move, k: int, supports):
     return lambda j: LegendrianGenerator(g.x, g.y + (amplitude * j / k) * psi)
 
 
+# Each move kind's frame builder, for a move that _step_count passed with
+# step count k: (g, move, k, supports) -> (j -> unchecked frame j).
+_BUILDERS = {"deform": _deform, "tangency_pass": _tangency,
+             "swallowtail_birth": _swallowtail, "swallowtail_death": _swallowtail}
+
+
 def apply_move(g: LegendrianGenerator, move: Move, supports=None):
     """Iterator over the path of immersed generators realizing one move,
     endpoints included.
@@ -259,31 +267,25 @@ def apply_move(g: LegendrianGenerator, move: Move, supports=None):
     balancing bumps a tangency profile is orthogonalized against.  The
     move keeps g alone and builds each later frame as it is read.
 
-    Raised by the call itself: MoveRefused when a swallowtail cannot
-    fold the generator as asked (its support disagrees with the cusps
-    already present, or no amplitude folds it), and ValueError for a
-    malformed move.  Raised while reading: ImmersionLost (the frame
-    index, then require_immersed's message) at the first frame that
-    stalls.
+    Raised by the call itself: NotImmersed when g stalls, MoveRefused
+    when a swallowtail cannot fold the generator as asked (its support
+    disagrees with the cusps already present, or no amplitude folds it),
+    and ValueError for a malformed move.  Raised while reading:
+    NotImmersed at the first frame j that stalls, its message
+    "frame j: " and then require_immersed's, with the same s.
     """
     k = _step_count(move)
     g.require_immersed()
-    if move.kind == "deform":
-        frame = _deform(g, move, k)
-    elif move.kind == "tangency_pass":
-        frame = _tangency(g, move, k, supports)
-    else:
-        frame = _swallowtail(g, move, k, +1 if move.kind == "swallowtail_birth" else -1)
-    return _path(g, k, frame)
+    return itertools.chain((g,), _path(k, _BUILDERS[move.kind](g, move, k, supports)))
 
 
-def _path(g: LegendrianGenerator, k: int, frame):
-    yield g
+def _path(k: int, frame, done: int = 0):
+    """Frames 1..k, each checked immersed; a stall at j names frame done + j."""
     for j in range(1, k + 1):
         try:
             yield frame(j).require_immersed()
         except NotImmersed as err:
-            raise ImmersionLost("frame %d: %s" % (j, err), frame=j) from err
+            raise NotImmersed("frame %d: %s" % (done + j, err), s=err.s) from err
 
 
 def script_frames(g0: LegendrianGenerator, moves):
@@ -301,7 +303,8 @@ def script_frames(g0: LegendrianGenerator, moves):
     script yields g0's lift alone.  The moves are checked by the call
     itself, before any frame is built: a malformed move, a missing or
     unusable field, or more than MAX_STEPS steps raises ValueError.  A
-    move that its start frame refuses raises when the stream reaches it.
+    move that its start frame refuses raises when the stream reaches it,
+    and so does a frame that stalls: NotImmersed names its trace frame.
     """
     moves = tuple(moves)
     steps = [_step_count(move) for move in moves]
@@ -316,10 +319,11 @@ def _script_frames(g0: LegendrianGenerator, moves, total: int):
     supports = lifting.balance_supports(current)
     loop = lifting.lift(current)
     yield 0.0, loop, None
+    if total:
+        current.require_immersed()  # later moves start on frames _path or balancing checked
     done = 0
     for move, k in moves:
-        path = apply_move(current, move, supports=supports)
-        next(path)  # frame 0 is the frame the last move ended on
+        path = _path(k, _BUILDERS[move.kind](current, move, k, supports), done)
         event = move.kind if move.kind in EVENT_KINDS else None
         for j, gen in enumerate(path, 1):
             loop = lifting.lift(lifting.balance_closure(gen, supports=supports))
@@ -375,10 +379,12 @@ def verify_isotopy(trace) -> VerificationReport:
     most curves.TOL_CLOSURE; the lift embedded by lifting.embedding_check,
     whose margin must exceed lifting.TOL_EMBED (at a tangency event the
     front has a double point and the w-separation must still clear that
-    margin); and the winding rotation number equal to frame 0's.  Both
-    tolerances are fixed.  A failed certificate is report content.  A
-    winding number that cannot be certified is not: rot_winding's
-    AmbiguousWinding propagates, as does ValueError on an empty trace.
+    margin); and the winding rotation number equal to frame 0's, which
+    is certified once, first, and reported as `rot` whatever frame 0's
+    other certificates say.  Both tolerances are fixed.  A failed
+    certificate is report content.  A winding number that cannot be
+    certified is not: rot_winding's Unresolved propagates, as does
+    ValueError on an empty trace.
     """
     rot0 = code = None
     worst = lifting.EmbeddingReport((), math.inf, True)
@@ -388,10 +394,10 @@ def verify_isotopy(trace) -> VerificationReport:
         if kind is not None:
             events.append((t, kind))
         if code is None:
-            if rot0 is None:
-                rot0 = invariants.rot_winding(loop.generator)
-            code, worst = _check_frame(loop, rot0, worst)
             frame = count - 1
+            if not frame:
+                rot0 = invariants.rot_winding(loop.generator)
+            code, worst = _check_frame(loop, rot0 if frame else None, worst)
     if not count:
         raise ValueError("cannot verify an empty trace")
     return VerificationReport(
@@ -399,9 +405,10 @@ def verify_isotopy(trace) -> VerificationReport:
     )
 
 
-def _check_frame(loop, rot0: int, worst):
+def _check_frame(loop, rot0, worst):
     """(offense, worst): the frame's verification code or None, and the
-    report of the smallest margin so far."""
+    report of the smallest margin so far.  rot0 None skips the winding
+    check, for frame 0, which sets rot0."""
     g = loop.generator
     dz = lifting.z_closure_defect(g)
     dw = lifting.w_closure_defect(g)
@@ -412,6 +419,6 @@ def _check_frame(loop, rot0: int, worst):
         return "NOT_EMBEDDED", check
     if check.margin < worst.margin:
         worst = check
-    if invariants.rot_winding(g) != rot0:
+    if rot0 is not None and invariants.rot_winding(g) != rot0:
         return "ROT_CHANGED", worst
     return None, worst

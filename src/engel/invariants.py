@@ -11,7 +11,7 @@ import numpy as np
 
 from . import fourier
 from .curves import LegendrianGenerator, LegendrianLoop, Orientation, certify_cells
-from .errors import AmbiguousWinding, OddCuspImbalance
+from .errors import OddCuspImbalance, Unresolved
 
 # A winding sum farther than this from an integer signals resolution
 # failure rather than roundoff.
@@ -25,7 +25,8 @@ def rot_winding(g: LegendrianGenerator) -> int:
     (h/2) max |v''|) of v(a), max |v''| <= hypot of the bound(3)s.  If
     |v(a)| exceeds that reach, v misses the origin there and turns by the
     principal angle between its end values; certify_cells halves the
-    other pieces and sums the turns, or raises AmbiguousWinding.
+    other pieces and sums the turns.  Unresolved when a piece stays
+    uncertified, or when the turns sum off an integer.
     """
     g.require_immersed()
     xi, yi = g.x_interp, g.y_interp
@@ -41,10 +42,10 @@ def rot_winding(g: LegendrianGenerator) -> int:
         return float(np.arctan2(cross, dot) @ done) / fourier.TAU
 
     rows = np.stack([i.samples(q) for i in (xi, yi) for q in (1, 2)])
-    total = certify_cells((xi, yi), rows, misses_origin, turn, AmbiguousWinding, "velocity")
+    total = certify_cells((xi, yi), rows, misses_origin, turn, "velocity")
     if abs(total - round(total)) > INTEGER_GUARD:
-        raise AmbiguousWinding("winding sum %.9f is not within %g of an integer"
-                               % (total, INTEGER_GUARD))
+        raise Unresolved("winding sum %.9f is not within %g of an integer"
+                         % (total, INTEGER_GUARD))
     return round(total)
 
 

@@ -441,6 +441,30 @@ def test_an_uncertifiable_winding_stops_the_run_exit_3(tmp_path, capsys):
     assert [p.name for p in (tmp_path / "nothing_trace").iterdir()] == ["frame_0000.csv"]
 
 
+def test_a_stall_names_its_trace_frame(tmp_path, capsys):
+    # The second move stalls at its own frame 2, which is frame 6 of the
+    # trace: 4 steps of the first move, then frame 5 is written.
+    doc = tmp_path / "doc.front"
+    doc.write_text(
+        "generator circ { x: cos(1); y: sin(1); }\n"
+        "script s {\n"
+        "    deform at=0.7 width=0.05 frames=4;\n"
+        "    deform at=0.3 width=0.1 ax=-0.16177184678954407 ay=-2.897846907903074 frames=2;\n"
+        "}\n"
+    )
+    code, out, err = run_cli(
+        capsys, "homotopy", "run", str(doc), "circ", "s", "--samples", "1024",
+        "--out", str(tmp_path),
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "certificate failure: frame 6: velocity norm 7.421e-11 at s=0.314453 "
+        "is below the immersion floor\n"
+    )
+    written = sorted(p.name for p in (tmp_path / "s_trace").iterdir())
+    assert written == ["frame_%04d.csv" % j for j in range(6)]
+
+
 @pytest.mark.parametrize("script, message", [
     ("slide at=0.3;", "unknown move kind"),
     # Running a script re-balances every frame, so no move does it.

@@ -343,3 +343,15 @@ def test_samples_are_the_interpolant_on_the_grid():
     for q in range(4):
         want = interp.value(s, q)
         assert np.max(np.abs(interp.samples(q) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("order", [1, (0, 2)], ids=["one_order", "orders"])
+def test_no_parameters_give_an_empty_value(channels, order):
+    s = fourier.grid(16)
+    rows = np.cos(fourier.TAU * s) if channels == 1 else np.stack([np.cos(fourier.TAU * s)] * 3)
+    interp = fourier.Interpolant(rows)
+    got = interp.value(np.array([]), order)
+    lead = (2,) if isinstance(order, tuple) else ()
+    assert got.shape == lead + ((3,) if channels == 3 else ()) + (0,)
+    assert got.dtype == float

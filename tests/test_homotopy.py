@@ -9,13 +9,14 @@ was done on.
 import inspect
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from engel import cli, curves, fourier, invariants, lifting, models, pairscan
+from engel import cli, curves, fourier, frontlang, invariants, lifting, models, pairscan
 from engel import homotopy
-from engel.errors import EngelError, ImmersionLost, MoveRefused
+from engel.errors import EngelError, MoveRefused, NotImmersed
 from engel.homotopy import (
     Move,
     apply_move,
@@ -87,10 +88,10 @@ def test_stalled_frame_raises_immersion_lost_at_the_degenerate_step():
     a = -float(fourier.Interpolant(g.x).value(0.25, 1)) / float(slope)
     move = Move("deform", {"at": 0.28, "width": 0.1, "ax": 2 * a, "frames": 8})
     with pytest.raises(
-        ImmersionLost, match="^frame 4: velocity norm .* is below the immersion floor$"
+        NotImmersed, match="^frame 4: velocity norm .* is below the immersion floor$"
     ) as err:
         list(apply_move(g, move))
-    assert err.value.frame == 4
+    assert err.value.s == 0.25
 
 
 @pytest.mark.parametrize("move", [
@@ -350,6 +351,30 @@ def test_verification_reads_a_one_shot_stream_to_its_end(monkeypatch):
     assert len(checked) == 1
     assert next(frames, None) is None
     assert report.to_dict() == verify_isotopy(list(script_frames(mirror(), sc))).to_dict()
+
+
+def test_each_move_and_each_frame_winding_is_checked_once(monkeypatch):
+    # The demo's two moves are checked when the script is, and its 129
+    # frames each certify their winding number once, frame 0 included.
+    calls = {"_step_count": 0, "rot_winding": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(homotopy, "_step_count")
+    counted(invariants, "rot_winding")
+    doc = frontlang.parse(resources.files("engel.data").joinpath("demo.front").read_text())
+    desc = doc.generator("circ")
+    g0 = curves.sample_generator((desc.x, desc.y), 1024)
+    report = verify_isotopy(script_frames(g0, doc.script("pass_and_fold").moves))
+    assert (report.ok, report.frames) == (True, 129)
+    assert calls == {"_step_count": 2, "rot_winding": 129}
 
 
 @pytest.mark.parametrize("move, message", [

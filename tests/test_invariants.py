@@ -11,7 +11,7 @@ from engel.curves import (
     TrigSeries,
     sample_generator,
 )
-from engel.errors import AmbiguousWinding, OddCuspImbalance
+from engel.errors import OddCuspImbalance, Unresolved
 
 from helpers import (
     TAU,
@@ -80,7 +80,7 @@ def test_rot_winding_rejects_unresolvable_pinch():
     # a turn near pi, and 12 halvings stay far wider than the pinch.
     n = 1024
     g, _, _ = pinch(n, 1e-8, s0=0.5 / n)
-    with pytest.raises(AmbiguousWinding,
+    with pytest.raises(Unresolved,
                        match="velocity under-resolved near s=0.000488: .* after 12 halvings"):
         invariants.rot_winding(g)
 

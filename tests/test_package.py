@@ -1,5 +1,6 @@
 """The package holds no code that only the tests call, and README names
-only what the package has.
+only what the package has.  Every exception class is raised, or is a
+base of one that is.
 
 A public top-level function or class in src/engel must be read by some
 code token in src/engel other than its own definition, or be named in
@@ -10,6 +11,7 @@ test-only code, and it belongs in tests/helpers.py.
 import ast
 import collections
 import importlib
+import inspect
 import io
 import pathlib
 import re
@@ -57,3 +59,20 @@ def test_every_module_name_in_the_readme_exists():
         and not hasattr(importlib.import_module("engel." + module), name)
     ]
     assert missing == []
+
+
+def test_every_error_class_is_raised_or_a_base_of_one_that_is():
+    # A class folded into another cannot stay behind in engel.errors.
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                raised.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    errors = importlib.import_module("engel.errors")
+    classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+               if c.__module__ == errors.__name__]
+    raised = [c for c in classes if c.__name__ in raised]
+    unraised = [c.__name__ for c in classes if not any(issubclass(r, c) for r in raised)]
+    assert unraised == []
