@@ -90,7 +90,8 @@ class LegendrianGenerator:
 
     Arrays are shared, not copied defensively, and marked read-only; all
     operations in this package treat generators as immutable values.
-    Non-finite samples raise BadDescription, and so does reading the grid
+    A length that is not a grid size (fourier.check_size) or non-finite
+    samples raise BadDescription, and so does reading the grid
     derivatives xp or yp when they overflow.  Off-grid values and
     derivatives come from x_interp and y_interp through .value(s, order).
     """
@@ -100,13 +101,14 @@ class LegendrianGenerator:
         y = _readonly(y)
         if x.shape != y.shape or x.ndim != 1:
             raise BadDescription("x and y must be 1-d sample arrays of equal length")
-        if x.shape[0] < 16:
-            raise BadDescription("need at least 16 samples, got %d" % x.shape[0])
+        try:
+            self.n = fourier.check_size(x.shape[0])
+        except ValueError as err:
+            raise BadDescription(str(err)) from None
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise BadDescription("x and y samples must be finite")
         self.x = x
         self.y = y
-        self.n = x.shape[0]
 
     @functools.cached_property
     def xp(self) -> np.ndarray:
@@ -259,11 +261,9 @@ def sample_generator(description, n: int) -> LegendrianGenerator:
 
     Each series must have degree below n/2 (higher ones alias); anything
     other than a pair of TrigSeries raises BadDescription.  Tabulated
-    samples go to LegendrianGenerator directly.  n must be a power of
-    two, at least 16.
+    samples go to LegendrianGenerator directly.  n must be a grid size
+    (fourier.check_size), else ValueError.
     """
-    if n < 16 or (n & (n - 1)) != 0:
-        raise ValueError("sample count must be a power of two >= 16, got %r" % (n,))
     try:
         xd, yd = description
     except (TypeError, ValueError):

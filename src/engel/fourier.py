@@ -5,10 +5,11 @@ Smooth periodic samples are identified with their trigonometric interpolant,
 and every operation here (differentiation, antiderivatives and off-grid
 evaluation) is exact for that interpolant.
 
-Convention for even N: the Nyquist mode is represented as a pure cosine,
-cos(pi*N*s), which matches the samples and keeps the interpolant real.  Its
-derivative term vanishes at grid points, so grid derivatives simply zero the
-Nyquist bin.
+Every grid size N is a power of two, at least 16; check_size holds that
+rule, and every entry point here that takes a size or samples applies it.
+The Nyquist mode is represented as a pure cosine, cos(pi*N*s), which
+matches the samples and keeps the interpolant real.  Its derivative term
+vanishes at grid points, so grid derivatives simply zero the Nyquist bin.
 
 Spectral chop: an :class:`Interpolant` keeps each spectrum up to its last
 harmonic whose rfft magnitude exceeds eps * sqrt(N) * peak, with eps the
@@ -30,22 +31,26 @@ TAU = 2.0 * np.pi
 EPS = np.finfo(float).eps
 
 
+def check_size(n: int) -> int:
+    """n itself, once it passes as a grid size; else ValueError."""
+    if n < 16 or n & (n - 1):
+        raise ValueError("grid size must be a power of two >= 16, got %d" % n)
+    return n
+
+
 def grid(n: int) -> np.ndarray:
     """Sample points s_k = k/n, k = 0..n-1."""
-    if n < 4:
-        raise ValueError("grid size must be at least 4, got %d" % n)
-    return np.arange(n) / n
+    return np.arange(check_size(n)) / n
 
 
 def derivative(values: np.ndarray) -> np.ndarray:
     """Grid samples of the interpolant's derivative."""
     values = np.asarray(values, dtype=float)
-    n = values.shape[0]
+    n = check_size(values.shape[0])
     c = np.fft.rfft(values)
     k = np.arange(c.shape[0])
     c = c * (2j * np.pi * k)
-    if n % 2 == 0:
-        c[-1] = 0.0
+    c[-1] = 0.0
     return np.fft.irfft(c, n)
 
 
@@ -54,7 +59,7 @@ def _halved(n: int, c: np.ndarray) -> np.ndarray:
     cosine (c/n) cos(pi n s) when the rows are full length, at half share."""
     coef = c.copy()
     coef[:, 0] *= 0.5
-    if n % 2 == 0 and c.shape[1] == n // 2 + 1:
+    if c.shape[1] == n // 2 + 1:
         coef[:, -1] = 0.5 * coef[:, -1].real
     return coef
 
@@ -91,7 +96,7 @@ class Interpolant:
 
     def __init__(self, values: np.ndarray, drift=0.0):
         values = np.asarray(values, dtype=float)
-        self.n = values.shape[-1]
+        self.n = check_size(values.shape[-1])
         self.shape = values.shape[:-1]
         self.drift = np.zeros(self.shape) + drift
         if np.any(self.drift):
@@ -163,20 +168,19 @@ def antiderivative(values: np.ndarray) -> tuple[np.ndarray, float]:
     """Grid samples of F(s) = integral of f from 0 to s, plus the mean drift.
 
     Returns (F, m) with F[k] = m*s_k + P(s_k) - P(0) where P is periodic and
-    m is the full-period integral of f.  F[0] is exactly 0.  For even N the
-    Nyquist mode integrates to a sine that vanishes at every grid point, so
-    it drops out of the samples (off-grid callers want
+    m is the full-period integral of f.  F[0] is exactly 0.  The Nyquist
+    mode integrates to a sine that vanishes at every grid point, so it
+    drops out of the samples (off-grid callers want
     :func:`antiderivative_evaluator`).
     """
     values = np.asarray(values, dtype=float)
-    n = values.shape[0]
+    n = check_size(values.shape[0])
     c = np.fft.rfft(values)
     mean = c[0].real / n
     k = np.arange(c.shape[0])
     d = np.zeros_like(c)
     d[1:] = c[1:] / (2j * np.pi * k[1:])
-    if n % 2 == 0:
-        d[-1] = 0.0
+    d[-1] = 0.0
     p = np.fft.irfft(d, n)
     return mean * grid(n) + (p - p[0]), mean
 
@@ -186,13 +190,11 @@ def antiderivative_evaluator(values: np.ndarray):
     (a float, or an array of them).
 
     The FFTs run once, here: the function holds the Interpolant of the
-    antiderivative samples and, for even N, the Nyquist sine they miss.
+    antiderivative samples and the Nyquist sine they miss.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     f_samples, mean = antiderivative(values)
     interp = Interpolant(f_samples, drift=mean)
-    if n % 2:
-        return interp.value
     nyquist = np.fft.rfft(values)[-1].real / n
     return lambda s: interp.value(s) + nyquist * np.sin(np.pi * n * s) / (np.pi * n)

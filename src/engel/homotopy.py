@@ -14,7 +14,6 @@ number.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -175,14 +174,15 @@ def _death_threshold(g, center: float, width: float, cusps):
     return threshold, ceiling
 
 
-def tangency_profile(g: LegendrianGenerator, center: float, width: float, supports=None):
+def tangency_profile(g: LegendrianGenerator, center: float, width: float, supports):
     """Bump at the given support, made invisible to both closure integrals.
 
     Subtracting the right mix of the two balancing bumps orthogonalizes
     the profile against the z and w closure functionals, so adding any
     multiple of the result to y slides a strand without opening the
-    lifted loop.  Returns the profile sampled on the generator's grid;
-    raises SingularSystem when the balancing supports cannot absorb it.
+    lifted loop.  `supports` are the balancing supports, a run's frozen
+    pair.  Returns the profile sampled on the generator's grid; raises
+    SingularSystem when the balancing supports cannot absorb it.
     """
     phi1, phi2, matrix = lifting.balancing_system(g, supports)
     psi = lifting.bump_samples(fourier.grid(g.n), center, width)
@@ -250,36 +250,13 @@ def _tangency(g: LegendrianGenerator, move: Move, k: int, supports):
 
 
 # Each move kind's frame builder, for a move that _step_count passed with
-# step count k: (g, move, k, supports) -> (j -> unchecked frame j).
+# step count k: (g, move, k, supports) -> (j -> unchecked frame j).  An
+# event-bearing move puts its singular moment exactly at frame k / 2.
 _BUILDERS = {"deform": _deform, "tangency_pass": _tangency,
              "swallowtail_birth": _swallowtail, "swallowtail_death": _swallowtail}
 
 
-def apply_move(g: LegendrianGenerator, move: Move, supports=None):
-    """Iterator over the path of immersed generators realizing one move,
-    endpoints included.
-
-    The path has frames at t = j/K for j = 0..K where K is the move's
-    even step count; frame 0 is g itself.  Event-bearing moves place
-    their singular moment exactly at the middle frame: a tangency pass
-    reaches half its amplitude there, and a swallowtail shapes its ramp
-    so the fold threshold lands there.  `supports`, when given, pins the
-    balancing bumps a tangency profile is orthogonalized against.  The
-    move keeps g alone and builds each later frame as it is read.
-
-    Raised by the call itself: NotImmersed when g stalls, MoveRefused
-    when a swallowtail cannot fold the generator as asked (its support
-    disagrees with the cusps already present, or no amplitude folds it),
-    and ValueError for a malformed move.  Raised while reading:
-    NotImmersed at the first frame j that stalls, its message
-    "frame j: " and then require_immersed's, with the same s.
-    """
-    k = _step_count(move)
-    g.require_immersed()
-    return itertools.chain((g,), _path(k, _BUILDERS[move.kind](g, move, k, supports)))
-
-
-def _path(k: int, frame, done: int = 0):
+def _path(k: int, frame, done: int):
     """Frames 1..k, each checked immersed; a stall at j names frame done + j."""
     for j in range(1, k + 1):
         try:

@@ -152,10 +152,11 @@ def bump_power(width: float) -> int:
     """Exponent p making ((1+cos 2πs)/2)^p a bump of the given width.
 
     Matched so that the essential support (six standard deviations of
-    the Gaussian it approximates) spans `width`.  The result is a true
-    trigonometric polynomial of degree p, so this never aliases.  A
-    width that is not positive, or so small (below about 1e-154) that p
-    is not finite, raises ValueError.
+    the Gaussian it approximates) spans `width`.  The bump is a
+    trigonometric polynomial of degree p, and it aliases on a grid whose
+    N/2 is at or below its bandwidth; nothing refuses that yet (ROADMAP
+    item 13 plans the refusal).  A width that is not positive, or so
+    small (below about 1e-154) that p is not finite, raises ValueError.
     """
     sigma = width / 6.0
     spread = 2.0 * np.pi * np.pi * sigma * sigma

@@ -48,8 +48,6 @@ def model_front(n_rot: int, seed: int = 0, samples: int = DEFAULT_SAMPLES) -> Ho
     """
     if abs(n_rot) > MAX_ROT:
         raise ValueError("|rot| must be <= %d, got %d" % (MAX_ROT, n_rot))
-    if samples < 16 or (samples & (samples - 1)) != 0:
-        raise ValueError("samples must be a power of two >= 16")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer, got %d" % seed)
     rng = np.random.default_rng([seed, n_rot + 2 * MAX_ROT])

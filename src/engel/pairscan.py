@@ -54,8 +54,6 @@ def _circ_dist(a, b):
 
 
 def _coarse_indices(n: int):
-    # Stride first, so the m strided samples reach around the whole loop
-    # whether or not m divides n.
     stride = max(1, n // max(MIN_COARSE, n // DECIMATION))
     m = n // stride
     return np.arange(m) * stride, m, stride

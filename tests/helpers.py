@@ -163,6 +163,12 @@ def raw_loop(x, y, z, defect=0.0):
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
+def move_frames(g, move):
+    from engel.homotopy import _BUILDERS, _path, _step_count
+    k = _step_count(move)
+    return [g, *_path(k, _BUILDERS[move.kind](g, move, k, None), 0)]
+
+
 def golden_text(name):
     """The text of a file under tests/golden, newlines untranslated."""
     with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as handle:

@@ -72,6 +72,19 @@ def test_check_refuses_the_shifted_symmetric_document(capsys, samples):
     assert code == 3
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 13: the demo's bumps (p = 285 and 507) alias on a 16-point "
+    "grid, so the run certifies a different curve and calls it embedded",
+)
+def test_the_demo_script_is_refused_on_a_grid_its_bumps_alias_on(tmp_path, capsys):
+    code, _, _ = run_cli(
+        capsys, "homotopy", "run", DEMO, "circ", "pass_and_fold",
+        "--samples", "16", "--out", str(tmp_path),
+    )
+    assert code != 0
+
+
 def test_check_unbalanced_circle_fails_on_closure(capsys):
     code, out, _ = run_cli(capsys, "check", DEMO, "circ")
     assert code == 3
@@ -158,9 +171,25 @@ def test_unknown_generator_name_exits_2(capsys):
 
 
 def test_bad_sample_count_exits_2(capsys):
-    code, _, err = run_cli(capsys, "rot", DEMO, "circ", "--samples", "1000")
-    assert code == 2
-    assert "power of two" in err
+    code, out, err = run_cli(capsys, "rot", DEMO, "circ", "--samples", "1000")
+    assert (code, out) == (2, "")
+    assert err == "error: grid size must be a power of two >= 16, got 1000\n"
+
+
+# The other commands that take --samples refuse the same way, before any
+# file is written.
+@pytest.mark.parametrize("argv", [
+    ["lift", DEMO, "circ"],
+    ["check", DEMO, "circ"],
+    ["model", "-n", "3"],
+    ["homotopy", "run", DEMO, "circ", "pass_and_fold"],
+], ids=lambda argv: argv[0])
+def test_a_grid_size_off_the_rule_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--samples", "1000")
+    assert (code, out) == (2, "")
+    assert err == "error: grid size must be a power of two >= 16, got 1000\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rot_bound_violation_exits_2(capsys):

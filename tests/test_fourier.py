@@ -8,7 +8,9 @@ Riemann sums on dense grids.
 import numpy as np
 import pytest
 
-from engel import fourier
+from engel import curves, fourier, models
+from engel.curves import TrigSeries
+from engel.errors import BadDescription
 
 from helpers import assert_channels_bitwise_equal, fd_derivative, resample
 
@@ -355,3 +357,22 @@ def test_no_parameters_give_an_empty_value(channels, order):
     lead = (2,) if isinstance(order, tuple) else ()
     assert got.shape == lead + ((3,) if channels == 3 else ()) + (0,)
     assert got.dtype == float
+
+
+@pytest.mark.parametrize("n", [8, 17, 112, 1000])
+def test_every_entry_point_refuses_a_grid_size_off_the_rule(n):
+    # The rule is held in fourier; the generator refuses with its own class.
+    message = "^grid size must be a power of two >= 16, got %d$" % n
+    ones = np.ones(n)
+    circle = (TrigSeries(cos={1: 1.0}), TrigSeries(sin={1: 1.0}))
+    for refused in (
+        lambda: fourier.grid(n),
+        lambda: fourier.derivative(ones),
+        lambda: fourier.Interpolant(ones),
+        lambda: curves.sample_generator(circle, n),
+        lambda: models.model_front(1, samples=n),
+    ):
+        with pytest.raises(ValueError, match=message):
+            refused()
+    with pytest.raises(BadDescription, match=message):
+        curves.LegendrianGenerator(ones, ones)

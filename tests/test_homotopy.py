@@ -19,13 +19,12 @@ from engel import homotopy
 from engel.errors import EngelError, MoveRefused, NotImmersed
 from engel.homotopy import (
     Move,
-    apply_move,
     script_frames,
     tangency_profile,
     verify_isotopy,
 )
 
-from helpers import golden_text
+from helpers import golden_text, move_frames
 
 # Tangency amplitude calibrated so the middle frame of the pass touches
 # the opposite strand exactly (the same value ships in data/demo.front).
@@ -57,7 +56,7 @@ def cusp_count(loop):
 
 def test_zero_amplitude_deform_repeats_the_frame():
     g = mirror()
-    path = list(apply_move(g, Move("deform", {"at": 0.3, "width": 0.05, "frames": 4})))
+    path = move_frames(g, Move("deform", {"at": 0.3, "width": 0.05, "frames": 4}))
     assert len(path) == 5
     for gen in path:
         assert np.array_equal(gen.x, g.x)
@@ -69,7 +68,7 @@ def test_deform_moves_linearly_in_time():
     k = 6
     ax, ay = 0.07, -0.04
     move = Move("deform", {"at": 0.6, "width": 0.05, "ax": ax, "ay": ay, "frames": k})
-    path = list(apply_move(g, move))
+    path = move_frames(g, move)
     assert len(path) == k + 1
     phi = lifting.bump_samples(fourier.grid(g.n), 0.6, 0.05)
     for j, gen in enumerate(path):
@@ -90,18 +89,8 @@ def test_stalled_frame_raises_immersion_lost_at_the_degenerate_step():
     with pytest.raises(
         NotImmersed, match="^frame 4: velocity norm .* is below the immersion floor$"
     ) as err:
-        list(apply_move(g, move))
+        move_frames(g, move)
     assert err.value.s == 0.25
-
-
-@pytest.mark.parametrize("move", [
-    Move("deform", {"at": 0.3, "width": 0.1, "ax": 0.01, "frames": 2}),
-    Move("tangency_pass", {"at": 0.55, "width": 0.08, "amplitude": 0.1, "frames": 2}),
-    Move("swallowtail_birth", {"at": 0.12, "width": 0.06, "frames": 2}),
-], ids=lambda move: move.kind)
-def test_frame_zero_is_the_generator_itself(move):
-    g = lifting.balance_closure(circle())
-    assert next(apply_move(g, move)) is g
 
 
 # ----------------------------------------------------------- validation
@@ -109,25 +98,25 @@ def test_frame_zero_is_the_generator_itself(move):
 
 def test_unknown_move_kind_is_rejected():
     with pytest.raises(ValueError, match="unknown move kind"):
-        apply_move(circle(), Move("slide"))
+        script_frames(circle(), [Move("slide")])
 
 
 def test_stray_parameter_is_rejected():
     with pytest.raises(ValueError, match="does not take"):
-        apply_move(circle(), Move("deform", {"at": 0.1, "width": 0.05, "amplitude": 1.0}))
+        script_frames(circle(), [Move("deform", {"at": 0.1, "width": 0.05, "amplitude": 1.0})])
 
 
 def test_tangency_pass_requires_an_amplitude():
     move = Move("tangency_pass", {"at": 0.55, "width": 0.08})
     with pytest.raises(ValueError, match="amplitude"):
-        apply_move(lifting.balance_closure(circle()), move)
+        script_frames(lifting.balance_closure(circle()), [move])
 
 
 @pytest.mark.parametrize("frames", [0, 3, -2, 2.5])
 def test_frames_must_be_a_positive_even_count(frames):
     move = Move("deform", {"at": 0.1, "width": 0.05, "frames": frames})
     with pytest.raises(ValueError, match="even count"):
-        apply_move(circle(), move)
+        script_frames(circle(), [move])
 
 
 # --------------------------------------------------------- swallowtails
@@ -162,13 +151,13 @@ def test_death_undoes_a_birth():
 def test_birth_rejects_a_window_holding_a_cusp():
     move = Move("swallowtail_birth", {"at": 0.0, "width": 0.06, "frames": 4})
     with pytest.raises(MoveRefused, match="^swallowtail_birth support .* contains a cusp at"):
-        apply_move(lifting.balance_closure(circle()), move)
+        list(script_frames(lifting.balance_closure(circle()), [move]))
 
 
 def test_death_needs_exactly_two_cusps():
     move = Move("swallowtail_death", {"at": 0.12, "width": 0.06, "frames": 4})
     with pytest.raises(MoveRefused, match="^swallowtail_death needs exactly the two cusps .*; found 0$"):
-        apply_move(lifting.balance_closure(circle()), move)
+        list(script_frames(lifting.balance_closure(circle()), [move]))
 
 
 def test_amplitude_below_the_fold_threshold_is_rejected():
@@ -177,7 +166,7 @@ def test_amplitude_below_the_fold_threshold_is_rejected():
         {"at": 0.12, "width": 0.06, "amplitude": 1e-3, "frames": 4},
     )
     with pytest.raises(ValueError, match="fold threshold"):
-        apply_move(lifting.balance_closure(circle()), move)
+        list(script_frames(lifting.balance_closure(circle()), [move]))
 
 
 def test_no_fold_direction_is_a_refusal_not_a_usage_error():
@@ -192,11 +181,12 @@ def test_no_fold_direction_is_a_refusal_not_a_usage_error():
 
 
 def test_death_amplitude_past_the_ceiling_is_refused():
-    sc = [Move("swallowtail_birth", {"at": 0.12, "width": 0.06, "frames": 2})]
-    g = list(script_frames(circle(), sc))[-1][1].generator
-    move = Move("swallowtail_death", {"at": 0.12, "width": 0.06, "amplitude": 50.0, "frames": 2})
+    sc = [
+        Move("swallowtail_birth", {"at": 0.12, "width": 0.06, "frames": 2}),
+        Move("swallowtail_death", {"at": 0.12, "width": 0.06, "amplitude": 50.0, "frames": 2}),
+    ]
     with pytest.raises(MoveRefused, match="opposite flank"):
-        apply_move(g, move)
+        list(script_frames(circle(), sc))
 
 
 # ------------------------------------------------------------ tangencies

@@ -168,7 +168,7 @@ def _loop_sequences(draw):
     for _ in range(draw(st.integers(1, 4))):
         step = draw(st.sampled_from(["fresh", "edit", "edit", "edit", "repeat"]))
         if not loops or step == "fresh":
-            n = draw(st.sampled_from([16, 17]))
+            n = draw(st.sampled_from([16, 32]))
             cols = [
                 np.array(draw(st.lists(kind, min_size=n, max_size=n)))
                 for kind in (_FINITE, _FINITE, _ANY, _ANY)
@@ -245,7 +245,7 @@ def test_csv_sequence_writer_formats_changed_bits_not_changed_values():
 def test_csv_tables_longer_than_a_block_match_the_oracle():
     # A table written alone is formatted a block of rows at a time; one
     # written after another reuses its text.
-    n = 2 * render._CSV_BLOCK + 16
+    n = 2 * render._CSV_BLOCK
     s = fourier.grid(n)
     first = _hand_loop(np.cos(fourier.TAU * s), np.sin(fourier.TAU * s), np.zeros(n), s)
     z = np.zeros(n)
@@ -259,7 +259,7 @@ def test_csv_tables_longer_than_a_block_match_the_oracle():
 
 
 def test_csv_sequence_writer_formats_only_the_moved_values(monkeypatch):
-    n = 2 * render._CSV_BLOCK + 16
+    n = 2 * render._CSV_BLOCK
     s = fourier.grid(n)
     first = _hand_loop(np.cos(fourier.TAU * s), np.sin(fourier.TAU * s), np.zeros(n), s)
     y = np.array(first.y)
