@@ -103,8 +103,8 @@ def _closure_payload(gen, loop) -> dict:
 
 def _invariants_payload(gen, loop) -> dict:
     """Rotation numbers: the winding form always exists, the cusp form
-    needs a closed lift."""
-    if loop is not None and loop.closed:
+    needs a lift, whose front exists because lift closes z."""
+    if loop is not None:
         return invariants.invariant_report(loop)
     return {
         "rot_winding": invariants.rot_winding(gen),

@@ -143,27 +143,34 @@ class LegendrianGenerator:
 
 
 @dataclass(eq=False)
-class LegendrianLoop:
-    """Sampled (x, y, z) loop in contact R^3, and its front.
+class HorizontalLoop:
+    """Sampled (x, y, z, w) loop tangent to the Engel plane field, its
+    Legendrian projection (x, y, z), and that projection's front.
 
-    z is the running integral of y dx from z(0) = 0, so the samples
-    carry a linear ramp of rate closure_defect_z when the loop fails to
-    close.  Use lifting.lift to construct one; direct construction is for
-    trusted or deliberately raw data (tests, quadrature fixtures).
+    z is the running integral of y dx from z(0) = 0, and w that of z dx
+    from w(0) = 0, so each carries a linear ramp of rate
+    closure_defect_z or closure_defect_w when it fails to close.
+    lifting.lift builds one from a generator; direct construction is for
+    trusted or deliberately raw data (tests, quadrature fixtures).  The
+    loop is closed when both defects are at most TOL_CLOSURE.
 
-    The front is the (x, z) picture.  Its cusps, double points and
-    self-tangencies are found on first read and kept on the loop, so a
-    caller that wants only the cusps pays for neither pair scan.  Off-grid
-    values come from z_interp, or from curve for (x, y, z) together,
-    through .value(s, order).  Loops compare and hash by identity.
+    The front is the (x, z) picture, and it exists once z closes.  Its
+    cusps, double points and self-tangencies are found on first read and
+    kept on the loop, so a caller that wants only the cusps pays for
+    neither pair scan.  Off-grid values come from z_interp, or from curve
+    for (x, y, z) together, through .value(s, order).  Loops compare and
+    hash by identity.
     """
 
     generator: LegendrianGenerator
     z: np.ndarray
     closure_defect_z: float
+    w: np.ndarray
+    closure_defect_w: float
 
     def __post_init__(self):
         self.z = _readonly(self.z)
+        self.w = _readonly(self.w)
 
     @property
     def n(self) -> int:
@@ -179,7 +186,8 @@ class LegendrianLoop:
 
     @property
     def closed(self) -> bool:
-        return abs(self.closure_defect_z) <= TOL_CLOSURE
+        return (abs(self.closure_defect_z) <= TOL_CLOSURE
+                and abs(self.closure_defect_w) <= TOL_CLOSURE)
 
     @functools.cached_property
     def z_interp(self) -> fourier.Interpolant:
@@ -196,8 +204,8 @@ class LegendrianLoop:
     def cusps(self) -> list:
         """The front's cusps.
 
-        The front needs only z to close; a horizontal loop whose w stays
-        open still has one, so this tests the z defect, not `closed`.
+        The front needs only z to close; a loop whose w stays open still
+        has one, so this tests the z defect, not `closed`.
         """
         if not abs(self.closure_defect_z) <= TOL_CLOSURE:
             raise NotClosed(
@@ -224,24 +232,6 @@ class LegendrianLoop:
     def self_tangencies(self) -> list:
         """Shared position and slope, (s0, s1)."""
         return pairscan.coincident_pairs(self)
-
-
-@dataclass(eq=False)
-class HorizontalLoop(LegendrianLoop):
-    """Sampled (x, y, z, w) loop tangent to the rank-2 distribution: its
-    Legendrian loop (x, y, z) plus w, the running integral of z dx from
-    w(0) = 0."""
-
-    w: np.ndarray
-    closure_defect_w: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.w = _readonly(self.w)
-
-    @property
-    def closed(self) -> bool:
-        return super().closed and abs(self.closure_defect_w) <= TOL_CLOSURE
 
 
 class Orientation(enum.Enum):

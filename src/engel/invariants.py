@@ -10,7 +10,7 @@ theorem, and the test suite leans on it heavily.
 import numpy as np
 
 from . import fourier
-from .curves import LegendrianGenerator, LegendrianLoop, Orientation, certify_cells
+from .curves import HorizontalLoop, LegendrianGenerator, Orientation, certify_cells
 from .errors import OddCuspImbalance, Unresolved
 
 # A winding sum farther than this from an integer signals resolution
@@ -49,13 +49,13 @@ def rot_winding(g: LegendrianGenerator) -> int:
     return round(total)
 
 
-def classify_cusps(loop: LegendrianLoop):
+def classify_cusps(loop: HorizontalLoop):
     """(c_plus, c_minus): the front's cusp counts by orientation."""
     c_plus = sum(1 for c in loop.cusps if c.orientation is Orientation.UP)
     return c_plus, len(loop.cusps) - c_plus
 
 
-def rot_cusp(loop: LegendrianLoop) -> int:
+def rot_cusp(loop: HorizontalLoop) -> int:
     """Rotation number read off the front: (c_minus - c_plus) / 2."""
     c_plus, c_minus = classify_cusps(loop)
     if (c_minus - c_plus) % 2:
@@ -66,8 +66,9 @@ def rot_cusp(loop: LegendrianLoop) -> int:
     return (c_minus - c_plus) // 2
 
 
-def invariant_report(loop: LegendrianLoop) -> dict:
-    """Both rotation computations for a closed loop, as a JSON-ready dict."""
+def invariant_report(loop: HorizontalLoop) -> dict:
+    """Both rotation computations for a loop whose front exists (whose z
+    closes), as a JSON-ready dict."""
     c_plus, c_minus = classify_cusps(loop)
     return {
         "rot_winding": rot_winding(loop.generator),

@@ -84,10 +84,8 @@ def lift(g: LegendrianGenerator) -> HorizontalLoop:
 
 
 def area_integral(loop, s0: float, s1: float) -> float:
-    """∫_{s0}^{s1} z dx along the loop; (0, 1) gives ∮ z dx.
-
-    Only x and z enter, so any LegendrianLoop will do.
-    """
+    """∫_{s0}^{s1} z dx along a HorizontalLoop; (0, 1) gives ∮ z dx.
+    Only x and z enter: w and its defect are never read."""
     s0 = float(s0)
     s1 = float(s1)
     if not (s0 <= s1 <= s0 + 1.0 + 1e-9):
@@ -132,10 +130,9 @@ def embedding_check(loop: HorizontalLoop) -> EmbeddingReport:
     The self-meetings are the loop's self_tangencies, which the loop
     scans for once and keeps.
     """
-    if not abs(loop.closure_defect_z) <= TOL_CLOSURE:
-        raise NotClosed("z does not close up (defect %.3e)" % loop.closure_defect_z)
-    if not abs(loop.closure_defect_w) <= TOL_CLOSURE:
-        raise NotClosed("w does not close up (defect %.3e)" % loop.closure_defect_w)
+    if not loop.closed:
+        raise NotClosed("loop does not close up (defects z %.3e, w %.3e)"
+                        % (loop.closure_defect_z, loop.closure_defect_w))
     triples = []
     for s0, s1 in loop.self_tangencies:
         dw = area_integral(loop, s0, s1)

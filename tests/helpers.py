@@ -146,18 +146,21 @@ def plain_arrays(n):
 
 
 def mirror_loop(n, beta=0.0):
-    """The mirror family as a LegendrianLoop with its exact z samples."""
-    from engel.curves import LegendrianGenerator, LegendrianLoop
+    """The mirror family's Legendrian loop, with its exact z samples: a
+    HorizontalLoop whose w is zero and whose w defect is nan, so that it
+    never counts as closed."""
+    from engel.curves import HorizontalLoop, LegendrianGenerator
 
     s = np.arange(n) / n
     g = LegendrianGenerator(mirror_x(s, beta), mirror_y(s))
-    return LegendrianLoop(g, mirror_z(s, beta), 0.0)
+    return HorizontalLoop(g, mirror_z(s, beta), 0.0, np.zeros(n), float("nan"))
 
 
 def raw_loop(x, y, z, defect=0.0):
-    from engel.curves import LegendrianGenerator, LegendrianLoop
+    from engel.curves import HorizontalLoop, LegendrianGenerator
 
-    return LegendrianLoop(LegendrianGenerator(x, y), np.asarray(z, float), defect)
+    g = LegendrianGenerator(x, y)
+    return HorizontalLoop(g, np.asarray(z, float), defect, np.zeros(g.n), float("nan"))
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")

@@ -202,8 +202,8 @@ def test_criterion_4_quadrature_matches_the_frozen_riemann_oracle():
     x = np.cos(TAU * s)
     z = np.sin(TAU * s)
     direct = float(np.mean(z * fourier.derivative(x)))
-    loop = curves.LegendrianLoop(
-        curves.LegendrianGenerator(x, np.zeros(n)), z, 0.0
+    loop = curves.HorizontalLoop(
+        curves.LegendrianGenerator(x, np.zeros(n)), z, 0.0, np.zeros(n), float("nan")
     )
     routed = lifting.area_integral(loop, 0.0, 1.0)
     for label, value in (("mean of z x'", direct), ("area_integral", routed)):

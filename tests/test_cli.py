@@ -49,6 +49,26 @@ def test_rot_on_closed_front_reports_both(capsys):
     assert payload["c_plus"] is not None
 
 
+def test_a_front_open_only_in_w_reports_its_cusp_rotation(tmp_path, capsys):
+    # ∮ y dx = 0 and ∮ z dx = pi/2: the lift exists, its front closes,
+    # and the loop is not closed.  The front still carries rot_cusp.
+    doc = tmp_path / "w_open.front"
+    doc.write_text("generator g { x: cos(1); y: sin(2); }\n", encoding="utf-8")
+    expected = {"rot_winding": 0, "rot_cusp": 0, "c_plus": 1, "c_minus": 1}
+    code, out, _ = run_cli(capsys, "rot", str(doc), "g", "--samples", "1024")
+    assert code == 0
+    assert json.loads(out) == {"name": "g", **expected}
+    code, out, _ = run_cli(capsys, "lift", str(doc), "g", "--samples", "1024",
+                           "--out", str(tmp_path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["closure"]["closed"] is False
+    assert abs(payload["closure"]["defect_z"]) <= curves.TOL_CLOSURE
+    assert payload["closure"]["defect_w"] == pytest.approx(1.5707963267948966, abs=1e-12)
+    assert payload["invariants"] == expected
+    assert payload["embedding"] is None
+
+
 def test_check_rejects_zero_area_fixture(capsys):
     code, out, _ = run_cli(capsys, "check", ZERO_AREA, "mirror")
     assert code == 3

@@ -8,7 +8,6 @@ from engel import curves, fourier, frontlang, homotopy, invariants, lifting, mod
 from engel.curves import (
     Cusp,
     LegendrianGenerator,
-    LegendrianLoop,
     HorizontalLoop,
     Orientation,
     TrigSeries,
@@ -135,15 +134,15 @@ def test_loops_compare_and_hash_by_identity():
     assert a == a
     assert a != b
     assert len({a, b, a}) == 2
-    plain = LegendrianLoop(g, a.z, a.closure_defect_z)
-    assert plain != LegendrianLoop(g, a.z, a.closure_defect_z)
+    plain = HorizontalLoop(g, a.z, a.closure_defect_z, np.zeros(g.n), float("nan"))
+    assert plain != HorizontalLoop(g, a.z, a.closure_defect_z, np.zeros(g.n), float("nan"))
     assert plain in {plain}
 
 
 def _open_circle_loop():
     g = LegendrianGenerator(np.cos(TAU * fourier.grid(512)), np.sin(TAU * fourier.grid(512)))
     z, defect = fourier.antiderivative(g.y * g.xp)
-    return LegendrianLoop(g, z, defect)
+    return HorizontalLoop(g, z, defect, np.zeros(512), float("nan"))
 
 
 @pytest.mark.parametrize("make", [
@@ -448,7 +447,7 @@ def test_an_on_grid_cusp_is_judged_on_the_chopped_interpolant():
 
 def test_cusps_refuse_a_nan_closure_defect():
     g = LegendrianGenerator(*fish_arrays(256)[:2])
-    loop = LegendrianLoop(g, fish_arrays(256)[2], float("nan"))
+    loop = HorizontalLoop(g, fish_arrays(256)[2], float("nan"), np.zeros(256), float("nan"))
     with pytest.raises(NotClosed):
         loop.cusps
 
@@ -457,7 +456,7 @@ def test_front_of_requires_closure():
     s = fourier.grid(128)
     g = LegendrianGenerator(np.cos(TAU * s), np.sin(TAU * s))
     z = np.zeros(128)
-    loop = LegendrianLoop(g, z, -np.pi)
+    loop = HorizontalLoop(g, z, -np.pi, np.zeros(128), float("nan"))
     assert not loop.closed
     with pytest.raises(NotClosed):
         loop.cusps

@@ -7,7 +7,6 @@ from engel import fourier, lifting, pairscan
 from engel.curves import (
     HorizontalLoop,
     LegendrianGenerator,
-    LegendrianLoop,
     TrigSeries,
     sample_generator,
 )
@@ -146,7 +145,7 @@ def test_area_integral_handles_defect_ramp():
     n = 1024
     g = circle(n)
     f_z, m_z = fourier.antiderivative(g.y * g.xp)
-    loop = LegendrianLoop(g, f_z, m_z)
+    loop = HorizontalLoop(g, f_z, m_z, np.zeros(n), float("nan"))
     # z(s) = int_0^s -2 pi sin^2 = -pi s + sin(4 pi s)/4
     def z_exact(s):
         return -np.pi * s + np.sin(2 * TAU * s) / 4.0
@@ -193,11 +192,13 @@ def test_embedding_check_requires_closed_loop():
     # closed in z, open in w: the plain curve has ∮ z dx = pi/2
     g = LegendrianGenerator(np.cos(TAU * s), np.sin(2 * TAU * s))
     assert lifting.w_closure_defect(g) == pytest.approx(np.pi / 2, abs=1e-12)
-    with pytest.raises(NotClosed, match="^w does not close up"):
+    with pytest.raises(NotClosed, match=r"^loop does not close up "
+                       r"\(defects z -?\d\.\d{3}e(-\d\d|\+00), w 1\.571e\+00\)$"):
         lifting.embedding_check(lifting.lift(g))
     # open in z
     raw = HorizontalLoop(circle(n), np.zeros(n), -np.pi, np.zeros(n), 0.0)
-    with pytest.raises(NotClosed, match="^z does not close up"):
+    with pytest.raises(NotClosed, match=r"^loop does not close up "
+                       r"\(defects z -3\.142e\+00, w 0\.000e\+00\)$"):
         lifting.embedding_check(raw)
 
 
@@ -208,7 +209,9 @@ def test_embedding_check_requires_closed_loop():
 def test_embedding_check_refuses_a_nan_defect(defect_z, defect_w, which):
     n = 256
     raw = HorizontalLoop(circle(n), np.zeros(n), defect_z, np.zeros(n), defect_w)
-    with pytest.raises(NotClosed, match="^%s does not close up" % which):
+    # The nan sits in the slot of the defect that is open.
+    printed = {"z": r"z nan, w 0\.000e\+00", "w": r"z 0\.000e\+00, w nan"}[which]
+    with pytest.raises(NotClosed, match=r"^loop does not close up \(defects %s\)$" % printed):
         lifting.embedding_check(raw)
 
 

@@ -5,7 +5,9 @@ base of one that is.
 A public top-level function or class in src/engel must be read by some
 code token in src/engel other than its own definition, or be named in
 README.md as part of the library's documented surface.  Anything else is
-test-only code, and it belongs in tests/helpers.py.
+test-only code, and it belongs in tests/helpers.py.  Likewise a class
+that tests or demos construct is constructed in src/engel too, or named
+in README.md.
 """
 
 import ast
@@ -43,6 +45,43 @@ def test_every_public_name_in_the_package_has_a_reader():
         if tokens[name] == count and not re.search(r"\b%s\b" % re.escape(name), readme)
     )
     assert unread == []
+
+
+def _constructed(paths):
+    # Names called as Name(...) or something.Name(...).
+    called = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    called.add(func.id)
+                elif isinstance(func, ast.Attribute):
+                    called.add(func.attr)
+    return called
+
+
+def test_no_class_is_built_only_by_the_tests():
+    # A class that tests or demos construct is constructed by the package
+    # too, or README names it; otherwise it models nothing the package
+    # ever makes.
+    sources = sorted(SRC.glob("*.py"))
+    classes = {
+        node.name
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    }
+    outside = _constructed(sorted((ROOT / "tests").glob("*.py"))
+                           + sorted((ROOT / "demos").glob("*.py")))
+    inside = _constructed(sources)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    only_tests = sorted(
+        name
+        for name in classes & outside
+        if name not in inside and not re.search(r"\b%s\b" % re.escape(name), readme)
+    )
+    assert only_tests == []
 
 
 def test_every_module_name_in_the_readme_exists():
