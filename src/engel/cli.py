@@ -24,7 +24,7 @@ import sys
 import traceback
 
 from . import curves, frontlang, homotopy, invariants, lifting, models, render
-from .errors import BadDescription, EngelError, FrontlangError, NotClosed
+from .errors import BadDescription, EngelError, FrontSyntaxError, NotClosed
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (BadDescription, FrontlangError, ValueError) as err:
+    except (BadDescription, FrontSyntaxError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_USAGE
     except EngelError as err:

@@ -209,7 +209,7 @@ class HorizontalLoop:
         """
         if not abs(self.closure_defect_z) <= TOL_CLOSURE:
             raise NotClosed(
-                "front projection needs |closure defect| <= %g, got %.3e"
+                "front projection needs |closure defect z| <= %g, got %.3e"
                 % (TOL_CLOSURE, self.closure_defect_z)
             )
         g = self.generator

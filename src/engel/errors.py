@@ -58,12 +58,9 @@ class MoveRefused(EngelError):
     disagrees with the cusps already there, or no amplitude folds it."""
 
 
-class FrontlangError(EngelError):
-    """Base class for parser failures (never an uncontrolled crash)."""
-
-
-class FrontSyntaxError(FrontlangError):
-    """Tokenizer/parser rejection with a precise location.
+class FrontSyntaxError(EngelError):
+    """The one refusal of frontlang.parse: a malformed document, with the
+    line and column (both 1-based) of the token where it went wrong.
 
     The one name for it; it is not called SyntaxError so that it does not
     shadow the builtin.
@@ -77,11 +74,3 @@ class FrontSyntaxError(FrontlangError):
         self.col = col
         self.expected = expected
         self.found = found
-
-
-class DuplicateName(FrontlangError):
-    """Two document entries share a name."""
-
-
-class UnknownMoveKind(FrontlangError):
-    """A script uses a move kind the engine does not define."""

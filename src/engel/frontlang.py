@@ -20,8 +20,9 @@ and the PARAMs each kind takes are the keys and entries of
 ``parse`` returns a Document whose generators carry canonical
 TrigSeries (duplicate harmonics summed, zero coefficients dropped), so
 ``parse(emit(doc)) == doc`` holds structurally for every Document built
-from canonical series.  All rejection paths raise a FrontlangError
-subclass; no input crashes or hangs the process.
+from canonical series.  Every rejection raises FrontSyntaxError at the
+line and column of the offending token; no input crashes or hangs the
+process.
 """
 
 import math
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .curves import TrigSeries
-from .errors import DuplicateName, FrontSyntaxError, UnknownMoveKind
+from .errors import FrontSyntaxError
 from .homotopy import MOVE_PARAMS, Move, MoveScript, _check_move
 
 MAX_HARMONIC = 64
@@ -73,6 +74,9 @@ class _Token(NamedTuple):
         if self.kind == "end":
             return "end of input"
         return "'%s'" % self.text
+
+    def refusal(self, expected: str) -> FrontSyntaxError:
+        return FrontSyntaxError(self.line, self.col, expected, self.describe())
 
 
 # Tried in order at each position.  Digits and letters are ASCII only
@@ -128,13 +132,13 @@ class _Parser:
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise FrontSyntaxError(tok.line, tok.col, what, tok.describe())
+            raise tok.refusal(what)
         return self.take()
 
     def expect_name(self, value: str) -> _Token:
         tok = self.peek()
         if tok.kind != "name" or tok.text != value:
-            raise FrontSyntaxError(tok.line, tok.col, "'%s'" % value, tok.describe())
+            raise tok.refusal("'%s'" % value)
         return self.take()
 
     # grammar productions
@@ -146,18 +150,16 @@ class _Parser:
             if tok.kind == "end":
                 break
             if tok.kind != "name" or tok.text not in ("generator", "script"):
-                raise FrontSyntaxError(
-                    tok.line, tok.col, "'generator' or 'script'", tok.describe()
-                )
+                raise tok.refusal("'generator' or 'script'")
             self.take()
-            name = self.expect("name", "a name").text
-            if name in names:
-                raise DuplicateName("name %r declared twice" % (name,))
-            names.add(name)
+            name = self.expect("name", "a name")
+            if name.text in names:
+                raise name.refusal("a name not declared before")
+            names.add(name.text)
             if tok.text == "generator":
-                generators.append(self.generator_body(name))
+                generators.append(self.generator_body(name.text))
             else:
-                scripts.append(self.script_body(name))
+                scripts.append(self.script_body(name.text))
         return Document(tuple(generators), tuple(scripts))
 
     def generator_body(self, name: str) -> GeneratorDescription:
@@ -196,21 +198,14 @@ class _Parser:
         if tok.kind == "name" and tok.text in ("cos", "sin"):
             self.trig_term(1.0, cos, sin)
             return constant
-        raise FrontSyntaxError(
-            tok.line, tok.col, "a number, 'cos' or 'sin'", tok.describe()
-        )
+        raise tok.refusal("a number, 'cos' or 'sin'")
 
     def trig_term(self, coefficient: float, cos: dict, sin: dict):
         which = self.take().text
         self.expect("(", "'('")
         tok = self.expect("number", "a harmonic index")
         if not tok.text.isdigit() or not 1 <= int(tok.text) <= MAX_HARMONIC:
-            raise FrontSyntaxError(
-                tok.line,
-                tok.col,
-                "an integer harmonic between 1 and %d" % MAX_HARMONIC,
-                tok.describe(),
-            )
+            raise tok.refusal("an integer harmonic between 1 and %d" % MAX_HARMONIC)
         k = int(tok.text)
         self.expect(")", "')'")
         table = cos if which == "cos" else sin
@@ -226,28 +221,17 @@ class _Parser:
         return MoveScript(name, tuple(moves))
 
     def move(self) -> Move:
-        tok = self.expect("name", "a move kind")
-        if tok.text not in MOVE_PARAMS:
-            raise UnknownMoveKind(
-                "line %d, col %d: unknown move kind %r (one of %s)"
-                % (tok.line, tok.col, tok.text, ", ".join(sorted(MOVE_PARAMS)))
-            )
+        tok = self.take()
+        if tok.kind != "name" or tok.text not in MOVE_PARAMS:
+            raise tok.refusal("a move kind (one of %s)" % ", ".join(sorted(MOVE_PARAMS)))
         kind = tok.text
         allowed = MOVE_PARAMS[kind]
         params = {}
         while self.peek().kind == "name":
             ptok = self.take()
-            if ptok.text not in allowed:
-                raise FrontSyntaxError(
-                    ptok.line,
-                    ptok.col,
-                    "a parameter of %s (%s)" % (kind, ", ".join(sorted(allowed))),
-                    ptok.describe(),
-                )
-            if ptok.text in params:
-                raise DuplicateName(
-                    "parameter %r given twice for %s" % (ptok.text, kind)
-                )
+            if ptok.text not in allowed or ptok.text in params:
+                raise ptok.refusal("a parameter of %s not given before (%s)"
+                                   % (kind, ", ".join(sorted(allowed))))
             self.expect("=", "'='")
             vtok = self.expect("number", "a number")
             params[ptok.text] = float(vtok.text)
@@ -255,7 +239,8 @@ class _Parser:
 
 
 def parse(text: str) -> Document:
-    """Parse a document, raising FrontlangError subclasses on bad input."""
+    """Parse a document; bad input raises FrontSyntaxError, the one
+    parse refusal, at its line and column."""
     return _Parser(text).document()
 
 

@@ -273,10 +273,10 @@ def script_frames(g0: LegendrianGenerator, moves):
     event-bearing move's kind at its middle frame, else None.  Each
     frame is built when it is read, and nothing keeps it.
 
-    g0 is balanced first; the two balancing supports are then frozen for
-    the whole run so consecutive frames solve the same 2x2 system.  The
-    end state of each move feeds the next, and every frame is
-    re-balanced and lifted from the base point z = w = 0.  An empty
+    The two balancing supports are placed once, on g0, and frozen for
+    the whole run, so every frame, g0 included, balances on the same two
+    bumps.  The end state of each move feeds the next, and every frame
+    is re-balanced and lifted from the base point z = w = 0.  An empty
     script yields g0's lift alone.  The moves are checked by the call
     itself, before any frame is built: a malformed move, a missing or
     unusable field, or more than MAX_STEPS steps raises ValueError.  A
@@ -292,8 +292,8 @@ def script_frames(g0: LegendrianGenerator, moves):
 
 
 def _script_frames(g0: LegendrianGenerator, moves, total: int):
-    current = lifting.balance_closure(g0)
-    supports = lifting.balance_supports(current)
+    supports = lifting.balance_supports(g0)  # reads x alone, which balancing keeps
+    current = lifting.balance_closure(g0, supports=supports)
     loop = lifting.lift(current)
     yield 0.0, loop, None
     if total:
@@ -352,16 +352,16 @@ def verify_isotopy(trace) -> VerificationReport:
     once it is checked; after the first offense the remaining
     frames are read, counted and not checked.
 
-    Per frame: both closure defects, recomputed from the generator, at
-    most curves.TOL_CLOSURE; the lift embedded by lifting.embedding_check,
-    whose margin must exceed lifting.TOL_EMBED (at a tangency event the
-    front has a double point and the w-separation must still clear that
-    margin); and the winding rotation number equal to frame 0's, which
-    is certified once, first, and reported as `rot` whatever frame 0's
-    other certificates say.  Both tolerances are fixed.  A failed
-    certificate is report content.  A winding number that cannot be
-    certified is not: rot_winding's Unresolved propagates, as does
-    ValueError on an empty trace.
+    Per frame: both closure defects, recomputed from the generator and
+    as the loop carries them, at most curves.TOL_CLOSURE; the lift
+    embedded by lifting.embedding_check, whose margin must exceed
+    lifting.TOL_EMBED (at a tangency event the front has a double point
+    and the w-separation must still clear that margin); and the winding
+    rotation number equal to frame 0's, which is certified once, first,
+    and reported as `rot` whatever frame 0's other certificates say.
+    Both tolerances are fixed.  A failed certificate is report content.
+    A winding number that cannot be certified is not: rot_winding's
+    Unresolved propagates, as does ValueError on an empty trace.
     """
     rot0 = code = None
     worst = lifting.EmbeddingReport((), math.inf, True)
@@ -389,7 +389,7 @@ def _check_frame(loop, rot0, worst):
     g = loop.generator
     dz = lifting.z_closure_defect(g)
     dw = lifting.w_closure_defect(g)
-    if not (abs(dz) <= TOL_CLOSURE and abs(dw) <= TOL_CLOSURE):
+    if not (abs(dz) <= TOL_CLOSURE and abs(dw) <= TOL_CLOSURE and loop.closed):
         return "NOT_CLOSED", worst
     check = lifting.embedding_check(loop)
     if not check.embedded:

@@ -196,13 +196,11 @@ def _half_max_runs(g: LegendrianGenerator):
     starts = np.nonzero(inside & ~np.roll(inside, 1))[0]
     runs = []
     for k0 in starts.tolist():
-        k1 = k0
+        k1 = k0  # passes n - 1 on a run across the seam, so hi >= lo always
         while inside[(k1 + 1) % n]:
             k1 += 1
         lo = _refine_edge(g, k0 / n, (k0 - 1) / n, half)
         hi = _refine_edge(g, k1 / n, (k1 + 1) / n, half)
-        if hi < lo:
-            hi += 1.0
         runs.append((lo, hi))
     runs.sort(key=lambda r: r[1] - r[0], reverse=True)
     return runs

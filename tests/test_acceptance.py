@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from engel import cli, curves, fourier, frontlang, invariants, lifting, models
-from engel.errors import FrontlangError
+from engel.errors import FrontSyntaxError
 from engel.homotopy import Move, script_frames, tangency_profile, verify_isotopy
 
 from helpers import horizontality_residual
@@ -362,7 +362,7 @@ def test_criterion_7_parser_round_trip_and_fuzz():
             text = "".join(text)
         try:
             frontlang.parse(text)
-        except FrontlangError:
+        except FrontSyntaxError:
             pass
         except Exception as err:
             crashes += 1

@@ -190,6 +190,15 @@ def test_unknown_generator_name_exits_2(capsys):
     assert "nosuch" in err
 
 
+def test_unknown_script_name_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "homotopy", "run", DEMO, "circ", "nosuch", "--out", str(tmp_path)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: no script named 'nosuch' in document\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_sample_count_exits_2(capsys):
     code, out, err = run_cli(capsys, "rot", DEMO, "circ", "--samples", "1000")
     assert (code, out) == (2, "")
@@ -515,9 +524,11 @@ def test_a_stall_names_its_trace_frame(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("script, message", [
-    ("slide at=0.3;", "unknown move kind"),
+    ("slide at=0.3;", "expected a move kind (one of"),
     # Running a script re-balances every frame, so no move does it.
-    ("deform at=0.3 width=0.1 ax=0.02 frames=2; balance;", "unknown move kind 'balance' (one of"),
+    ("deform at=0.3 width=0.1 ax=0.02 frames=2; balance;",
+     "line 2, col 54: expected a move kind (one of deform, swallowtail_birth, "
+     "swallowtail_death, tangency_pass), found 'balance'"),
     ("deform at=0.3 width=0.1 amplitude=1 frames=2;", "amplitude"),
     ("tangency_pass at=0.55 width=0.08 frames=2;", "needs a 'amplitude'"),
     ("deform at=0.3 width=0.1 ax=0.05 frames=3;", "even count"),

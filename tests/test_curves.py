@@ -458,7 +458,7 @@ def test_front_of_requires_closure():
     z = np.zeros(128)
     loop = HorizontalLoop(g, z, -np.pi, np.zeros(128), float("nan"))
     assert not loop.closed
-    with pytest.raises(NotClosed):
+    with pytest.raises(NotClosed, match=r"needs \|closure defect z\| <= 1e-09, got -3\.142e\+00$"):
         loop.cusps
 
 

@@ -6,6 +6,7 @@ calibrated amplitude use the default 4096-point grid the calibration
 was done on.
 """
 
+import dataclasses
 import inspect
 import json
 import math
@@ -344,9 +345,10 @@ def test_verification_reads_a_one_shot_stream_to_its_end(monkeypatch):
 
 
 def test_each_move_and_each_frame_winding_is_checked_once(monkeypatch):
-    # The demo's two moves are checked when the script is, and its 129
-    # frames each certify their winding number once, frame 0 included.
-    calls = {"_step_count": 0, "rot_winding": 0}
+    # The demo's two moves are checked when the script is, its 129
+    # frames each certify their winding number once, frame 0 included,
+    # and the balancing supports are placed once for the run.
+    calls = {"_step_count": 0, "rot_winding": 0, "balance_supports": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -359,12 +361,13 @@ def test_each_move_and_each_frame_winding_is_checked_once(monkeypatch):
 
     counted(homotopy, "_step_count")
     counted(invariants, "rot_winding")
+    counted(lifting, "balance_supports")
     doc = frontlang.parse(resources.files("engel.data").joinpath("demo.front").read_text())
     desc = doc.generator("circ")
     g0 = curves.sample_generator((desc.x, desc.y), 1024)
     report = verify_isotopy(script_frames(g0, doc.script("pass_and_fold").moves))
     assert (report.ok, report.frames) == (True, 129)
-    assert calls == {"_step_count": 2, "rot_winding": 129}
+    assert calls == {"_step_count": 2, "rot_winding": 129, "balance_supports": 1}
 
 
 @pytest.mark.parametrize("move, message", [
@@ -402,6 +405,24 @@ def test_a_nan_closure_defect_is_not_closed(which, monkeypatch):
     report = verify_isotopy(trace)
     assert (report.ok, report.code, report.frame) == (False, "NOT_CLOSED", 0)
     assert cli._json_text(report.to_dict()) == golden_text("verification_nan_closure_defect.json")
+
+
+@pytest.mark.parametrize("frame, defects", [
+    (0, {"closure_defect_w": float("nan")}),
+    (0, {"closure_defect_z": 1e-6}),
+    (1, {"closure_defect_z": 1e-6}),
+], ids=["w_nan_at_frame_0", "z_open_at_frame_0", "z_open_at_frame_1"])
+def test_a_loop_carrying_an_open_defect_is_not_closed(frame, defects):
+    # The generator recomputes as closed; the loop's own defects do not,
+    # and the verdict is report content, not a NotClosed raised from
+    # embedding_check.
+    ((_, loop, _),) = script_frames(circle(1024), ())
+    trace = [(0.0, loop, None)] * frame + [(1.0, dataclasses.replace(loop, **defects), None)]
+    report = verify_isotopy(trace)
+    assert (report.ok, report.code, report.frame) == (False, "NOT_CLOSED", frame)
+    if frame == 0:
+        text = cli._json_text(report.to_dict())
+        assert text == golden_text("verification_nan_closure_defect.json")
 
 
 def test_rot_change_between_frames_is_flagged():

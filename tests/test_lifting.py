@@ -330,6 +330,30 @@ def test_balance_closure_symmetric_centers_raise():
         tangency_profile(circle(), 0.55, 0.08, supports=supports)
 
 
+@pytest.mark.parametrize("k", [0, 512, 549])
+def test_balance_supports_move_with_the_samples(k):
+    # |x'| clears half its maximum on one run only, about (0.327, 0.473),
+    # which balance_supports splits in two; rolled by k = 549 samples the
+    # run crosses the seam.  Oracle: rolling the samples by k moves the
+    # supports by k / n, mod 1, and keeps their widths.
+    n = 1024
+    s = fourier.grid(n)
+    b = ((1.0 + np.cos(TAU * (s - 0.4))) / 2.0) ** 10
+    x, _ = fourier.antiderivative(b - np.mean(b))
+    y = np.sin(TAU * s)
+    base = lifting.balance_supports(LegendrianGenerator(x, y))
+    g = LegendrianGenerator(np.roll(x, k), np.roll(y, k))
+    (run,) = lifting._half_max_runs(g)
+    assert (run[1] > 1.0) == (k == 549)
+    supports = lifting.balance_supports(g)
+    for (c, w), (c0, w0) in zip(supports, base, strict=True):
+        assert abs(math.remainder(c - c0 - k / n, 1.0)) <= 1e-14
+        assert abs(w - w0) <= 1e-14
+    out = lifting.balance_closure(g, supports=supports)
+    assert abs(lifting.z_closure_defect(out)) <= 1e-16
+    assert abs(lifting.w_closure_defect(out)) <= 1e-16
+
+
 def test_balance_closure_fixes_w_only_defect():
     n = 2048
     s = fourier.grid(n)
