@@ -53,9 +53,10 @@ def _emit_json(payload: dict) -> None:
 
 def _write_lines(path: str, lines) -> None:
     """Write an iterable of strings to a file as they come, making the
-    file's directory first."""
+    file's directory first when the path names one."""
     try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        if os.path.dirname(path):
+            os.makedirs(os.path.dirname(path), exist_ok=True)
         handle = open(path, "w", encoding="utf-8")
     except OSError as err:
         raise ValueError("cannot write %r: %s" % (path, err)) from err
@@ -78,39 +79,12 @@ def _realize(doc, name: str, samples: int):
     return curves.sample_generator((g.x, g.y), samples)
 
 
-def _try_lift(gen):
-    """The lift of gen, or None when z does not close up."""
-    try:
-        return lifting.lift(gen)
-    except NotClosed:
-        return None
-
-
-def _closure_payload(gen, loop) -> dict:
-    """Both closure defects and the loop's verdict on them.  `loop` is
-    gen's lift, or None when there is none; the defects then come from
-    the generator and the verdict is "not closed"."""
-    if loop is None:
-        dz, dw = lifting.z_closure_defect(gen), lifting.w_closure_defect(gen)
-    else:
-        dz, dw = loop.closure_defect_z, loop.closure_defect_w
+def _closure_payload(loop) -> dict:
+    """A lifted loop's two closure defects and its verdict on them."""
     return {
-        "defect_z": float(dz),
-        "defect_w": float(dw),
-        "closed": loop is not None and loop.closed,
-    }
-
-
-def _invariants_payload(gen, loop) -> dict:
-    """Rotation numbers: the winding form always exists, the cusp form
-    needs a lift, whose front exists because lift closes z."""
-    if loop is not None:
-        return invariants.invariant_report(loop)
-    return {
-        "rot_winding": invariants.rot_winding(gen),
-        "rot_cusp": None,
-        "c_plus": None,
-        "c_minus": None,
+        "defect_z": loop.closure_defect_z,
+        "defect_w": loop.closure_defect_w,
+        "closed": loop.closed,
     }
 
 
@@ -119,11 +93,10 @@ def _report_loop(out: str, stem: str, head: dict, loop, drawings) -> int:
     and embedding.  Write, in this order, out/stem.csv, draw(loop) to
     out/stem + suffix for each (suffix, draw) of `drawings`, and the
     report to out/stem.json."""
-    gen = loop.generator
     payload = {
         **head,
-        "closure": _closure_payload(gen, loop),
-        "invariants": _invariants_payload(gen, loop),
+        "closure": _closure_payload(loop),
+        "invariants": invariants.invariant_report(loop),
         "embedding": lifting.embedding_check(loop).to_dict() if loop.closed else None,
     }
     stem = os.path.join(out, stem)
@@ -136,23 +109,26 @@ def _report_loop(out: str, stem: str, head: dict, loop, drawings) -> int:
 
 
 def _cmd_lift(args) -> int:
-    gen = _realize(_load_document(args.document), args.name, args.samples)
+    loop = lifting.lift(_realize(_load_document(args.document), args.name, args.samples))
+    if not loop.z_closed:
+        raise NotClosed(
+            "∮ y dx = %.6e exceeds the closure tolerance %g; balance the generator first"
+            % (loop.closure_defect_z, curves.TOL_CLOSURE)
+        )
     head = {"name": args.name, "samples": args.samples}
-    return _report_loop(args.out, args.name, head, lifting.lift(gen), ())
+    return _report_loop(args.out, args.name, head, loop, ())
 
 
 def _cmd_rot(args) -> int:
-    gen = _realize(_load_document(args.document), args.name, args.samples)
-    _emit_json({"name": args.name, **_invariants_payload(gen, _try_lift(gen))})
+    loop = lifting.lift(_realize(_load_document(args.document), args.name, args.samples))
+    _emit_json({"name": args.name, **invariants.invariant_report(loop)})
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    gen = _realize(_load_document(args.document), args.name, args.samples)
-    loop = _try_lift(gen)
-    closure = _closure_payload(gen, loop)
-    embedding = lifting.embedding_check(loop).to_dict() if closure["closed"] else None
-    _emit_json({"name": args.name, "closure": closure, "embedding": embedding})
+    loop = lifting.lift(_realize(_load_document(args.document), args.name, args.samples))
+    embedding = lifting.embedding_check(loop).to_dict() if loop.closed else None
+    _emit_json({"name": args.name, "closure": _closure_payload(loop), "embedding": embedding})
     return EXIT_OK if embedding is not None and embedding["embedded"] else EXIT_CERTIFICATE
 
 

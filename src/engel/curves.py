@@ -150,9 +150,11 @@ class HorizontalLoop:
     z is the running integral of y dx from z(0) = 0, and w that of z dx
     from w(0) = 0, so each carries a linear ramp of rate
     closure_defect_z or closure_defect_w when it fails to close.
-    lifting.lift builds one from a generator; direct construction is for
-    trusted or deliberately raw data (tests, quadrature fixtures).  The
-    loop is closed when both defects are at most TOL_CLOSURE.
+    lifting.lift builds one from any generator, closed or not;
+    direct construction is for trusted or deliberately raw data (tests,
+    quadrature fixtures).  The loop judges its own closure: z_closed when
+    |closure_defect_z| <= TOL_CLOSURE, closed when the w defect passes
+    the same test too.  A nan defect fails both.
 
     The front is the (x, z) picture, and it exists once z closes.  Its
     cusps, double points and self-tangencies are found on first read and
@@ -185,9 +187,12 @@ class HorizontalLoop:
         return self.generator.y
 
     @property
+    def z_closed(self) -> bool:
+        return abs(self.closure_defect_z) <= TOL_CLOSURE
+
+    @property
     def closed(self) -> bool:
-        return (abs(self.closure_defect_z) <= TOL_CLOSURE
-                and abs(self.closure_defect_w) <= TOL_CLOSURE)
+        return self.z_closed and abs(self.closure_defect_w) <= TOL_CLOSURE
 
     @functools.cached_property
     def z_interp(self) -> fourier.Interpolant:
@@ -205,9 +210,9 @@ class HorizontalLoop:
         """The front's cusps.
 
         The front needs only z to close; a loop whose w stays open still
-        has one, so this tests the z defect, not `closed`.
+        has one, so this tests z_closed, not `closed`.
         """
-        if not abs(self.closure_defect_z) <= TOL_CLOSURE:
+        if not self.z_closed:
             raise NotClosed(
                 "front projection needs |closure defect z| <= %g, got %.3e"
                 % (TOL_CLOSURE, self.closure_defect_z)

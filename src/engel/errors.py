@@ -37,8 +37,8 @@ class Unresolved(EngelError):
 
 
 class NotClosed(EngelError):
-    """An operation that needs a closed loop received an open one, or a
-    lift was asked of a generator whose z closure defect is too large."""
+    """An operation that needs a closed loop, or a closed z for the
+    front, received an open one."""
 
 
 class SingularSystem(EngelError):

@@ -67,12 +67,13 @@ def rot_cusp(loop: HorizontalLoop) -> int:
 
 
 def invariant_report(loop: HorizontalLoop) -> dict:
-    """Both rotation computations for a loop whose front exists (whose z
-    closes), as a JSON-ready dict."""
-    c_plus, c_minus = classify_cusps(loop)
+    """Both rotation computations for a loop, as a JSON-ready dict.  The
+    cusp fields (rot_cusp, c_plus, c_minus) read the front, so they are
+    None while z is open; rot_winding needs only the generator."""
+    c_plus, c_minus = classify_cusps(loop) if loop.z_closed else (None, None)
     return {
         "rot_winding": rot_winding(loop.generator),
-        "rot_cusp": rot_cusp(loop),
+        "rot_cusp": None if c_plus is None else rot_cusp(loop),
         "c_plus": c_plus,
         "c_minus": c_minus,
     }

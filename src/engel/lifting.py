@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .curves import TOL_CLOSURE, HorizontalLoop, LegendrianGenerator
+from .curves import HorizontalLoop, LegendrianGenerator
 from .errors import NotClosed, SingularSystem
 
 TOL_EMBED = 1e-7
@@ -61,25 +61,21 @@ def closure_functionals(g: LegendrianGenerator, phi: np.ndarray):
 def lift(g: LegendrianGenerator) -> HorizontalLoop:
     """Integrate the slope data to a loop tangent to the plane field.
 
-    z(s) = ∫₀ˢ y dx requires ∮ y dx = 0 (raises NotClosed otherwise);
-    w(s) = ∫₀ˢ z dx is always produced, with its own closure defect
-    recorded on the result.
+    z(s) = ∫₀ˢ y dx and w(s) = ∫₀ˢ z dx are always produced, each with its
+    closure defect (∮ y dx and ∮ z dx) recorded on the result; the loop
+    judges its own closure (HorizontalLoop.z_closed and .closed).
     """
-    # y x' past the float range gives an inf or nan m_z; the test refuses both.
+    # y x' past the float range gives inf or nan samples and defects,
+    # which the loop's closure tests refuse.
     with np.errstate(over="ignore", invalid="ignore"):
         z, m_z = fourier.antiderivative(g.y * g.xp)
-    if not abs(m_z) <= TOL_CLOSURE:
-        raise NotClosed(
-            "∮ y dx = %.6e exceeds the closure tolerance %g; "
-            "balance the generator first" % (m_z, TOL_CLOSURE)
-        )
-    s = fourier.grid(g.n)
-    z_periodic = z - m_z * s
-    f_w, m_w = fourier.antiderivative(z_periodic * g.xp)
-    f_x, x_mean = fourier.antiderivative(g.x)
-    # ∫₀ˢ t x'(t) dt = s x(s) - ∫₀ˢ x, entering through the z ramp.
-    w = f_w + m_z * (s * g.x - f_x)
-    defect_w = float(m_w + m_z * (g.x[0] - x_mean))
+        s = fourier.grid(g.n)
+        z_periodic = z - m_z * s
+        f_w, m_w = fourier.antiderivative(z_periodic * g.xp)
+        f_x, x_mean = fourier.antiderivative(g.x)
+        # ∫₀ˢ t x'(t) dt = s x(s) - ∫₀ˢ x, entering through the z ramp.
+        w = f_w + m_z * (s * g.x - f_x)
+        defect_w = float(m_w + m_z * (g.x[0] - x_mean))
     return HorizontalLoop(g, z, float(m_z), w, defect_w)
 
 

@@ -1,8 +1,8 @@
 """Exit codes, report schemas, and artifacts of the command line tool.
 
-The exit code contract: 0 success, 2 parse/usage error, 3 certificate
-failure.  Most tests drive main() in process; one subprocess case pins
-the module entry point at the OS level.
+The exit code contract: 0 success, 1 internal error, 2 parse/usage
+error, 3 certificate failure.  Most tests drive main() in process; one
+subprocess case pins the module entry point at the OS level.
 """
 
 import argparse
@@ -17,7 +17,7 @@ from importlib import resources
 import pytest
 
 import engel
-from engel import cli, curves, homotopy, pairscan
+from engel import cli, curves, frontlang, homotopy, lifting, pairscan
 
 from helpers import dense_winding, golden_text, trig_series_derivative
 
@@ -326,6 +326,28 @@ def test_check_reports_an_open_w_as_json(tmp_path, capsys):
     assert payload["embedding"] is None
 
 
+# Open in z, where the two means of y x' round apart: ∮ y dx is
+# -2.764601535159018 by the rfft mean and -2.7646015351590183 by np.mean.
+OPEN_DOC = "generator g { x: cos(1) + 0.2 sin(2); y: sin(1) + 0.3 cos(2); }\n"
+
+
+def test_check_on_an_open_document_prints_the_lifts_defects(tmp_path, capsys):
+    doc = tmp_path / "open.front"
+    doc.write_text(OPEN_DOC)
+    code, out, err = run_cli(capsys, "check", str(doc), "g")
+    loop = lifting.lift(cli._realize(frontlang.parse(OPEN_DOC), "g", 4096))
+    assert (code, err) == (3, "")
+    assert out == cli._json_text({
+        "name": "g",
+        "closure": {
+            "defect_z": loop.closure_defect_z,
+            "defect_w": loop.closure_defect_w,
+            "closed": False,
+        },
+        "embedding": None,
+    })
+
+
 @pytest.mark.parametrize("argv", [
     ("rot", DEMO, "circ", "--frames", "7"),
     ("check", "ZW", "g", "--tol-closure", "10"),
@@ -602,6 +624,31 @@ def test_an_out_that_is_a_file_is_a_usage_error(tmp_path, capsys, argv, written)
     assert err.startswith("error: cannot write %r: " % os.path.join(str(blocker), written))
     assert len(err.splitlines()) == 1
     assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["lift", ZERO_AREA, "mirror"], ["mirror.csv", "mirror.json"]),
+    (["model", "-n", "1"],
+     ["model_rot1_seed0.csv", "model_rot1_seed0.json", "model_rot1_seed0.svg"]),
+    (["homotopy", "run", DEMO, "circ", "pass_and_fold"], ["pass_and_fold_trace"]),
+], ids=["lift", "model", "homotopy"])
+def test_an_empty_out_writes_to_the_current_directory(tmp_path, capsys, monkeypatch,
+                                                     argv, written):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv, "--samples", "1024", "--out", "")
+    assert (code, err) == (0, "")
+    assert sorted(os.listdir(tmp_path)) == written
+
+
+def test_an_internal_error_exits_1_with_a_traceback(capsys, monkeypatch):
+    def boom(gen):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(lifting, "lift", boom)
+    code, out, err = run_cli(capsys, "rot", ZERO_AREA, "mirror")
+    assert (code, out) == (1, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.splitlines()[-1] == "RuntimeError: boom"
 
 
 @pytest.mark.parametrize("command", ["lift", "rot", "check"])

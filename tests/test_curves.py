@@ -127,6 +127,15 @@ def test_generator_rejects_non_finite_samples(bad):
         LegendrianGenerator(y_bad, x)
 
 
+@pytest.mark.parametrize("x, y", [
+    (np.zeros(64), np.zeros(32)),
+    (np.zeros((2, 64)), np.zeros((2, 64))),
+], ids=["unequal", "2-d"])
+def test_generator_refuses_samples_that_are_not_two_equal_vectors(x, y):
+    with pytest.raises(BadDescription, match="^x and y must be 1-d sample arrays of equal length$"):
+        LegendrianGenerator(x, y)
+
+
 def test_loops_compare_and_hash_by_identity():
     s = fourier.grid(256)
     g = LegendrianGenerator(np.cos(TAU * s), np.sin(2 * TAU * s))

@@ -16,7 +16,7 @@ from engel import frontlang
 from engel.curves import TrigSeries
 from engel.errors import FrontSyntaxError
 from engel.frontlang import Document, GeneratorDescription
-from engel.homotopy import Move, MoveScript
+from engel.homotopy import MOVE_PARAMS, Move, MoveScript
 from helpers import scan_front_tokens
 
 
@@ -189,18 +189,13 @@ _tables = st.dictionaries(st.integers(1, 64), _floats.filter(lambda v: v != 0.0)
 _series = st.builds(
     lambda c, cos, sin: TrigSeries(c, cos, sin).pruned(), _floats, _tables, _tables
 )
-_params_for = {
-    "deform": ("at", "width", "ax", "ay", "frames"),
-    "swallowtail_birth": ("at", "width", "amplitude", "frames"),
-    "swallowtail_death": ("at", "width", "amplitude", "frames"),
-    "tangency_pass": ("at", "width", "amplitude", "frames"),
-}
 
 
 @st.composite
 def _moves(draw):
-    kind = draw(st.sampled_from(sorted(_params_for)))
-    keys = draw(st.sets(st.sampled_from(_params_for[kind])))
+    # Kinds and fields come from the move table, so a new one is fuzzed here too.
+    kind = draw(st.sampled_from(sorted(MOVE_PARAMS)))
+    keys = draw(st.sets(st.sampled_from(MOVE_PARAMS[kind])))
     return Move(kind, {k: draw(_floats) for k in sorted(keys)})
 
 

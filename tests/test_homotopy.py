@@ -398,6 +398,11 @@ def test_empty_script_gives_a_single_verified_frame():
     json.dumps(payload)
 
 
+def test_an_empty_trace_is_refused():
+    with pytest.raises(ValueError, match="^cannot verify an empty trace$"):
+        verify_isotopy([])
+
+
 @pytest.mark.parametrize("which", ["z_closure_defect", "w_closure_defect"])
 def test_a_nan_closure_defect_is_not_closed(which, monkeypatch):
     trace = list(script_frames(circle(1024), ()))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from engel import fourier, lifting, pairscan
+from engel import fourier, invariants, lifting, pairscan
 from engel.curves import (
     HorizontalLoop,
     LegendrianGenerator,
@@ -78,9 +78,20 @@ def test_z_closure_defect_circle_matches_riemann_oracle():
     assert defect == pytest.approx(-np.pi, abs=1e-12)
 
 
-def test_lift_rejects_unbalanced_generator():
-    with pytest.raises(NotClosed, match="^∮ y dx = .* exceeds the closure tolerance 1e-09; balance"):
-        lifting.lift(circle())
+def test_lift_of_an_unbalanced_generator_does_not_close():
+    # The raw circle's slope encloses area pi: lift integrates it all the
+    # same, and the loop it returns judges itself open in z.  Its front
+    # and its embedding check refuse; its winding needs no front.
+    loop = lifting.lift(circle())
+    assert loop.closure_defect_z == pytest.approx(-np.pi, abs=1e-12)
+    assert loop.z_closed is False and loop.closed is False
+    with pytest.raises(NotClosed):
+        loop.cusps
+    with pytest.raises(NotClosed):
+        lifting.embedding_check(loop)
+    assert invariants.invariant_report(loop) == {
+        "rot_winding": 1, "rot_cusp": None, "c_plus": None, "c_minus": None,
+    }
 
 
 def test_lift_with_zero_slope_lifts_by_quadrature():

@@ -62,6 +62,18 @@ def test_synthesis_gives_up_when_under_resolved():
         models.model_front(48, seed=0, samples=64)
 
 
+@pytest.mark.parametrize("module, name, value, message", [
+    (invariants, "rot_cusp", 99, "cusp count gives rot 99 instead of 3"),
+    (lifting, "embedding_check", lifting.EmbeddingReport((), 5e-7, True),
+     "embedding margin 5.000e-07 too small"),
+], ids=["cusp_rot", "margin"])
+def test_a_failed_certificate_is_retried_and_named(monkeypatch, module, name, value, message):
+    monkeypatch.setattr(module, name, lambda loop: value)
+    last = r"in %d attempts; last failure: %s$" % (models.RETRY_CAP, message)
+    with pytest.raises(SynthesisFailed, match=last):
+        models.model_front(3, seed=0, samples=1024)
+
+
 def test_orientation_reverse_negates_rot_and_keeps_margin():
     loop = models.model_front(3, seed=0, samples=2048)
     rev = orientation_reverse(loop)
