@@ -76,10 +76,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _derivative(values: np.ndarray) -> np.ndarray:
+def _spectrum(values: np.ndarray) -> np.ndarray:
+    """The rfft of x or y, read-only.  An rfft past the float range gives
+    inf or nan entries without a warning; reading xp or yp refuses them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.fft.rfft(values)
+    c.setflags(write=False)
+    return c
+
+
+def _derivative(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """Grid samples of x' or y', refused when the rfft overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        d = fourier.derivative(values)
+        d = fourier.derivative(values, spectrum)
     if not np.isfinite(d).all():
         raise BadDescription("x' and y' samples must be finite")
     return _readonly(d)
@@ -94,6 +103,11 @@ class LegendrianGenerator:
     samples raise BadDescription, and so does reading the grid
     derivatives xp or yp when they overflow.  Off-grid values and
     derivatives come from x_interp and y_interp through .value(s, order).
+
+    Each of x and y is transformed once, on first use: x_rfft and y_rfft
+    hold their rffts, and the grid derivatives, the interpolants and
+    lifting's integral of x all read them.  y_dx holds the running
+    integral of y dx, which lift's z and the w closure defect share.
     """
 
     def __init__(self, x, y):
@@ -111,20 +125,39 @@ class LegendrianGenerator:
         self.y = y
 
     @functools.cached_property
+    def x_rfft(self) -> np.ndarray:
+        return _spectrum(self.x)
+
+    @functools.cached_property
+    def y_rfft(self) -> np.ndarray:
+        return _spectrum(self.y)
+
+    @functools.cached_property
     def xp(self) -> np.ndarray:
-        return _derivative(self.x)
+        return _derivative(self.x, self.x_rfft)
 
     @functools.cached_property
     def yp(self) -> np.ndarray:
-        return _derivative(self.y)
+        return _derivative(self.y, self.y_rfft)
 
     @functools.cached_property
     def x_interp(self) -> fourier.Interpolant:
-        return fourier.Interpolant(self.x)
+        return fourier.Interpolant(self.x, spectrum=self.x_rfft)
 
     @functools.cached_property
     def y_interp(self) -> fourier.Interpolant:
-        return fourier.Interpolant(self.y)
+        return fourier.Interpolant(self.y, spectrum=self.y_rfft)
+
+    @functools.cached_property
+    def y_dx(self):
+        """(F, m): F(s) = integral of y dx from 0 to s on the grid,
+        read-only, and m its full-period integral, the rfft mean of y x'
+        (fourier.antiderivative).  A y x' past the float range gives inf
+        or nan, which the closure tests refuse."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, m = fourier.antiderivative(self.y * self.xp)
+        f.setflags(write=False)
+        return f, m
 
     def min_speed(self):
         """(parameter, speed) at the slowest grid sample."""
@@ -288,13 +321,14 @@ def find_cusps(g: LegendrianGenerator):
     a root that is not a generic cusp raises DegenerateCusp.
     """
     n, xi = g.n, g.x_interp
-    xp = xi.samples(1).copy()
+    rows = xi.samples((1, 2)).copy()
+    xp = rows[0]  # zeroed in place at on-grid roots below
     on_grid = np.abs(xp) <= TOL_ROOT
     xp[on_grid] = 0.0
     sg = np.sign(xp)
-    after = np.roll(sg, -1)
-    consecutive = on_grid & (np.roll(on_grid, 1) | np.roll(on_grid, -1))
-    bad = np.flatnonzero(consecutive | (on_grid & (np.roll(sg, 1) == after)))
+    after = fourier.roll(sg, -1)
+    consecutive = on_grid & (fourier.roll(on_grid, 1) | fourier.roll(on_grid, -1))
+    bad = np.flatnonzero(consecutive | (on_grid & (fourier.roll(sg, 1) == after)))
     if bad.size:
         what = ("x' vanishes on consecutive samples near" if consecutive[bad[0]]
                 else "vertical tangency without sign change at")
@@ -307,7 +341,7 @@ def find_cusps(g: LegendrianGenerator):
     bracketed = sg * after < 0
     bounds = np.array([[xi.bound(2)], [xi.bound(3)]])
     found = certify_cells(
-        (xi,), np.stack([xp, xi.samples(2)]),
+        (xi,), rows,
         lambda lt, rt, h: np.any((lt * rt > 0) & (np.abs(lt) + np.abs(rt) > h * bounds), axis=0),
         lambda cell, lt, rt, done: np.bincount(cell, (lt[0] * rt[0] < 0) & done, minlength=n),
         "x'")
@@ -322,7 +356,7 @@ def find_cusps(g: LegendrianGenerator):
     # holds the root x'' keeps its sign, so Newton converges there.
     kb, ke = np.flatnonzero(bracketed), np.flatnonzero(on_grid)
     lo, hi, sign_lo = kb / n, (kb + 1) / n, sg[kb]
-    s = lo + xp[kb] / (xp[kb] - np.roll(xp, -1)[kb]) / n
+    s = lo + xp[kb] / (xp[kb] - xp[(kb + 1) % n]) / n
     last, live, tiny = hi - lo, np.arange(kb.size), 4 * fourier.EPS
     for _ in range(60):
         if not live.size:
@@ -363,7 +397,7 @@ def certify_cells(interps, left, accept, tally, what):
     CERTIFY_DEPTH halvings, or past CERTIFY_BUDGET, raises Unresolved."""
     n, cost, total = interps[0].n, sum(i.kept.max() for i in interps), 0
     h, cell = 1.0 / n, np.arange(n)
-    a, right = cell / n, np.roll(left, -1, axis=1)
+    a, right = cell / n, fourier.roll(left, -1)
     for depth in range(CERTIFY_DEPTH + 1):
         done = accept(left, right, h)
         total = total + tally(cell, left, right, done)

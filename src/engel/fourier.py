@@ -3,7 +3,12 @@
 All curve data in this package lives on the grid s_k = k/N with period 1.
 Smooth periodic samples are identified with their trigonometric interpolant,
 and every operation here (differentiation, antiderivatives and off-grid
-evaluation) is exact for that interpolant.
+evaluation) is exact for that interpolant.  Each of them starts from the
+samples' rfft, and each takes that rfft as an optional `spectrum`: a
+caller holding one array's transform (a LegendrianGenerator holds x's and
+y's) passes it to all of them, so the array is transformed once.  An FFT
+row depends on its input alone, so the results keep their bits whether
+the spectrum is passed or made inside.
 
 Every grid size N is a power of two, at least 16; check_size holds that
 rule, and every entry point here that takes a size or samples applies it.
@@ -43,11 +48,20 @@ def grid(n: int) -> np.ndarray:
     return np.arange(check_size(n)) / n
 
 
-def derivative(values: np.ndarray) -> np.ndarray:
-    """Grid samples of the interpolant's derivative."""
+def roll(a: np.ndarray, shift: int, axis: int = -1) -> np.ndarray:
+    """np.roll(a, shift, axis), the samples circularly shifted, as two
+    slices joined: the same array at a fraction of np.roll's call cost."""
+    k = -shift % a.shape[axis]
+    lead = (slice(None),) * (axis % a.ndim)
+    return np.concatenate((a[lead + (slice(k, None),)], a[lead + (slice(None, k),)]), axis=axis)
+
+
+def derivative(values: np.ndarray, spectrum=None) -> np.ndarray:
+    """Grid samples of the interpolant's derivative; `spectrum`, when
+    given, is np.fft.rfft(values)."""
     values = np.asarray(values, dtype=float)
     n = check_size(values.shape[0])
-    c = np.fft.rfft(values)
+    c = np.fft.rfft(values) if spectrum is None else spectrum
     k = np.arange(c.shape[0])
     c = c * (2j * np.pi * k)
     c[-1] = 0.0
@@ -88,29 +102,33 @@ class Interpolant:
     ``values`` is one sample vector, or a (channels, N) stack of them; each
     channel may carry a linear ramp, ``drift`` * s, on top of its periodic
     part (the shape of an antiderivative such as z or w when its closure
-    defect is nonzero).  The FFT is computed once and each spectrum is
-    chopped at its noise floor (see the module docstring), so evaluation
-    costs the true bandwidth of the data rather than the grid size.
-    Evaluation unwraps the ramps, so it is valid for any real s.
+    defect is nonzero).  The FFT is computed once, or passed in as
+    `spectrum`, the rfft of the periodic parts along the last axis, which
+    is only read.  Each spectrum is chopped at its noise floor (see the
+    module docstring), so evaluation costs the true bandwidth of the data
+    rather than the grid size.  Evaluation unwraps the ramps, so it is
+    valid for any real s.
     """
 
-    def __init__(self, values: np.ndarray, drift=0.0):
+    def __init__(self, values: np.ndarray, drift=0.0, spectrum=None):
         values = np.asarray(values, dtype=float)
         self.n = check_size(values.shape[-1])
         self.shape = values.shape[:-1]
         self.drift = np.zeros(self.shape) + drift
-        if np.any(self.drift):
-            values = values - self.drift[..., None] * grid(self.n)
-        c = np.fft.rfft(values, axis=-1).reshape(-1, self.n // 2 + 1)
+        if spectrum is None:
+            if np.any(self.drift):
+                values = values - self.drift[..., None] * grid(self.n)
+            spectrum = np.fft.rfft(values, axis=-1)
+        c = spectrum.reshape(-1, self.n // 2 + 1)
         # Each row keeps its harmonics through the last one above the floor
         # (the mean always stays).
         mag = np.abs(c)
         alive = mag > EPS * np.sqrt(self.n) * mag.max(axis=1, keepdims=True)
         alive[:, 0] = True
         self.kept = c.shape[1] - np.argmax(alive[:, ::-1], axis=1)
-        for row, kept in zip(c, self.kept):
-            row[kept:] = 0.0
         self._c = c[:, : self.kept.max()].copy()
+        for row, kept in zip(self._c, self.kept):
+            row[kept:] = 0.0
         self._weights = {}
         self._rows = {}
 
@@ -143,14 +161,21 @@ class Interpolant:
 
     def samples(self, order=0):
         """Grid samples of the periodic part's order-th derivative (no phase
-        matrix).  Each order's row is computed once and shared read-only:
-        copy it before writing."""
+        matrix).  A tuple of orders stacks one such result per order along
+        a new leading axis, all from one multi-row irfft.  Each result is
+        computed once and shared read-only: copy it before writing."""
         out = self._rows.get(order)
         if out is None:
+            orders = order if isinstance(order, tuple) else (order,)
             k = np.arange(self._c.shape[1])
-            out = np.fft.irfft(self._c * (2j * np.pi * k) ** order, self.n)
-            out = self._rows[order] = out.reshape(self.shape + (self.n,))
+            spectra = np.stack([self._c * (2j * np.pi * k) ** q for q in orders])
+            out = np.fft.irfft(spectra, self.n).reshape((len(orders),) + self.shape + (self.n,))
             out.setflags(write=False)
+            self._rows.update(zip(orders, out))
+            if orders is order:
+                self._rows[order] = out
+            else:
+                out = out[0]
         return out
 
     def bound(self, order):
@@ -164,18 +189,19 @@ class Interpolant:
         return float(out) if out.ndim == 0 else out
 
 
-def antiderivative(values: np.ndarray) -> tuple[np.ndarray, float]:
+def antiderivative(values: np.ndarray, spectrum=None) -> tuple[np.ndarray, float]:
     """Grid samples of F(s) = integral of f from 0 to s, plus the mean drift.
 
     Returns (F, m) with F[k] = m*s_k + P(s_k) - P(0) where P is periodic and
     m is the full-period integral of f.  F[0] is exactly 0.  The Nyquist
     mode integrates to a sine that vanishes at every grid point, so it
     drops out of the samples (off-grid callers want
-    :func:`antiderivative_evaluator`).
+    :func:`antiderivative_evaluator`).  `spectrum`, when given, is
+    np.fft.rfft(values).
     """
     values = np.asarray(values, dtype=float)
     n = check_size(values.shape[0])
-    c = np.fft.rfft(values)
+    c = np.fft.rfft(values) if spectrum is None else spectrum
     mean = c[0].real / n
     k = np.arange(c.shape[0])
     d = np.zeros_like(c)
@@ -185,16 +211,19 @@ def antiderivative(values: np.ndarray) -> tuple[np.ndarray, float]:
     return mean * grid(n) + (p - p[0]), mean
 
 
-def antiderivative_evaluator(values: np.ndarray):
+def antiderivative_evaluator(values: np.ndarray, spectrum=None):
     """The integral of the interpolant from 0 to s, as a function of real s
-    (a float, or an array of them).
+    (a float, or an array of them).  `spectrum`, when given, is
+    np.fft.rfft(values).
 
     The FFTs run once, here: the function holds the Interpolant of the
     antiderivative samples and the Nyquist sine they miss.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    f_samples, mean = antiderivative(values)
+    if spectrum is None:
+        spectrum = np.fft.rfft(values)
+    f_samples, mean = antiderivative(values, spectrum)
     interp = Interpolant(f_samples, drift=mean)
-    nyquist = np.fft.rfft(values)[-1].real / n
+    nyquist = spectrum[-1].real / n
     return lambda s: interp.value(s) + nyquist * np.sin(np.pi * n * s) / (np.pi * n)

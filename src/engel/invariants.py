@@ -11,11 +11,13 @@ import numpy as np
 
 from . import fourier
 from .curves import HorizontalLoop, LegendrianGenerator, Orientation, certify_cells
-from .errors import OddCuspImbalance, Unresolved
+from .errors import BadDescription, OddCuspImbalance, Unresolved
 
 # A winding sum farther than this from an integer signals resolution
 # failure rather than roundoff.
 INTEGER_GUARD = 1e-6
+# Below this, a square, or a sum of two squares, stays finite.
+SQUARE_LIMIT = float(np.sqrt(np.finfo(float).max / 2.0))
 
 
 def rot_winding(g: LegendrianGenerator) -> int:
@@ -26,11 +28,18 @@ def rot_winding(g: LegendrianGenerator) -> int:
     |v(a)| exceeds that reach, v misses the origin there and turns by the
     principal angle between its end values; certify_cells halves the
     other pieces and sums the turns.  Unresolved when a piece stays
-    uncertified, or when the turns sum off an integer.
+    uncertified, or when the turns sum off an integer; BadDescription,
+    before any cell is tested, when a square the test forms would leave
+    the float range.
     """
     g.require_immersed()
     xi, yi = g.x_interp, g.y_interp
     b3 = float(np.hypot(xi.bound(3), yi.bound(3)))
+    # Every square and product below is at most the square of |v|, of |v'|
+    # or of a cell's reach, and b3 / 2 pi bounds all three (each harmonic
+    # k >= 1 gains a factor 2 pi k per order).
+    if not b3 / fourier.TAU <= SQUARE_LIMIT:
+        raise BadDescription("x' and y' are too large: their squares leave the float range")
 
     def misses_origin(lt, rt, h):
         reach = np.sqrt(np.maximum(lt[1] ** 2 + lt[3] ** 2, rt[1] ** 2 + rt[3] ** 2))
@@ -41,7 +50,7 @@ def rot_winding(g: LegendrianGenerator) -> int:
         cross, dot = lt[0] * rt[2] - lt[2] * rt[0], lt[0] * rt[0] + lt[2] * rt[2]
         return float(np.arctan2(cross, dot) @ done) / fourier.TAU
 
-    rows = np.stack([i.samples(q) for i in (xi, yi) for q in (1, 2)])
+    rows = np.concatenate([xi.samples((1, 2)), yi.samples((1, 2))])
     total = certify_cells((xi, yi), rows, misses_origin, turn, "velocity")
     if abs(total - round(total)) > INTEGER_GUARD:
         raise Unresolved("winding sum %.9f is not within %g of an integer"

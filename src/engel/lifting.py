@@ -38,8 +38,9 @@ def z_closure_defect(g: LegendrianGenerator) -> float:
 
 
 def w_closure_defect(g: LegendrianGenerator) -> float:
-    """∮ z dx for the z that lift induces from g."""
-    return closure_functionals(g, g.y)[1]
+    """∮ z dx for the z that lift induces from g: the second closure
+    functional of phi = y, read off the integral g.y_dx that lift uses."""
+    return _functionals(g, *g.y_dx)[1]
 
 
 def closure_functionals(g: LegendrianGenerator, phi: np.ndarray):
@@ -52,6 +53,12 @@ def closure_functionals(g: LegendrianGenerator, phi: np.ndarray):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         f, m = fourier.antiderivative(phi * g.xp)
+    return _functionals(g, f, m)
+
+
+def _functionals(g: LegendrianGenerator, f: np.ndarray, m: float):
+    """closure_functionals from Φ's grid samples f and period integral m."""
+    with np.errstate(over="ignore", invalid="ignore"):
         periodic = f - m * fourier.grid(g.n)
         return float(m), float(
             m * (g.x[0] - np.mean(g.x)) + np.mean(periodic * g.xp)
@@ -67,12 +74,12 @@ def lift(g: LegendrianGenerator) -> HorizontalLoop:
     """
     # y x' past the float range gives inf or nan samples and defects,
     # which the loop's closure tests refuse.
+    z, m_z = g.y_dx
     with np.errstate(over="ignore", invalid="ignore"):
-        z, m_z = fourier.antiderivative(g.y * g.xp)
         s = fourier.grid(g.n)
         z_periodic = z - m_z * s
         f_w, m_w = fourier.antiderivative(z_periodic * g.xp)
-        f_x, x_mean = fourier.antiderivative(g.x)
+        f_x, x_mean = fourier.antiderivative(g.x, g.x_rfft)
         # ∫₀ˢ t x'(t) dt = s x(s) - ∫₀ˢ x, entering through the z ramp.
         w = f_w + m_z * (s * g.x - f_x)
         defect_w = float(m_w + m_z * (g.x[0] - x_mean))
@@ -94,7 +101,7 @@ def area_integral(loop, s0: float, s1: float) -> float:
     area = fourier.antiderivative_evaluator(z_periodic * g.xp)
     total = area(s1) - area(s0)
     if m != 0.0:
-        x_area = fourier.antiderivative_evaluator(g.x)
+        x_area = fourier.antiderivative_evaluator(g.x, g.x_rfft)
         total += m * (
             s1 * g.x_interp.value(s1)
             - s0 * g.x_interp.value(s0)
@@ -189,7 +196,7 @@ def _half_max_runs(g: LegendrianGenerator):
     inside = np.abs(g.xp) >= half
     if np.all(inside):
         return [(0.0, 1.0)]
-    starts = np.nonzero(inside & ~np.roll(inside, 1))[0]
+    starts = np.nonzero(inside & ~fourier.roll(inside, 1))[0]
     runs = []
     for k0 in starts.tolist():
         k1 = k0  # passes n - 1 on a run across the seam, so hi >= lo always

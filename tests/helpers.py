@@ -189,6 +189,21 @@ def assert_channels_bitwise_equal(stacked, singles):
         assert not stacked._c[row, width:].any()
 
 
+def count_ffts(monkeypatch):
+    """A dict whose "ffts" counts the np.fft.rfft and irfft calls made
+    from now on, by the package or anyone else."""
+    calls = {"ffts": 0}
+    for name in ("rfft", "irfft"):
+        real = getattr(np.fft, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls["ffts"] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 def csv_repr_table(loop):
     """The CSV table s,x,y,z,w of one loop, built one value at a time as
     repr(float(v)): the direct form of what the package's CSV writer

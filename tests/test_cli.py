@@ -473,6 +473,21 @@ def test_a_derivative_past_the_float_range_is_a_usage_error(tmp_path, command):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command, code, message", [
+    ("rot", 2, "error: x' and y' are too large: their squares leave the float range"),
+    ("lift", 3, "certificate failure: ∮ y dx = nan exceeds the closure tolerance 1e-09; "
+                "balance the generator first"),
+], ids=["rot", "lift"])
+def test_a_velocity_whose_squares_overflow_is_refused_without_warnings(tmp_path, command, code, message):
+    # x' and y' are finite but their squares are not.  The winding
+    # certificate squares them, so rot refuses the document; lift stops
+    # first, at the z it cannot close.
+    doc = tmp_path / "big.front"
+    doc.write_text("generator g { x: 1e300 cos(1); y: 1e300 sin(1); }\n")
+    proc = run_module(command, str(doc), "g", "--samples", "1024", cwd=tmp_path)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (code, message + "\n", "")
+
+
 def run_script_doc(tmp_path, capsys, script):
     doc = tmp_path / "doc.front"
     doc.write_text("generator circ { x: cos(1); y: sin(1); }\nscript s { %s }\n" % script)

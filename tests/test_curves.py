@@ -375,6 +375,67 @@ def test_cusp_search_and_winding_share_read_only_rows():
         row[0] = 1.0
 
 
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _spectral_generators(draw):
+    """(n, x, y): n in {16, 256, 4096}, x and y random trigonometric
+    polynomials of one drawn degree up to n / 4, sampled on the n-grid."""
+    n = draw(st.sampled_from([16, 256, 4096]))
+    degree = draw(st.integers(1, n // 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def series():
+        c = np.zeros(n // 2 + 1, dtype=complex)
+        c[: degree + 1] = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+        return np.fft.irfft(c / np.arange(1, n // 2 + 2), n)
+
+    return n, series(), series()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spectral_generators(), st.integers(0, 2**32 - 1))
+def test_shared_spectra_match_the_direct_formulas(drawn, seed):
+    # A generator transforms x and y once and hands the rffts to its grid
+    # derivatives, interpolants and integrals.  Each result must keep the
+    # bits of the direct formula on a fresh copy, which makes its own
+    # transform.
+    n, x, y = drawn
+    g = LegendrianGenerator(x, y)
+    fresh_x, fresh_y = np.array(x), np.array(y)
+    s = np.random.default_rng(seed).uniform(-1.0, 2.0, size=9)
+    for shared, values, fresh in ((g.xp, g.x_interp, fresh_x), (g.yp, g.y_interp, fresh_y)):
+        assert _same_bits(shared, fourier.derivative(fresh))
+        direct = fourier.Interpolant(fresh)
+        for q in range(4):
+            assert _same_bits(values.value(s, q), direct.value(s, q))
+        # The chop rule, then one irfft per order.
+        c = np.fft.rfft(fresh)
+        mag = np.abs(c)
+        keep = 1 + max([0] + np.flatnonzero(mag > fourier.EPS * np.sqrt(n) * mag.max()).tolist())
+        k = np.arange(keep)
+        rows = values.samples((1, 2))
+        for row, q in zip(rows, (1, 2)):
+            assert _same_bits(row, np.fft.irfft(c[:keep] * (2j * np.pi * k) ** q, n))
+
+    loop = lifting.lift(g)
+    xp = fourier.derivative(fresh_x)
+    z, m_z = fourier.antiderivative(fresh_y * xp)
+    grid = fourier.grid(n)
+    z_periodic = z - m_z * grid
+    f_w, m_w = fourier.antiderivative(z_periodic * xp)
+    f_x, x_mean = fourier.antiderivative(fresh_x)
+    assert _same_bits(loop.z, z)
+    assert _same_bits(loop.closure_defect_z, m_z)
+    assert _same_bits(loop.w, f_w + m_z * (grid * fresh_x - f_x))
+    assert _same_bits(loop.closure_defect_w, m_w + m_z * (fresh_x[0] - x_mean))
+    assert _same_bits(lifting.w_closure_defect(g),
+                      m_z * (fresh_x[0] - np.mean(fresh_x)) + np.mean(z_periodic * xp))
+
+
 def _dense_roots(g, refine=16):
     """Sign changes of x' on a grid `refine` times finer, from the FFT
     upsampling of x rather than from the evaluator find_cusps uses."""

@@ -25,7 +25,7 @@ from engel.homotopy import (
     verify_isotopy,
 )
 
-from helpers import golden_text, move_frames
+from helpers import count_ffts, golden_text, move_frames
 
 # Tangency amplitude calibrated so the middle frame of the pass touches
 # the opposite strand exactly (the same value ships in data/demo.front).
@@ -347,7 +347,10 @@ def test_verification_reads_a_one_shot_stream_to_its_end(monkeypatch):
 def test_each_move_and_each_frame_winding_is_checked_once(monkeypatch):
     # The demo's two moves are checked when the script is, its 129
     # frames each certify their winding number once, frame 0 included,
-    # and the balancing supports are placed once for the run.
+    # and the balancing supports are placed once for the run.  Each
+    # generator transforms its x, y and integrands once: at most 18 FFT
+    # calls a frame on average.
+    ffts = count_ffts(monkeypatch)
     calls = {"_step_count": 0, "rot_winding": 0, "balance_supports": 0}
 
     def counted(module, name):
@@ -368,6 +371,7 @@ def test_each_move_and_each_frame_winding_is_checked_once(monkeypatch):
     report = verify_isotopy(script_frames(g0, doc.script("pass_and_fold").moves))
     assert (report.ok, report.frames) == (True, 129)
     assert calls == {"_step_count": 2, "rot_winding": 129, "balance_supports": 1}
+    assert ffts["ffts"] <= 18 * 129
 
 
 @pytest.mark.parametrize("move, message", [

@@ -11,10 +11,11 @@ from engel.curves import (
     TrigSeries,
     sample_generator,
 )
-from engel.errors import OddCuspImbalance, Unresolved
+from engel.errors import BadDescription, OddCuspImbalance, Unresolved
 
 from helpers import (
     TAU,
+    count_ffts,
     dense_winding,
     fish_arrays,
     mirror_x,
@@ -152,3 +153,35 @@ def test_rot_cusp_rejects_odd_imbalance():
     assert invariants.classify_cusps(fake) == (1, 2)
     with pytest.raises(OddCuspImbalance):
         invariants.rot_cusp(fake)
+
+
+def test_rot_winding_refuses_a_velocity_whose_squares_overflow():
+    # x' and y' are finite, their squares are not; the refusal comes
+    # before any cell test squares them (a numpy warning fails the suite).
+    s = fourier.grid(1024)
+    big = LegendrianGenerator(1e300 * np.cos(TAU * s), 1e300 * np.sin(TAU * s))
+    with pytest.raises(BadDescription, match="squares leave the float range"):
+        invariants.rot_winding(big)
+    # At 1e150 every square stays finite, and the circle winds once.
+    large = LegendrianGenerator(1e150 * np.cos(TAU * s), 1e150 * np.sin(TAU * s))
+    assert invariants.rot_winding(large) == 1
+
+
+def test_a_corpus_item_transforms_each_sample_array_once(monkeypatch):
+    # A balanced degree-8 generator at 4096 samples, as in the acceptance
+    # corpus.  Balancing, the lift and both rotation numbers transform x,
+    # y and each integrand once: at most 12 FFT calls.
+    rng = np.random.default_rng(1)
+    s = fourier.grid(4096)
+    x, y = np.cos(TAU * s), 2.0 * np.sin(2 * TAU * s)
+    for k in range(1, 9):
+        a, b, c, d = 0.5 * rng.uniform(-1, 1, size=4) / k**2
+        x += a * np.cos(k * TAU * s) + b * np.sin(k * TAU * s)
+        y += c * np.cos(k * TAU * s) + d * np.sin(k * TAU * s)
+    balanced = lifting.balance_closure(LegendrianGenerator(x, y))
+    g = LegendrianGenerator(balanced.x, balanced.y)
+    ffts = count_ffts(monkeypatch)
+    assert lifting.balance_closure(g) is g
+    report = invariants.invariant_report(lifting.lift(g))
+    assert report["rot_winding"] == report["rot_cusp"]
+    assert ffts["ffts"] <= 12
