@@ -175,19 +175,19 @@ class LegendrianGenerator:
         return self
 
 
-@dataclass(eq=False)
 class HorizontalLoop:
-    """Sampled (x, y, z, w) loop tangent to the Engel plane field, its
-    Legendrian projection (x, y, z), and that projection's front.
+    """The horizontal loop (x, y, z, w) tangent to the Engel plane field
+    that a generator lifts to, its Legendrian projection (x, y, z), and
+    that projection's front.
 
-    z is the running integral of y dx from z(0) = 0, and w that of z dx
-    from w(0) = 0, so each carries a linear ramp of rate
-    closure_defect_z or closure_defect_w when it fails to close.
-    lifting.lift builds one from any generator, closed or not;
-    direct construction is for trusted or deliberately raw data (tests,
-    quadrature fixtures).  The loop judges its own closure: z_closed when
-    |closure_defect_z| <= TOL_CLOSURE, closed when the w defect passes
-    the same test too.  A nan defect fails both.
+    HorizontalLoop(g) is the lift of g, closed or not: z is the running
+    integral of y dx from z(0) = 0, and w that of z dx from w(0) = 0, so
+    each carries a linear ramp of rate closure_defect_z or
+    closure_defect_w when it fails to close.  z and its defect are
+    g.y_dx; w and its defect are integrated on first read and kept, so a
+    caller that never reads w never pays for it.  The loop judges its own
+    closure: z_closed when |closure_defect_z| <= TOL_CLOSURE, closed when
+    the w defect passes the same test too.  A nan defect fails both.
 
     The front is the (x, z) picture, and it exists once z closes.  Its
     cusps, double points and self-tangencies are found on first read and
@@ -197,15 +197,8 @@ class HorizontalLoop:
     hash by identity.
     """
 
-    generator: LegendrianGenerator
-    z: np.ndarray
-    closure_defect_z: float
-    w: np.ndarray
-    closure_defect_w: float
-
-    def __post_init__(self):
-        self.z = _readonly(self.z)
-        self.w = _readonly(self.w)
+    def __init__(self, generator: LegendrianGenerator):
+        self.generator = generator
 
     @property
     def n(self) -> int:
@@ -219,6 +212,38 @@ class HorizontalLoop:
     def y(self) -> np.ndarray:
         return self.generator.y
 
+    @functools.cached_property
+    def z(self) -> np.ndarray:
+        return self.generator.y_dx[0]
+
+    @functools.cached_property
+    def closure_defect_z(self) -> float:
+        return float(self.generator.y_dx[1])
+
+    @functools.cached_property
+    def _w_lift(self):
+        """(w, closure_defect_w), with z x' split at the z ramp as the
+        lifting module describes.  Past the float range they hold inf or
+        nan, which the closure tests refuse."""
+        g, z, m_z = self.generator, self.z, self.closure_defect_z
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = fourier.grid(g.n)
+            f_w, m_w = fourier.antiderivative((z - m_z * s) * g.xp)
+            f_x, x_mean = fourier.antiderivative(g.x, g.x_rfft)
+            # ∫₀ˢ t x'(t) dt = s x(s) - ∫₀ˢ x, entering through the z ramp.
+            w = f_w + m_z * (s * g.x - f_x)
+            defect_w = float(m_w + m_z * (g.x[0] - x_mean))
+        w.setflags(write=False)
+        return w, defect_w
+
+    @functools.cached_property
+    def w(self) -> np.ndarray:
+        return self._w_lift[0]
+
+    @functools.cached_property
+    def closure_defect_w(self) -> float:
+        return self._w_lift[1]
+
     @property
     def z_closed(self) -> bool:
         return abs(self.closure_defect_z) <= TOL_CLOSURE
@@ -228,15 +253,23 @@ class HorizontalLoop:
         return self.z_closed and abs(self.closure_defect_w) <= TOL_CLOSURE
 
     @functools.cached_property
+    def _z_rfft(self) -> np.ndarray:
+        """The rfft of z's periodic part, which z_interp and curve share."""
+        z, m = self.z, self.closure_defect_z
+        return np.fft.rfft(z - m * fourier.grid(self.n) if m else z)
+
+    @functools.cached_property
     def z_interp(self) -> fourier.Interpolant:
-        return fourier.Interpolant(self.z, self.closure_defect_z)
+        return fourier.Interpolant(self.z, self.closure_defect_z, spectrum=self._z_rfft)
 
     @functools.cached_property
     def curve(self) -> fourier.Interpolant:
-        """(x, y, z) as one evaluator: one phase matrix for all channels."""
+        """(x, y, z) as one evaluator: one phase matrix for all channels,
+        built from the spectra that x_interp, y_interp and z_interp read."""
         g = self.generator
-        drift = (0.0, 0.0, self.closure_defect_z)
-        return fourier.Interpolant(np.stack([g.x, g.y, self.z]), drift)
+        return fourier.Interpolant(
+            np.stack([g.x, g.y, self.z]), (0.0, 0.0, self.closure_defect_z),
+            spectrum=np.stack([g.x_rfft, g.y_rfft, self._z_rfft]))
 
     @functools.cached_property
     def cusps(self) -> list:

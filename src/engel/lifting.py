@@ -1,4 +1,4 @@
-"""Integration of z and w, closure balancing, and the embedding test.
+"""Lifting, closure balancing, and the embedding test.
 
 The two closure integrals of a generator are ∮ y dx (which must vanish
 for z to close up) and ∮ z dx (likewise for w).  Everything here reduces
@@ -6,7 +6,7 @@ to integrals of sampled products against x', evaluated with the spectral
 antiderivative.  When z carries a defect ramp m·s, integrands of the form
 z x' are split exactly as m (s x') + (periodic) x', using the identity
 ∫₀¹ s x' ds = x(0) - mean(x), so nothing is ever integrated through the
-parameter seam.
+parameter seam; HorizontalLoop integrates its w the same way.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .curves import HorizontalLoop, LegendrianGenerator
+from .curves import TOL_CLOSURE, HorizontalLoop, LegendrianGenerator
 from .errors import NotClosed, SingularSystem
 
 TOL_EMBED = 1e-7
@@ -26,7 +26,6 @@ CONDITION_LIMIT = 1e8
 # Defects at or below this are treated as exact zeros: balancing such a
 # generator returns it untouched, bit for bit.
 EXACT_CLOSURE = 1e-13
-SOLVER_RESIDUAL = 1e-12
 
 
 def z_closure_defect(g: LegendrianGenerator) -> float:
@@ -66,24 +65,13 @@ def _functionals(g: LegendrianGenerator, f: np.ndarray, m: float):
 
 
 def lift(g: LegendrianGenerator) -> HorizontalLoop:
-    """Integrate the slope data to a loop tangent to the plane field.
-
-    z(s) = ∫₀ˢ y dx and w(s) = ∫₀ˢ z dx are always produced, each with its
-    closure defect (∮ y dx and ∮ z dx) recorded on the result; the loop
-    judges its own closure (HorizontalLoop.z_closed and .closed).
+    """The loop tangent to the plane field that g lifts to, closed or not:
+    HorizontalLoop(g), whose z = ∫₀ˢ y dx is g.y_dx and whose
+    w = ∫₀ˢ z dx is integrated on first read.  Each carries its closure
+    defect (∮ y dx and ∮ z dx); the loop judges its own closure
+    (HorizontalLoop.z_closed and .closed).
     """
-    # y x' past the float range gives inf or nan samples and defects,
-    # which the loop's closure tests refuse.
-    z, m_z = g.y_dx
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = fourier.grid(g.n)
-        z_periodic = z - m_z * s
-        f_w, m_w = fourier.antiderivative(z_periodic * g.xp)
-        f_x, x_mean = fourier.antiderivative(g.x, g.x_rfft)
-        # ∫₀ˢ t x'(t) dt = s x(s) - ∫₀ˢ x, entering through the z ramp.
-        w = f_w + m_z * (s * g.x - f_x)
-        defect_w = float(m_w + m_z * (g.x[0] - x_mean))
-    return HorizontalLoop(g, z, float(m_z), w, defect_w)
+    return HorizontalLoop(g)
 
 
 def area_integral(loop, s0: float, s1: float) -> float:
@@ -271,7 +259,8 @@ def balance_closure(g: LegendrianGenerator, supports=None) -> LegendrianGenerato
     exact solution of the 2x2 linear system the two bumps span.  Already
     balanced input (both defects at rounding level) is returned as-is.
     Raises SingularSystem when the bump functionals cannot reach the
-    defects, and NotImmersed if the corrected curve stalls.
+    defects, or leave one above TOL_CLOSURE, the tolerance by which a
+    loop judges itself closed; NotImmersed if the corrected curve stalls.
     """
     defect_z = z_closure_defect(g)
     defect_w = w_closure_defect(g)
@@ -284,9 +273,9 @@ def balance_closure(g: LegendrianGenerator, supports=None) -> LegendrianGenerato
     out = LegendrianGenerator(g.x, g.y + a * phi1 + b * phi2).require_immersed()
     res_z = z_closure_defect(out)
     res_w = w_closure_defect(out)
-    if not (abs(res_z) <= SOLVER_RESIDUAL and abs(res_w) <= SOLVER_RESIDUAL):
+    if not (abs(res_z) <= TOL_CLOSURE and abs(res_w) <= TOL_CLOSURE):
         raise SingularSystem(
-            "balanced defects (%.3e, %.3e) above the solver residual bound"
-            % (res_z, res_w)
+            "balanced defects (%.3e, %.3e) above the closure tolerance %g"
+            % (res_z, res_w, TOL_CLOSURE)
         )
     return out

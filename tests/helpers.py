@@ -145,22 +145,38 @@ def plain_arrays(n):
     return x, y, z
 
 
+def hand_loop(g, z, dz, w, dw):
+    """The loop HorizontalLoop(g) with z, its defect dz, w and its defect
+    dw assigned in place of the integrals it would read: a test double
+    for raw data (exact closed forms, quadrature fixtures, deliberately
+    open or nan defects).  z and w are kept as read-only float copies,
+    like the lift's own arrays."""
+    from engel.curves import HorizontalLoop
+
+    loop = HorizontalLoop(g)
+    loop.z, loop.w = (np.array(a, dtype=float) for a in (z, w))
+    loop.z.setflags(write=False)
+    loop.w.setflags(write=False)
+    loop.closure_defect_z, loop.closure_defect_w = dz, dw
+    return loop
+
+
 def mirror_loop(n, beta=0.0):
     """The mirror family's Legendrian loop, with its exact z samples: a
-    HorizontalLoop whose w is zero and whose w defect is nan, so that it
+    hand_loop whose w is zero and whose w defect is nan, so that it
     never counts as closed."""
-    from engel.curves import HorizontalLoop, LegendrianGenerator
+    from engel.curves import LegendrianGenerator
 
     s = np.arange(n) / n
     g = LegendrianGenerator(mirror_x(s, beta), mirror_y(s))
-    return HorizontalLoop(g, mirror_z(s, beta), 0.0, np.zeros(n), float("nan"))
+    return hand_loop(g, mirror_z(s, beta), 0.0, np.zeros(n), float("nan"))
 
 
 def raw_loop(x, y, z, defect=0.0):
-    from engel.curves import HorizontalLoop, LegendrianGenerator
+    from engel.curves import LegendrianGenerator
 
     g = LegendrianGenerator(x, y)
-    return HorizontalLoop(g, np.asarray(z, float), defect, np.zeros(g.n), float("nan"))
+    return hand_loop(g, z, defect, np.zeros(g.n), float("nan"))
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -270,7 +286,7 @@ def trig_series_combined(f, other, factor=1.0):
 def orientation_reverse(loop):
     """The same horizontal loop traversed via s -> 1 - s; negates rot,
     keeps the margin."""
-    from engel.curves import HorizontalLoop, LegendrianGenerator
+    from engel.curves import LegendrianGenerator
     from engel.errors import NotClosed
 
     if not loop.closed:
@@ -279,7 +295,7 @@ def orientation_reverse(loop):
     def rev(a):
         return np.roll(a[::-1], 1)
 
-    return HorizontalLoop(
+    return hand_loop(
         LegendrianGenerator(rev(loop.x), rev(loop.y)),
         rev(loop.z),
         -loop.closure_defect_z,

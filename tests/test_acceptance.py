@@ -19,7 +19,7 @@ from engel import cli, curves, fourier, frontlang, invariants, lifting, models
 from engel.errors import FrontSyntaxError
 from engel.homotopy import Move, script_frames, tangency_profile, verify_isotopy
 
-from helpers import horizontality_residual
+from helpers import hand_loop, horizontality_residual
 
 TAU = fourier.TAU
 
@@ -202,9 +202,7 @@ def test_criterion_4_quadrature_matches_the_frozen_riemann_oracle():
     x = np.cos(TAU * s)
     z = np.sin(TAU * s)
     direct = float(np.mean(z * fourier.derivative(x)))
-    loop = curves.HorizontalLoop(
-        curves.LegendrianGenerator(x, np.zeros(n)), z, 0.0, np.zeros(n), float("nan")
-    )
+    loop = hand_loop(curves.LegendrianGenerator(x, np.zeros(n)), z, 0.0, np.zeros(n), float("nan"))
     routed = lifting.area_integral(loop, 0.0, 1.0)
     for label, value in (("mean of z x'", direct), ("area_integral", routed)):
         if abs(value - RIEMANN_ORACLE) > QUADRATURE_TOL:

@@ -519,6 +519,49 @@ def test_fold_past_the_ceiling_is_a_certificate_failure_exit_3(tmp_path, capsys)
         assert (trace_dir / name).read_bytes() == (alone / "s_trace" / name).read_bytes()
 
 
+@pytest.mark.parametrize("death, message", [
+    ("at=0.1", "annihilating the pair would fold the opposite flank first "
+               "(threshold 3.61985, ceiling 0.0613312)"),
+    ("at=0.14", "support cannot annihilate the cusp pair; recenter it so the "
+                "rising flank of the bump covers both cusps"),
+])
+def test_a_death_off_its_pair_is_a_certificate_failure_exit_3(tmp_path, capsys, death, message):
+    # The birth grows a cusp pair about s = 0.12.  A death support that
+    # is shifted a little either way cannot merge it with the rising
+    # flank of its bump alone.
+    doc = tmp_path / "doc.front"
+    doc.write_text(
+        "generator circ { x: cos(1); y: sin(1); }\n"
+        "script s { swallowtail_birth at=0.12 width=0.06 frames=4; "
+        "swallowtail_death %s width=0.06; }\n" % death
+    )
+    code, out, err = run_cli(
+        capsys, "homotopy", "run", str(doc), "circ", "s", "--samples", "1024",
+        "--out", str(tmp_path),
+    )
+    assert (code, out, err) == (3, "", "certificate failure: %s\n" % message)
+
+
+def test_a_wide_generator_balances_and_runs(tmp_path, capsys):
+    # Its w defect scales as the cube of the size, so each balanced frame
+    # keeps a w residual near 1e-11: inside the closure tolerance, by
+    # which every frame is then certified closed.
+    doc = tmp_path / "doc.front"
+    doc.write_text(
+        "generator g { x: 50 cos(1); y: 50 sin(1) + 6 cos(2); }\n"
+        "script s { deform at=0.3 width=0.1 ax=0.05 ay=0.05 frames=4; }\n"
+    )
+    code, out, err = run_cli(
+        capsys, "homotopy", "run", str(doc), "g", "s", "--out", str(tmp_path)
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["ok"], payload["frames"], payload["embedded"]) == (True, 5, True)
+    frames = json.loads((tmp_path / "s_trace" / "events.json").read_text())["frames"]
+    worst = max(max(abs(f["defect_z"]), abs(f["defect_w"])) for f in frames)
+    assert 1e-12 < worst <= 1e-9
+
+
 def test_an_uncertifiable_winding_stops_the_run_exit_3(tmp_path, capsys):
     # At 64 samples the velocity comes too near zero for the winding of
     # frame 0 to be certified.  That is no verdict: the run stops with

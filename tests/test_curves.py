@@ -8,7 +8,6 @@ from engel import curves, fourier, frontlang, homotopy, invariants, lifting, mod
 from engel.curves import (
     Cusp,
     LegendrianGenerator,
-    HorizontalLoop,
     Orientation,
     TrigSeries,
     find_cusps,
@@ -22,7 +21,9 @@ from helpers import (
     assert_channels_bitwise_equal,
     bisected_derivative_roots,
     companion_derivative_roots,
+    count_ffts,
     fish_arrays,
+    hand_loop,
     horizontality_residual,
     mirror_loop,
     mirror_w,
@@ -143,15 +144,14 @@ def test_loops_compare_and_hash_by_identity():
     assert a == a
     assert a != b
     assert len({a, b, a}) == 2
-    plain = HorizontalLoop(g, a.z, a.closure_defect_z, np.zeros(g.n), float("nan"))
-    assert plain != HorizontalLoop(g, a.z, a.closure_defect_z, np.zeros(g.n), float("nan"))
+    plain = hand_loop(g, a.z, a.closure_defect_z, np.zeros(g.n), float("nan"))
+    assert plain != hand_loop(g, a.z, a.closure_defect_z, np.zeros(g.n), float("nan"))
     assert plain in {plain}
 
 
 def _open_circle_loop():
-    g = LegendrianGenerator(np.cos(TAU * fourier.grid(512)), np.sin(TAU * fourier.grid(512)))
-    z, defect = fourier.antiderivative(g.y * g.xp)
-    return HorizontalLoop(g, z, defect, np.zeros(512), float("nan"))
+    s = fourier.grid(512)
+    return lifting.lift(LegendrianGenerator(np.cos(TAU * s), np.sin(TAU * s)))
 
 
 @pytest.mark.parametrize("make", [
@@ -165,6 +165,29 @@ def test_curve_keeps_each_channel_bit_for_bit(make):
     loop = make()
     g = loop.generator
     assert_channels_bitwise_equal(loop.curve, [g.x_interp, g.y_interp, loop.z_interp])
+
+
+@pytest.mark.parametrize("make", [
+    _open_circle_loop,
+    lambda: lifting.lift(lifting.balance_closure(LegendrianGenerator(*fish_arrays(1024)[:2]))),
+], ids=["open_z", "lifted"])
+def test_curve_reads_the_spectra_its_channels_keep(make, monkeypatch):
+    # The cusps transform x, y and z's periodic part; curve then stacks
+    # those three spectra with no FFT of its own, and keeps the bits of
+    # one 3-row transform of the samples, drift removed.
+    loop = make()
+    if loop.z_closed:
+        loop.cusps
+    else:  # no front: read the three interpolants the cusps would read
+        loop.generator.x_interp, loop.generator.y_interp, loop.z_interp
+    ffts = count_ffts(monkeypatch)
+    curve = loop.curve
+    assert ffts["ffts"] == 0
+    monkeypatch.undo()
+    direct = fourier.Interpolant(np.stack([loop.x, loop.y, loop.z]), (0.0, 0.0, loop.closure_defect_z))
+    assert direct.kept.tolist() == curve.kept.tolist()
+    assert direct.drift.tobytes() == curve.drift.tobytes()
+    assert direct._c.tobytes() == curve._c.tobytes()
 
 
 def test_find_cusps_circle_is_exact():
@@ -517,7 +540,7 @@ def test_an_on_grid_cusp_is_judged_on_the_chopped_interpolant():
 
 def test_cusps_refuse_a_nan_closure_defect():
     g = LegendrianGenerator(*fish_arrays(256)[:2])
-    loop = HorizontalLoop(g, fish_arrays(256)[2], float("nan"), np.zeros(256), float("nan"))
+    loop = hand_loop(g, fish_arrays(256)[2], float("nan"), np.zeros(256), float("nan"))
     with pytest.raises(NotClosed):
         loop.cusps
 
@@ -526,7 +549,7 @@ def test_front_of_requires_closure():
     s = fourier.grid(128)
     g = LegendrianGenerator(np.cos(TAU * s), np.sin(TAU * s))
     z = np.zeros(128)
-    loop = HorizontalLoop(g, z, -np.pi, np.zeros(128), float("nan"))
+    loop = hand_loop(g, z, -np.pi, np.zeros(128), float("nan"))
     assert not loop.closed
     with pytest.raises(NotClosed, match=r"needs \|closure defect z\| <= 1e-09, got -3\.142e\+00$"):
         loop.cusps
@@ -622,11 +645,11 @@ def test_horizontality_residual_accepts_true_lift_and_flags_fakes():
     n = 1024
     loop = mirror_loop(n)
     s = fourier.grid(n)
-    good = HorizontalLoop(loop.generator, loop.z, 0.0, mirror_w(s), 0.0)
+    good = hand_loop(loop.generator, loop.z, 0.0, mirror_w(s), 0.0)
     r_z, r_w = horizontality_residual(good)
     assert r_z < 0.05
     assert r_w < 0.2
-    fake = HorizontalLoop(loop.generator, loop.z, 0.0, loop.z.copy(), 0.0)
+    fake = hand_loop(loop.generator, loop.z, 0.0, loop.z.copy(), 0.0)
     _, r_bad = horizontality_residual(fake)
     assert r_bad > 1.0
 

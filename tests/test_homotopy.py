@@ -6,7 +6,6 @@ calibrated amplitude use the default 4096-point grid the calibration
 was done on.
 """
 
-import dataclasses
 import inspect
 import json
 import math
@@ -25,7 +24,7 @@ from engel.homotopy import (
     verify_isotopy,
 )
 
-from helpers import count_ffts, golden_text, move_frames
+from helpers import count_ffts, golden_text, hand_loop, move_frames
 
 # Tangency amplitude calibrated so the middle frame of the pass touches
 # the opposite strand exactly (the same value ships in data/demo.front).
@@ -417,16 +416,18 @@ def test_a_nan_closure_defect_is_not_closed(which, monkeypatch):
 
 
 @pytest.mark.parametrize("frame, defects", [
-    (0, {"closure_defect_w": float("nan")}),
-    (0, {"closure_defect_z": 1e-6}),
-    (1, {"closure_defect_z": 1e-6}),
+    (0, {"dw": float("nan")}),
+    (0, {"dz": 1e-6}),
+    (1, {"dz": 1e-6}),
 ], ids=["w_nan_at_frame_0", "z_open_at_frame_0", "z_open_at_frame_1"])
 def test_a_loop_carrying_an_open_defect_is_not_closed(frame, defects):
     # The generator recomputes as closed; the loop's own defects do not,
     # and the verdict is report content, not a NotClosed raised from
     # embedding_check.
     ((_, loop, _),) = script_frames(circle(1024), ())
-    trace = [(0.0, loop, None)] * frame + [(1.0, dataclasses.replace(loop, **defects), None)]
+    defects = {"dz": loop.closure_defect_z, "dw": loop.closure_defect_w, **defects}
+    edited = hand_loop(loop.generator, loop.z, defects["dz"], loop.w, defects["dw"])
+    trace = [(0.0, loop, None)] * frame + [(1.0, edited, None)]
     report = verify_isotopy(trace)
     assert (report.ok, report.code, report.frame) == (False, "NOT_CLOSED", frame)
     if frame == 0:

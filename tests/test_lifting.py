@@ -1,11 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from engel import fourier, invariants, lifting, pairscan
 from engel.curves import (
-    HorizontalLoop,
     LegendrianGenerator,
     TrigSeries,
     sample_generator,
@@ -16,6 +16,7 @@ from engel.homotopy import tangency_profile
 from helpers import (
     TAU,
     fish_arrays,
+    hand_loop,
     mirror_loop,
     mirror_w,
     mirror_x,
@@ -154,9 +155,7 @@ def test_area_integral_handles_defect_ramp():
     # A loop that is NOT closed in z: the ramp term must integrate
     # exactly, not through the parameter seam.
     n = 1024
-    g = circle(n)
-    f_z, m_z = fourier.antiderivative(g.y * g.xp)
-    loop = HorizontalLoop(g, f_z, m_z, np.zeros(n), float("nan"))
+    loop = lifting.lift(circle(n))
     # z(s) = int_0^s -2 pi sin^2 = -pi s + sin(4 pi s)/4
     def z_exact(s):
         return -np.pi * s + np.sin(2 * TAU * s) / 4.0
@@ -207,7 +206,7 @@ def test_embedding_check_requires_closed_loop():
                        r"\(defects z -?\d\.\d{3}e(-\d\d|\+00), w 1\.571e\+00\)$"):
         lifting.embedding_check(lifting.lift(g))
     # open in z
-    raw = HorizontalLoop(circle(n), np.zeros(n), -np.pi, np.zeros(n), 0.0)
+    raw = hand_loop(circle(n), np.zeros(n), -np.pi, np.zeros(n), 0.0)
     with pytest.raises(NotClosed, match=r"^loop does not close up "
                        r"\(defects z -3\.142e\+00, w 0\.000e\+00\)$"):
         lifting.embedding_check(raw)
@@ -219,7 +218,7 @@ def test_embedding_check_requires_closed_loop():
 ])
 def test_embedding_check_refuses_a_nan_defect(defect_z, defect_w, which):
     n = 256
-    raw = HorizontalLoop(circle(n), np.zeros(n), defect_z, np.zeros(n), defect_w)
+    raw = hand_loop(circle(n), np.zeros(n), defect_z, np.zeros(n), defect_w)
     # The nan sits in the slot of the defect that is open.
     printed = {"z": r"z nan, w 0\.000e\+00", "w": r"z 0\.000e\+00, w nan"}[which]
     with pytest.raises(NotClosed, match=r"^loop does not close up \(defects %s\)$" % printed):
@@ -373,3 +372,69 @@ def test_balance_closure_fixes_w_only_defect():
     out = lifting.balance_closure(g)
     assert abs(lifting.z_closure_defect(out)) <= 1e-12
     assert abs(lifting.w_closure_defect(out)) <= 1e-12
+
+
+def _wide_generator(a, n=1024):
+    s = fourier.grid(n)
+    return LegendrianGenerator(a * np.cos(TAU * s), a * (np.sin(TAU * s) + 0.3 * np.cos(2 * TAU * s)))
+
+
+@pytest.mark.parametrize("a", [20.0, 50.0, 200.0])
+def test_balancing_accepts_what_the_loop_would_call_closed(a):
+    # The w defect grows as a**3, so at a = 20 the balanced residual is
+    # -2.2e-12: above any fixed rounding bound, far inside TOL_CLOSURE.
+    # Balancing refuses only what the loop itself would not call closed.
+    loop = lifting.lift(lifting.balance_closure(_wide_generator(a)))
+    assert loop.closed
+    assert lifting.embedding_check(loop).embedded
+    report = invariants.invariant_report(loop)
+    assert report["rot_winding"] == report["rot_cusp"] == 1
+
+
+def test_balancing_refuses_a_residual_above_the_closure_tolerance():
+    # At a = 1000 the balanced w residual, rounding error scaled by a**3,
+    # is about 2e-7 (1.908e-07 with numpy 2.4).
+    with pytest.raises(SingularSystem, match=r"^balanced defects \((\S+), (\S+)\) "
+                       r"above the closure tolerance 1e-09$") as refused:
+        lifting.balance_closure(_wide_generator(1000.0))
+    res_z, res_w = (float(v) for v in re.match(r"^balanced defects \((\S+), (\S+)\)",
+                                               str(refused.value)).groups())
+    assert abs(res_z) < 1e-9 < abs(res_w)
+
+
+def test_a_speed_level_everywhere_is_one_run_split_in_two():
+    # x = cos 8 pi s + sin 8 pi s has |x'| = 8 pi sqrt 2 |cos(8 pi s + pi/4)|,
+    # which is 8 pi = 25.13 at every one of 16 samples: the
+    # whole circle is one half-maximum run, and the supports split it
+    # at 1/2, each 0.08 wide and centered 0.7 of the way along its half.
+    s = fourier.grid(16)
+    g = LegendrianGenerator(np.cos(4 * TAU * s) + np.sin(4 * TAU * s), np.sin(TAU * s))
+    assert np.allclose(np.abs(g.xp), 8 * np.pi, rtol=0, atol=1e-12)
+    assert lifting._half_max_runs(g) == [(0.0, 1.0)]
+    (c1, w1), (c2, w2) = lifting.balance_supports(g)
+    assert (c1, w1) == (pytest.approx(0.35, abs=1e-15), 0.08)
+    assert (c2, w2) == (pytest.approx(0.85, abs=1e-15), 0.08)
+
+
+def test_a_loop_integrates_w_only_when_it_is_read(monkeypatch):
+    # Balancing read the balanced generator's y dx integral, so both
+    # rotation numbers of its lift need no antiderivative at all.  w and
+    # its defect are integrated together on first read, and kept.
+    g = lifting.balance_closure(circle(1024))
+    calls = []
+    real = fourier.antiderivative
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fourier, "antiderivative", counted)
+    loop = lifting.lift(g)
+    report = invariants.invariant_report(loop)
+    assert report["rot_winding"] == report["rot_cusp"] == 1
+    assert len(calls) == 0
+    assert loop.closed
+    assert len(calls) == 2  # z x' and x
+    assert not loop.w.flags.writeable
+    assert abs(loop.closure_defect_w) <= 1e-12
+    assert len(calls) == 2

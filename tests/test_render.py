@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from engel import curves, fourier, lifting, models, render
 
-from helpers import csv_repr_table, mirror_loop, mirror_w
+from helpers import csv_repr_table, hand_loop, mirror_loop, mirror_w
 
 
 def csv_text(loop):
@@ -97,7 +97,7 @@ def test_csv_round_trips_hand_built_loop():
     n = 64
     s = fourier.grid(n)
     leg = mirror_loop(n)
-    loop = curves.HorizontalLoop(leg.generator, leg.z, 0.0, mirror_w(s), 0.0)
+    loop = hand_loop(leg.generator, leg.z, 0.0, mirror_w(s), 0.0)
     lines = csv_text(loop).strip().split("\n")
     assert lines[0] == "s,x,y,z,w"
     assert len(lines) == n + 1
@@ -118,9 +118,7 @@ def test_csv_matches_a_per_value_repr_oracle_byte_for_byte():
     z = np.arange(n) * 1e16 + 0.1
     w = -np.exp(-np.arange(n, dtype=float))
     w[9] = -1.5e-300
-    loop = curves.HorizontalLoop(
-        curves.LegendrianGenerator(x, y), z, 0.0, w, 0.0
-    )
+    loop = hand_loop(curves.LegendrianGenerator(x, y), z, 0.0, w, 0.0)
     want = csv_repr_table(loop)
     got = csv_text(loop)
     assert got == want
@@ -156,7 +154,7 @@ _ANY = st.one_of(_FINITE, st.sampled_from(_NON_FINITE))
 
 
 def _hand_loop(x, y, z, w):
-    return curves.HorizontalLoop(curves.LegendrianGenerator(x, y), z, 0.0, w, 0.0)
+    return hand_loop(curves.LegendrianGenerator(x, y), z, 0.0, w, 0.0)
 
 
 @st.composite
