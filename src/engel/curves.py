@@ -105,9 +105,10 @@ class LegendrianGenerator:
     derivatives come from x_interp and y_interp through .value(s, order).
 
     Each of x and y is transformed once, on first use: x_rfft and y_rfft
-    hold their rffts, and the grid derivatives, the interpolants and
-    lifting's integral of x all read them.  y_dx holds the running
-    integral of y dx, which lift's z and the w closure defect share.
+    hold their rffts, which the grid derivatives, the interpolants and
+    lifting's integral of x read, and with_y passes x's on.  y_dx holds
+    the lift's z, and z_dx the rfft that its w is integrated from; their
+    means are the two closure defects.
     """
 
     def __init__(self, x, y):
@@ -159,6 +160,31 @@ class LegendrianGenerator:
         f.setflags(write=False)
         return f, m
 
+    @functools.cached_property
+    def z_dx(self):
+        """iterated_integral of y_dx: the rfft of z x' (z's ramp split off),
+        which the loop's w is integrated from, and ∮ z dx, its w defect."""
+        return self.iterated_integral(*self.y_dx)
+
+    def iterated_integral(self, f, m):
+        """(c, ∮ Φ dx) for Φ(s) = ∫₀ˢ phi dx given as its grid samples f and
+        full-period integral m (a stack of rows allowed, one m per row).
+        Writing Φ = m s + P with P periodic, c is the rfft of P x',
+        read-only, and ∮ Φ dx = ∮ P x' + m (x(0) - mean x), rfft means
+        both, which stays exact even when m is large.  Past the float
+        range: inf or nan."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = np.fft.rfft((f - np.multiply.outer(m, fourier.grid(self.n))) * self.xp)
+            c.setflags(write=False)
+            return c, c[..., 0].real / self.n + m * (self.x[0] - self.x_rfft[0].real / self.n)
+
+    def with_y(self, y) -> "LegendrianGenerator":
+        """The generator (x, y) on this x array, sharing the x transforms made so far."""
+        out = LegendrianGenerator(self.x, y)
+        out.__dict__.update((key, value) for key, value in vars(self).items()
+                            if key in ("x_rfft", "xp", "x_interp"))
+        return out
+
     def min_speed(self):
         """(parameter, speed) at the slowest grid sample."""
         sp = np.hypot(self.xp, self.yp)
@@ -184,10 +210,11 @@ class HorizontalLoop:
     integral of y dx from z(0) = 0, and w that of z dx from w(0) = 0, so
     each carries a linear ramp of rate closure_defect_z or
     closure_defect_w when it fails to close.  z and its defect are
-    g.y_dx; w and its defect are integrated on first read and kept, so a
-    caller that never reads w never pays for it.  The loop judges its own
-    closure: z_closed when |closure_defect_z| <= TOL_CLOSURE, closed when
-    the w defect passes the same test too.  A nan defect fails both.
+    g.y_dx, and the w defect is g.z_dx's; w is integrated from g.z_dx on
+    first read and kept, so a caller that never reads w never pays for
+    it.  The loop judges its own closure: z_closed when
+    |closure_defect_z| <= TOL_CLOSURE, closed when the w defect passes
+    the same test too.  A nan defect fails both.
 
     The front is the (x, z) picture, and it exists once z closes.  Its
     cusps, double points and self-tangencies are found on first read and
@@ -221,28 +248,22 @@ class HorizontalLoop:
         return float(self.generator.y_dx[1])
 
     @functools.cached_property
-    def _w_lift(self):
-        """(w, closure_defect_w), with z x' split at the z ramp as the
-        lifting module describes.  Past the float range they hold inf or
-        nan, which the closure tests refuse."""
-        g, z, m_z = self.generator, self.z, self.closure_defect_z
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = fourier.grid(g.n)
-            f_w, m_w = fourier.antiderivative((z - m_z * s) * g.xp)
-            f_x, x_mean = fourier.antiderivative(g.x, g.x_rfft)
-            # ∫₀ˢ t x'(t) dt = s x(s) - ∫₀ˢ x, entering through the z ramp.
-            w = f_w + m_z * (s * g.x - f_x)
-            defect_w = float(m_w + m_z * (g.x[0] - x_mean))
-        w.setflags(write=False)
-        return w, defect_w
-
-    @functools.cached_property
     def w(self) -> np.ndarray:
-        return self._w_lift[0]
+        """Integrated from g.z_dx, with z x' split at the z ramp as the
+        lifting module describes.  Past the float range it holds inf or
+        nan, and its defect fails the closure tests."""
+        g, m_z = self.generator, self.closure_defect_z
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_w, _ = fourier.antiderivative(None, g.z_dx[0])
+            f_x, _ = fourier.antiderivative(None, g.x_rfft)
+            # ∫₀ˢ t x'(t) dt = s x(s) - ∫₀ˢ x, entering through the z ramp.
+            w = f_w + m_z * (fourier.grid(g.n) * g.x - f_x)
+        w.setflags(write=False)
+        return w
 
     @functools.cached_property
     def closure_defect_w(self) -> float:
-        return self._w_lift[1]
+        return float(self.generator.z_dx[1])
 
     @property
     def z_closed(self) -> bool:
@@ -253,23 +274,15 @@ class HorizontalLoop:
         return self.z_closed and abs(self.closure_defect_w) <= TOL_CLOSURE
 
     @functools.cached_property
-    def _z_rfft(self) -> np.ndarray:
-        """The rfft of z's periodic part, which z_interp and curve share."""
-        z, m = self.z, self.closure_defect_z
-        return np.fft.rfft(z - m * fourier.grid(self.n) if m else z)
-
-    @functools.cached_property
     def z_interp(self) -> fourier.Interpolant:
-        return fourier.Interpolant(self.z, self.closure_defect_z, spectrum=self._z_rfft)
+        return fourier.Interpolant(self.z, self.closure_defect_z)
 
     @functools.cached_property
     def curve(self) -> fourier.Interpolant:
         """(x, y, z) as one evaluator: one phase matrix for all channels,
-        built from the spectra that x_interp, y_interp and z_interp read."""
+        stacked from the chopped rows of x_interp, y_interp and z_interp."""
         g = self.generator
-        return fourier.Interpolant(
-            np.stack([g.x, g.y, self.z]), (0.0, 0.0, self.closure_defect_z),
-            spectrum=np.stack([g.x_rfft, g.y_rfft, self._z_rfft]))
+        return fourier.Interpolant.stack((g.x_interp, g.y_interp, self.z_interp))
 
     @functools.cached_property
     def cusps(self) -> list:

@@ -132,6 +132,20 @@ class Interpolant:
         self._weights = {}
         self._rows = {}
 
+    @classmethod
+    def stack(cls, parts):
+        """The multi-channel Interpolant of the single-channel `parts`, with
+        no FFT: the one their samples would give, since each row keeps
+        its kept count, drift and coefficients bit for bit."""
+        out = cls.__new__(cls)
+        out.n, out.shape, out._weights, out._rows = parts[0].n, (len(parts),), {}, {}
+        out.drift = np.array([p.drift for p in parts])
+        out.kept = np.concatenate([p.kept for p in parts])
+        out._c = np.zeros((len(parts), out.kept.max()), dtype=complex)
+        for row, p in zip(out._c, parts):
+            row[: p._c.shape[1]] = p._c[0]
+        return out
+
     def value(self, s, order=0):
         """Derivative of the given order (0 is the value itself) at s.
 
@@ -189,26 +203,30 @@ class Interpolant:
         return float(out) if out.ndim == 0 else out
 
 
-def antiderivative(values: np.ndarray, spectrum=None) -> tuple[np.ndarray, float]:
+def antiderivative(values, spectrum=None) -> tuple[np.ndarray, float]:
     """Grid samples of F(s) = integral of f from 0 to s, plus the mean drift.
 
     Returns (F, m) with F[k] = m*s_k + P(s_k) - P(0) where P is periodic and
-    m is the full-period integral of f.  F[0] is exactly 0.  The Nyquist
-    mode integrates to a sine that vanishes at every grid point, so it
-    drops out of the samples (off-grid callers want
-    :func:`antiderivative_evaluator`).  `spectrum`, when given, is
-    np.fft.rfft(values).
+    m is the full-period integral of f, the rfft mean.  F[0] is exactly 0.
+    The Nyquist mode integrates to a sine that vanishes at every grid
+    point, so it drops out of the samples (off-grid callers want
+    :func:`antiderivative_evaluator`).  Rows of a stack integrate alone,
+    one m each.  `spectrum`, when given, is np.fft.rfft(values) along the
+    last axis, and `values` is not read.
     """
-    values = np.asarray(values, dtype=float)
-    n = check_size(values.shape[0])
-    c = np.fft.rfft(values) if spectrum is None else spectrum
-    mean = c[0].real / n
-    k = np.arange(c.shape[0])
+    c = spectrum
+    if c is None:
+        values = np.asarray(values, dtype=float)
+        check_size(values.shape[-1])
+        c = np.fft.rfft(values)
+    n = check_size(2 * c.shape[-1] - 2)
+    mean = c[..., 0].real / n
+    k = np.arange(c.shape[-1])
     d = np.zeros_like(c)
-    d[1:] = c[1:] / (2j * np.pi * k[1:])
-    d[-1] = 0.0
+    d[..., 1:] = c[..., 1:] / (2j * np.pi * k[1:])
+    d[..., -1] = 0.0
     p = np.fft.irfft(d, n)
-    return mean * grid(n) + (p - p[0]), mean
+    return mean[..., None] * grid(n) + (p - p[..., :1]), mean
 
 
 def antiderivative_evaluator(values: np.ndarray, spectrum=None):
@@ -220,7 +238,7 @@ def antiderivative_evaluator(values: np.ndarray, spectrum=None):
     antiderivative samples and the Nyquist sine they miss.
     """
     values = np.asarray(values, dtype=float)
-    n = values.shape[0]
+    n = check_size(values.shape[0])
     if spectrum is None:
         spectrum = np.fft.rfft(values)
     f_samples, mean = antiderivative(values, spectrum)

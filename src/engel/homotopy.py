@@ -6,10 +6,10 @@ closure integrals on every frame, lifts every frame from the same base
 values, and marks each singular event at the middle frame of its move.
 The frames come as one stream, each built only when it is asked for, so
 a run holds a frame or two whatever its length.  Verification is one
-in-order pass over that stream that re-derives every certificate per
-frame: closure of the lift, embeddedness (through tangency events via
-the w-separation at the double point), and constancy of the rotation
-number.
+in-order pass over that stream that certifies every frame: closure, as
+the lifted loop judges it from its own defects, embeddedness (through
+tangency events via the w-separation at the double point), and
+constancy of the rotation number.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fourier, invariants, lifting
-from .curves import TOL_CLOSURE, LegendrianGenerator, find_cusps
+from .curves import LegendrianGenerator, find_cusps
 from .errors import MoveRefused, NotImmersed
 
 DEFAULT_FRAMES = 64
@@ -246,7 +246,7 @@ def _tangency(g: LegendrianGenerator, move: Move, k: int, supports):
     psi = tangency_profile(
         g, float(move.params["at"]), float(move.params["width"]), supports=supports
     )
-    return lambda j: LegendrianGenerator(g.x, g.y + (amplitude * j / k) * psi)
+    return lambda j: g.with_y(g.y + (amplitude * j / k) * psi)
 
 
 # Each move kind's frame builder, for a move that _step_count passed with
@@ -352,8 +352,9 @@ def verify_isotopy(trace) -> VerificationReport:
     once it is checked; after the first offense the remaining
     frames are read, counted and not checked.
 
-    Per frame: both closure defects, recomputed from the generator and
-    as the loop carries them, at most curves.TOL_CLOSURE; the lift
+    Per frame: the loop closed, read from the loop alone
+    (HorizontalLoop.closed: both of its own defects at most
+    curves.TOL_CLOSURE, the one formula balancing also used); the lift
     embedded by lifting.embedding_check, whose margin must exceed
     lifting.TOL_EMBED (at a tangency event the front has a double point
     and the w-separation must still clear that margin); and the winding
@@ -386,16 +387,13 @@ def _check_frame(loop, rot0, worst):
     """(offense, worst): the frame's verification code or None, and the
     report of the smallest margin so far.  rot0 None skips the winding
     check, for frame 0, which sets rot0."""
-    g = loop.generator
-    dz = lifting.z_closure_defect(g)
-    dw = lifting.w_closure_defect(g)
-    if not (abs(dz) <= TOL_CLOSURE and abs(dw) <= TOL_CLOSURE and loop.closed):
+    if not loop.closed:
         return "NOT_CLOSED", worst
     check = lifting.embedding_check(loop)
     if not check.embedded:
         return "NOT_EMBEDDED", check
     if check.margin < worst.margin:
         worst = check
-    if rot0 is not None and invariants.rot_winding(g) != rot0:
+    if rot0 is not None and invariants.rot_winding(loop.generator) != rot0:
         return "ROT_CHANGED", worst
     return None, worst

@@ -1,12 +1,14 @@
 """Lifting, closure balancing, and the embedding test.
 
 The two closure integrals of a generator are ∮ y dx (which must vanish
-for z to close up) and ∮ z dx (likewise for w).  Everything here reduces
-to integrals of sampled products against x', evaluated with the spectral
-antiderivative.  When z carries a defect ramp m·s, integrands of the form
-z x' are split exactly as m (s x') + (periodic) x', using the identity
+for z to close up) and ∮ z dx (likewise for w).  Each has one formula,
+the rfft mean of its integrand against x' (fourier.antiderivative's
+mean), held by the generator's y_dx and z_dx: the lift's defects, the
+two closure_defect functions and the balancing bumps' functionals all
+read it.  When z carries a defect ramp m·s, integrands of the form z x'
+are split exactly as m (s x') + (periodic) x', using the identity
 ∫₀¹ s x' ds = x(0) - mean(x), so nothing is ever integrated through the
-parameter seam; HorizontalLoop integrates its w the same way.
+parameter seam (LegendrianGenerator.iterated_integral).
 """
 
 from __future__ import annotations
@@ -29,46 +31,30 @@ EXACT_CLOSURE = 1e-13
 
 
 def z_closure_defect(g: LegendrianGenerator) -> float:
-    """∮ y dx over one period."""
-    # As in lift: a y x' past the float range yields an inf or nan defect,
-    # which the closure tests refuse.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.mean(g.y * g.xp))
+    """∮ y dx over one period: g.y_dx's, the lift's closure_defect_z."""
+    return float(g.y_dx[1])
 
 
 def w_closure_defect(g: LegendrianGenerator) -> float:
-    """∮ z dx for the z that lift induces from g: the second closure
-    functional of phi = y, read off the integral g.y_dx that lift uses."""
-    return _functionals(g, *g.y_dx)[1]
+    """∮ z dx for g's lift: g.z_dx's, its closure_defect_w bit for bit."""
+    return float(g.z_dx[1])
 
 
 def closure_functionals(g: LegendrianGenerator, phi: np.ndarray):
-    """(∮ phi dx, ∮ Φ dx) with Φ(s) = ∫₀ˢ phi dx.
-
-    For phi = y these are the two closure integrals; for a bump they are
-    the per-unit changes of both when the bump is added to y.  Writing
-    Φ(s) = m s + P(s) with P periodic, the second is
-    m (x(0) - mean x) + ∮ P x', which stays exact even when m is large.
-    """
+    """(∮ phi dx, ∮ Φ dx) with Φ(s) = ∫₀ˢ phi dx, by the formulas of the
+    lift's closure defects (g.iterated_integral), for one row phi or for
+    each of a stack.  For phi = y these are the two closure integrals; for
+    a bump, the per-unit changes of both when it is added to y."""
     with np.errstate(over="ignore", invalid="ignore"):
         f, m = fourier.antiderivative(phi * g.xp)
-    return _functionals(g, f, m)
-
-
-def _functionals(g: LegendrianGenerator, f: np.ndarray, m: float):
-    """closure_functionals from Φ's grid samples f and period integral m."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        periodic = f - m * fourier.grid(g.n)
-        return float(m), float(
-            m * (g.x[0] - np.mean(g.x)) + np.mean(periodic * g.xp)
-        )
+    return m, g.iterated_integral(f, m)[1]
 
 
 def lift(g: LegendrianGenerator) -> HorizontalLoop:
     """The loop tangent to the plane field that g lifts to, closed or not:
     HorizontalLoop(g), whose z = ∫₀ˢ y dx is g.y_dx and whose
-    w = ∫₀ˢ z dx is integrated on first read.  Each carries its closure
-    defect (∮ y dx and ∮ z dx); the loop judges its own closure
+    w = ∫₀ˢ z dx is integrated from g.z_dx on first read.  Each carries
+    its closure defect (∮ y dx and ∮ z dx); the loop judges its own closure
     (HorizontalLoop.z_closed and .closed).
     """
     return HorizontalLoop(g)
@@ -77,24 +63,17 @@ def lift(g: LegendrianGenerator) -> HorizontalLoop:
 def area_integral(loop, s0: float, s1: float) -> float:
     """∫_{s0}^{s1} z dx along a HorizontalLoop; (0, 1) gives ∮ z dx.
     Only x and z enter: w and its defect are never read."""
-    s0 = float(s0)
-    s1 = float(s1)
+    s0, s1 = float(s0), float(s1)
     if not (s0 <= s1 <= s0 + 1.0 + 1e-9):
         raise ValueError("need s0 <= s1 within one period, got (%r, %r)" % (s0, s1))
-    g = loop.generator
-    m = loop.closure_defect_z
+    g, m, ends = loop.generator, loop.closure_defect_z, np.array([s0, s1])
     z_periodic = loop.z - m * fourier.grid(g.n)
-    # Each endpoint is its own scalar call: a vector call over both rounds
-    # differently, and dw's bits are pinned.
-    area = fourier.antiderivative_evaluator(z_periodic * g.xp)
-    total = area(s1) - area(s0)
-    if m != 0.0:
-        x_area = fourier.antiderivative_evaluator(g.x, g.x_rfft)
-        total += m * (
-            s1 * g.x_interp.value(s1)
-            - s0 * g.x_interp.value(s0)
-            - (x_area(s1) - x_area(s0))
-        )
+    area = fourier.antiderivative_evaluator(z_periodic * g.xp)(ends)
+    total = area[1] - area[0]
+    if m != 0.0:  # ∫ s x' ds = s x - ∫ x, entering through the z ramp
+        sx = ends * g.x_interp.value(ends)
+        x_area = fourier.antiderivative_evaluator(g.x, g.x_rfft)(ends)
+        total += m * (sx[1] - sx[0] - (x_area[1] - x_area[0]))
     return float(total)
 
 
@@ -229,15 +208,9 @@ def balancing_system(g: LegendrianGenerator, supports=None):
     the bumps decouple from the closure constraints (M numerically zero)
     or M is too ill-conditioned to solve.
     """
-    if supports is None:
-        supports = balance_supports(g)
-    (c1, w1), (c2, w2) = supports
     s = fourier.grid(g.n)
-    phi1 = bump_samples(s, c1, w1)
-    phi2 = bump_samples(s, c2, w2)
-    matrix = np.column_stack(
-        (closure_functionals(g, phi1), closure_functionals(g, phi2))
-    )
+    phis = np.stack([bump_samples(s, c, w) for c, w in supports or balance_supports(g)])
+    matrix = np.array(closure_functionals(g, phis))
     scale = max(1.0, float(np.max(np.abs(g.xp))))
     if float(np.max(np.abs(matrix))) <= 1e-12 * scale:
         raise SingularSystem(
@@ -249,7 +222,7 @@ def balancing_system(g: LegendrianGenerator, supports=None):
             "closure system condition number %.3e exceeds %g; "
             "move the bump supports" % (np.linalg.cond(matrix), CONDITION_LIMIT)
         )
-    return phi1, phi2, matrix
+    return (*phis, matrix)
 
 
 def balance_closure(g: LegendrianGenerator, supports=None) -> LegendrianGenerator:
@@ -262,20 +235,17 @@ def balance_closure(g: LegendrianGenerator, supports=None) -> LegendrianGenerato
     defects, or leave one above TOL_CLOSURE, the tolerance by which a
     loop judges itself closed; NotImmersed if the corrected curve stalls.
     """
-    defect_z = z_closure_defect(g)
-    defect_w = w_closure_defect(g)
+    defect_z, defect_w = z_closure_defect(g), w_closure_defect(g)
     if abs(defect_z) <= EXACT_CLOSURE and abs(defect_w) <= EXACT_CLOSURE:
         return g
 
     phi1, phi2, matrix = balancing_system(g, supports)
     a, b = np.linalg.solve(matrix, -np.array([defect_z, defect_w]))
 
-    out = LegendrianGenerator(g.x, g.y + a * phi1 + b * phi2).require_immersed()
-    res_z = z_closure_defect(out)
-    res_w = w_closure_defect(out)
-    if not (abs(res_z) <= TOL_CLOSURE and abs(res_w) <= TOL_CLOSURE):
+    out = g.with_y(g.y + a * phi1 + b * phi2).require_immersed()
+    if not HorizontalLoop(out).closed:
         raise SingularSystem(
             "balanced defects (%.3e, %.3e) above the closure tolerance %g"
-            % (res_z, res_w, TOL_CLOSURE)
+            % (z_closure_defect(out), w_closure_defect(out), TOL_CLOSURE)
         )
     return out

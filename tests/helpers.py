@@ -18,6 +18,7 @@ integrate to zero over half a period).
 
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 
@@ -500,3 +501,90 @@ def scan_front_tokens(text):
         raise FrontSyntaxError(line, col, "a token", "'%s'" % ch)
     tokens.append(("end", "", line, col))
     return tokens
+
+
+# The exact lift oracle.  A trigonometric polynomial with rational
+# coefficients is kept as its exponential coefficients, a dict
+# {k: (re, im)} of Fractions with f(s) = sum over k of c_k e^{2 pi i k s}
+# and c_{-k} the conjugate of c_k.  Write D for c_k -> i k c_k, so that
+# x' = 2 pi Dx, and I for the periodic part of an antiderivative:
+#     integral from 0 to s of 2 pi f = 2 pi f_0 s + I(f)(s),
+#     I(f)(s) = sum over k != 0 of c_k (e^{2 pi i k s} - 1) / (i k),
+# whose coefficients are rational again.  With
+#     q = (y Dx)_0, Z = I(y Dx), r = (Z Dx)_0, W = I(Z Dx)
+# and  integral from 0 to s of t x'(t) = s x(s) - x_0 s - I(x)(s) / (2 pi),
+# the lift is, exactly,
+#     z(s) = 2 pi q s + Z(s),
+#     w(s) = 2 pi q s x(s) + 2 pi (r - q x_0) s - q I(x)(s) + W(s),
+# so  ∮ y dx = 2 pi q  and  ∮ z dx = w(1) = 2 pi (q (x(0) - x_0) + r).
+# Only the final float evaluation rounds.
+
+def random_rational_series(rng, degree):
+    """Exponential coefficients of a random real trigonometric polynomial
+    of the given degree, whose cos and sin coefficients of harmonic k are
+    small fractions divided by k."""
+    def small():
+        return Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 9)))
+
+    series = {0: (small(), Fraction(0))}
+    for k in range(1, degree + 1):
+        a, b = small() / k, small() / k
+        series[k], series[-k] = (a / 2, -b / 2), (a / 2, b / 2)
+    return series
+
+
+def _series_product(f, g):
+    out = {}
+    for j, (a, b) in f.items():
+        for k, (c, d) in g.items():
+            re, im = out.get(j + k, (Fraction(0), Fraction(0)))
+            out[j + k] = (re + a * c - b * d, im + a * d + b * c)
+    return out
+
+
+def _series_d(f):
+    return {k: (-k * im, k * re) for k, (re, im) in f.items()}
+
+
+def _series_integral(f):
+    """I(f), the constant chosen so that it vanishes at s = 0."""
+    out = {k: (im / k, -re / k) for k, (re, im) in f.items() if k}
+    out[0] = (-sum((re for re, _ in out.values()), Fraction(0)), Fraction(0))
+    return out
+
+
+def series_value(f, s):
+    """The float value of a real series at s (a float or an array)."""
+    s = np.asarray(s, dtype=float)
+    out = np.full(s.shape, float(f[0][0]))
+    for k, (re, im) in sorted(f.items()):
+        if k > 0:
+            out += 2.0 * (float(re) * np.cos(TAU * k * s) - float(im) * np.sin(TAU * k * s))
+    return out
+
+
+class ExactLift:
+    """The lift of the rational series x and y, in exact arithmetic:
+    z(s), w(s) and both closure defects, rounded only when evaluated."""
+
+    def __init__(self, x, y):
+        self.x, self.y = x, y
+        dx = _series_d(x)
+        zx = _series_product(y, dx)
+        self.q, self.z_periodic = zx[0][0], _series_integral(zx)
+        wx = _series_product(self.z_periodic, dx)
+        self.w_periodic, self.x_periodic = _series_integral(wx), _series_integral(x)
+        x_mean, x_at_0 = x[0][0], sum((re for re, _ in x.values()), Fraction(0))
+        self.ramp = wx[0][0] - self.q * x_mean
+        self.defect_z = TAU * float(self.q)
+        self.defect_w = TAU * float(self.q * (x_at_0 - x_mean) + wx[0][0])
+
+    def z(self, s):
+        return TAU * float(self.q) * np.asarray(s) + series_value(self.z_periodic, s)
+
+    def w(self, s):
+        s = np.asarray(s, dtype=float)
+        return (TAU * float(self.q) * s * series_value(self.x, s)
+                + TAU * float(self.ramp) * s
+                - float(self.q) * series_value(self.x_periodic, s)
+                + series_value(self.w_periodic, s))

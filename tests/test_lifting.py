@@ -15,6 +15,7 @@ from engel.homotopy import tangency_profile
 
 from helpers import (
     TAU,
+    ExactLift,
     fish_arrays,
     hand_loop,
     mirror_loop,
@@ -24,7 +25,9 @@ from helpers import (
     mirror_y,
     mirror_z,
     plain_arrays,
+    random_rational_series,
     raw_loop,
+    series_value,
 )
 
 
@@ -294,8 +297,10 @@ def test_balance_closure_circle_zeroes_both_defects():
         cells=50_000,
     )
     assert abs(oracle) < 1e-9
-    # x data untouched, correction localized
+    # x data untouched, with the transforms made from it, and the
+    # correction localized
     assert out.x is g.x
+    assert out.x_rfft is g.x_rfft and out.xp is g.xp and out.x_interp is g.x_interp
     supports = lifting.balance_supports(g)
     s = fourier.grid(g.n)
     far = np.ones(g.n, dtype=bool)
@@ -379,11 +384,13 @@ def _wide_generator(a, n=1024):
     return LegendrianGenerator(a * np.cos(TAU * s), a * (np.sin(TAU * s) + 0.3 * np.cos(2 * TAU * s)))
 
 
-@pytest.mark.parametrize("a", [20.0, 50.0, 200.0])
+@pytest.mark.parametrize("a", [20.0, 50.0, 200.0, 400.0])
 def test_balancing_accepts_what_the_loop_would_call_closed(a):
     # The w defect grows as a**3, so at a = 20 the balanced residual is
-    # -2.2e-12: above any fixed rounding bound, far inside TOL_CLOSURE.
+    # -2.3e-12: above any fixed rounding bound, far inside TOL_CLOSURE.
     # Balancing refuses only what the loop itself would not call closed.
+    # At a = 400 the residual is -1.3e-10, judged by the loop's own rfft
+    # means; by the grid means np.mean takes it was -5.6e-9, and refused.
     loop = lifting.lift(lifting.balance_closure(_wide_generator(a)))
     assert loop.closed
     assert lifting.embedding_check(loop).embedded
@@ -393,7 +400,7 @@ def test_balancing_accepts_what_the_loop_would_call_closed(a):
 
 def test_balancing_refuses_a_residual_above_the_closure_tolerance():
     # At a = 1000 the balanced w residual, rounding error scaled by a**3,
-    # is about 2e-7 (1.908e-07 with numpy 2.4).
+    # is about 2e-8 (-1.717e-08 with numpy 2.4).
     with pytest.raises(SingularSystem, match=r"^balanced defects \((\S+), (\S+)\) "
                        r"above the closure tolerance 1e-09$") as refused:
         lifting.balance_closure(_wide_generator(1000.0))
@@ -417,9 +424,10 @@ def test_a_speed_level_everywhere_is_one_run_split_in_two():
 
 
 def test_a_loop_integrates_w_only_when_it_is_read(monkeypatch):
-    # Balancing read the balanced generator's y dx integral, so both
-    # rotation numbers of its lift need no antiderivative at all.  w and
-    # its defect are integrated together on first read, and kept.
+    # Balancing read the balanced generator's y dx integral and the
+    # transform of z dx, so both rotation numbers of its lift, and its
+    # closure verdict, need no antiderivative at all.  w is integrated
+    # from that transform on first read, and kept.
     g = lifting.balance_closure(circle(1024))
     calls = []
     real = fourier.antiderivative
@@ -434,7 +442,36 @@ def test_a_loop_integrates_w_only_when_it_is_read(monkeypatch):
     assert report["rot_winding"] == report["rot_cusp"] == 1
     assert len(calls) == 0
     assert loop.closed
-    assert len(calls) == 2  # z x' and x
+    assert len(calls) == 0
     assert not loop.w.flags.writeable
+    assert len(calls) == 2  # z x' and x
     assert abs(loop.closure_defect_w) <= 1e-12
+    assert loop.w is loop.w
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("seed, n", [(0, 256), (1, 1024), (2, 4096), (3, 256),
+                                     (4, 1024), (5, 4096), (6, 16384), (7, 1024)])
+def test_the_lift_matches_the_exact_rational_lift(seed, n):
+    # Oracle: for x and y rational trigonometric polynomials of degree
+    # <= 12, z, w and both defects are exact rational expressions
+    # (helpers.ExactLift), rounded only when evaluated.  The random series
+    # leave both integrals open, so z and w carry ramps and area_integral
+    # takes its drift branch.  Measured error: below 1e-14 of the scale.
+    rng = np.random.default_rng(seed)
+    degree = int(rng.integers(1, 13))
+    exact = ExactLift(random_rational_series(rng, degree), random_rational_series(rng, degree))
+    s = fourier.grid(n)
+    g = LegendrianGenerator(series_value(exact.x, s), series_value(exact.y, s))
+    loop = lifting.lift(g)
+    z, w = exact.z(s), exact.w(s)
+    tol_z = 1e-13 * max(1.0, float(np.max(np.abs(z))))
+    tol_w = 1e-13 * max(1.0, float(np.max(np.abs(w))))
+    assert exact.defect_z != 0.0 and exact.defect_w != 0.0
+    assert abs(loop.closure_defect_z - exact.defect_z) <= 1e-13 * max(1.0, abs(exact.defect_z))
+    assert abs(loop.closure_defect_w - exact.defect_w) <= 1e-13 * max(1.0, abs(exact.defect_w))
+    assert np.max(np.abs(loop.z - z)) <= tol_z
+    assert np.max(np.abs(loop.w - w)) <= tol_w
+    for s0, s1 in [(0.0, 1.0), tuple(np.sort(rng.uniform(0.0, 1.0, 2))), (0.75, 1.5)]:
+        want = exact.w(s1) - exact.w(s0)
+        assert abs(lifting.area_integral(loop, s0, s1) - want) <= tol_w

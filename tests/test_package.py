@@ -115,3 +115,14 @@ def test_every_error_class_is_raised_or_a_base_of_one_that_is():
     raised = [c for c in classes if c.__name__ in raised]
     unraised = [c.__name__ for c in classes if not any(issubclass(r, c) for r in raised)]
     assert unraised == []
+
+
+def test_every_source_parses_as_python_3_10():
+    # pyproject.toml says requires-python >= 3.10, and a 3.10 interpreter
+    # is not always at hand to run the suite on: syntax newer than 3.10
+    # in the package, its tests or its demos fails here instead.
+    paths = [path for folder in (SRC, ROOT / "tests", ROOT / "demos")
+             for path in sorted(folder.glob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
