@@ -167,8 +167,8 @@ def _accepted_pairs(loop, seeds, rows, tol: float):
 
 
 def _overlapping_pairs(lo: np.ndarray, hi: np.ndarray):
-    """Index pairs (a, b), a < b, in row-major order, whose closed
-    intervals [lo, hi] overlap.
+    """Index pairs (a, b), a < b, in no set order, whose closed intervals
+    [lo, hi] overlap.  Callers sort the few pairs they keep.
 
     lo and hi are (axes, items): each row bounds the items one way, and a
     caller passes rows whose overlaps it may use interchangeably.  Each row
@@ -189,9 +189,13 @@ def _overlapping_pairs(lo: np.ndarray, hi: np.ndarray):
     first = np.repeat(np.arange(items), runs)
     step = np.arange(first.size) - np.repeat(np.cumsum(runs) - runs, runs)
     a, b = order[first], order[first + 1 + step]
-    a, b = np.minimum(a, b), np.maximum(a, b)
-    row_major = np.argsort(a * items + b)
-    return a[row_major], b[row_major]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _row_major(m: int, i: np.ndarray, j: np.ndarray, *columns):
+    """The cells (i, j), i < j < m, and their columns, in row-major order."""
+    order = np.argsort(i * m + j)
+    return tuple(a[order] for a in (i, j) + columns)
 
 
 def _coarse_candidates(pts: np.ndarray, speed: np.ndarray):
@@ -223,13 +227,14 @@ def _coarse_candidates(pts: np.ndarray, speed: np.ndarray):
     ci, cj, cd = ci[keep], cj[keep], cd[keep]
     # Only cells that are 8-neighbourhood minima of the sampled distance
     # can hold a basin bottom; without this filter every cell along a pair
-    # of nearby strands passes the radius test and floods the refiner.
-    keep = np.ones(ci.shape, dtype=bool)
+    # of nearby strands passes the radius test and floods the refiner.  A
+    # cell leaves at its first nearer neighbour.
     for a in (-1, 0, 1):
         for b in (-1, 0, 1):
             if a or b:
-                keep &= cd <= dist((ci + a) % m, (cj + b) % m)
-    return ci[keep], cj[keep], cd[keep]
+                keep = cd <= dist((ci + a) % m, (cj + b) % m)
+                ci, cj, cd = ci[keep], cj[keep], cd[keep]
+    return _row_major(m, ci, cj, cd)
 
 
 def coincident_pairs(loop):
@@ -289,7 +294,7 @@ def _crossing_hits(q: np.ndarray):
     d3 = _cross2(e[j], -ca)  # cross(D - C, A - C)
     d4 = _cross2(e[j], q_next[i] - q[j])
     hit = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-    return i[hit], j[hit], d1[hit], d2[hit], d3[hit], d4[hit]
+    return _row_major(m, i[hit], j[hit], d1[hit], d2[hit], d3[hit], d4[hit])
 
 
 def front_crossings(loop):

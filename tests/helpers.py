@@ -16,6 +16,7 @@ when beta = 0 (every term of z x' is then a cosine, and full cosines
 integrate to zero over half a period).
 """
 
+import functools
 import math
 import os
 from fractions import Fraction
@@ -218,6 +219,30 @@ def count_ffts(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def count_cusp_placement(monkeypatch):
+    """A dict counting, from now on, the Cusp records built ("Cusp") and
+    the z interpolants made ("z_interp"): the work of placing cusps in
+    (x, z), which counting them by orientation does not need."""
+    from engel import curves
+
+    calls = {"Cusp": 0, "z_interp": 0}
+    real_cusp, real_z = curves.Cusp, curves.HorizontalLoop.z_interp.func
+
+    def cusp(*args):
+        calls["Cusp"] += 1
+        return real_cusp(*args)
+
+    def z_interp(loop):
+        calls["z_interp"] += 1
+        return real_z(loop)
+
+    prop = functools.cached_property(z_interp)
+    prop.__set_name__(curves.HorizontalLoop, "z_interp")
+    monkeypatch.setattr(curves, "Cusp", cusp)
+    monkeypatch.setattr(curves.HorizontalLoop, "z_interp", prop)
     return calls
 
 

@@ -19,7 +19,7 @@ import pytest
 import engel
 from engel import cli, curves, frontlang, homotopy, lifting, pairscan
 
-from helpers import dense_winding, golden_text, trig_series_derivative
+from helpers import count_cusp_placement, dense_winding, golden_text, trig_series_derivative
 
 DEMO = str(resources.files("engel.data").joinpath("demo.front"))
 ZERO_AREA = str(resources.files("engel.data").joinpath("zero_area.front"))
@@ -151,6 +151,37 @@ def test_model_builds_one_front(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert calls == {"find_cusps": 1, "coincident_pairs": 1}
+
+
+@pytest.mark.parametrize("command", ["rot", "lift"])
+@pytest.mark.parametrize("doc, name", [(DEMO, "circ"), (ZERO_AREA, "mirror")],
+                         ids=["demo-circ", "zero-area-mirror"])
+def test_reports_count_cusps_without_placing_them(tmp_path, capsys, monkeypatch,
+                                                  command, doc, name):
+    # The reports read each cusp's orientation alone: no Cusp record and,
+    # short of a pair scan (lift's embedding check of a closed loop reads
+    # z through loop.curve), no z interpolant.
+    calls = count_cusp_placement(monkeypatch)
+    argv = [command, doc, name] + (["--out", str(tmp_path)] if command == "lift" else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == (3 if (command, name) == ("lift", "circ") else 0)
+    if name == "mirror":
+        report = json.loads(out)
+        report = report.get("invariants", report)
+        assert report["rot_cusp"] == report["rot_winding"] == 1
+    scans = int(command == "lift" and name == "mirror")
+    assert calls == {"Cusp": 0, "z_interp": scans}
+
+
+def test_model_places_its_cusps_for_the_picture_alone(tmp_path, capsys, monkeypatch):
+    # model's candidate checks count cusps; only the SVG places them, once.
+    calls = count_cusp_placement(monkeypatch)
+    code, out, _ = run_cli(
+        capsys, "model", "-n", "3", "--samples", "2048", "--out", str(tmp_path)
+    )
+    assert code == 0
+    report = json.loads(out)["invariants"]
+    assert calls == {"Cusp": report["c_plus"] + report["c_minus"], "z_interp": 1}
 
 
 def test_env_seed_is_ignored(tmp_path, capsys, monkeypatch):

@@ -3,10 +3,10 @@ import types
 import numpy as np
 import pytest
 
-from engel import fourier, invariants, lifting, pairscan
+from engel import fourier, invariants, lifting, models, pairscan
 from engel.curves import (
     LegendrianGenerator,
-    Cusp,
+    CuspRoot,
     Orientation,
     TrigSeries,
     sample_generator,
@@ -15,6 +15,7 @@ from engel.errors import BadDescription, OddCuspImbalance, Unresolved
 
 from helpers import (
     TAU,
+    count_cusp_placement,
     count_ffts,
     dense_winding,
     fish_arrays,
@@ -144,10 +145,10 @@ def test_fish_front_consistency():
 
 def test_rot_cusp_rejects_odd_imbalance():
     fake = types.SimpleNamespace(
-        cusps=[
-            Cusp(0.1, (0.0, 0.0), Orientation.UP),
-            Cusp(0.5, (0.0, 0.0), Orientation.DOWN),
-            Cusp(0.9, (0.0, 0.0), Orientation.DOWN),
+        cusp_roots=[
+            CuspRoot(0.1, 1.0, Orientation.UP),
+            CuspRoot(0.5, -1.0, Orientation.DOWN),
+            CuspRoot(0.9, 1.0, Orientation.DOWN),
         ],
     )
     assert invariants.classify_cusps(fake) == (1, 2)
@@ -167,23 +168,82 @@ def test_rot_winding_refuses_a_velocity_whose_squares_overflow():
     assert invariants.rot_winding(large) == 1
 
 
-def test_a_corpus_item_transforms_each_sample_array_once(monkeypatch):
-    # A balanced degree-8 generator at 4096 samples, as in the acceptance
-    # corpus.  Balancing and both rotation numbers transform x, y and
-    # each integrand once, the w defect's z x' included (its rfft mean is
-    # the loop's closure_defect_w), and no one reads w, so the lift
-    # integrates none: at most 10 FFT calls.
-    rng = np.random.default_rng(1)
-    s = fourier.grid(4096)
+def corpus_generator(seed, n=4096):
+    """A balanced degree-8 generator, as in the acceptance corpus."""
+    rng = np.random.default_rng(seed)
+    s = fourier.grid(n)
     x, y = np.cos(TAU * s), 2.0 * np.sin(2 * TAU * s)
     for k in range(1, 9):
         a, b, c, d = 0.5 * rng.uniform(-1, 1, size=4) / k**2
         x += a * np.cos(k * TAU * s) + b * np.sin(k * TAU * s)
         y += c * np.cos(k * TAU * s) + d * np.sin(k * TAU * s)
-    balanced = lifting.balance_closure(LegendrianGenerator(x, y))
+    return lifting.balance_closure(LegendrianGenerator(x, y))
+
+
+def test_a_corpus_item_transforms_each_sample_array_once(monkeypatch):
+    # A balanced degree-8 generator at 4096 samples.  Balancing and both
+    # rotation numbers transform x, y and each integrand once, the w
+    # defect's z x' included (its rfft mean is the loop's
+    # closure_defect_w).  No one reads w, so the lift integrates none,
+    # and no one places a cusp, so z is never interpolated: at most 9 FFT
+    # calls.  Evaluations: the cusp search's three Newton steps, then x'
+    # and y' once at the roots, whose y' the orientations read, and two
+    # halvings of the winding certificate at two channels each: 9, where
+    # placing the cusps took three more.
+    balanced = corpus_generator(1)
     g = LegendrianGenerator(balanced.x, balanced.y)
     ffts = count_ffts(monkeypatch)
+    placed = count_cusp_placement(monkeypatch)
+    values = {"calls": 0}
+    real_value = fourier.Interpolant.value
+
+    def value(self, *args):
+        values["calls"] += 1
+        return real_value(self, *args)
+
+    monkeypatch.setattr(fourier.Interpolant, "value", value)
     assert lifting.balance_closure(g) is g
     report = invariants.invariant_report(lifting.lift(g))
     assert report["rot_winding"] == report["rot_cusp"]
-    assert ffts["ffts"] <= 10
+    assert ffts["ffts"] <= 9
+    assert values["calls"] <= 9
+    assert placed == {"Cusp": 0, "z_interp": 0}
+
+
+def _finite_difference_orientations(loop):
+    """Each cusp's orientation from the sign of direction times y', with
+    y' interpolated linearly between the centred finite differences of
+    the y samples at the two grid points around the cusp.  Returns the
+    orientations and the smallest |y'| so found."""
+    n, y = loop.n, loop.y
+    yp = (np.roll(y, -1) - np.roll(y, 1)) * (n / 2.0)
+    out, smallest = [], np.inf
+    for s_c, direction in loop.cusp_roots:
+        k = int(np.floor(s_c * n)) % n
+        t = s_c * n - np.floor(s_c * n)
+        slope = (1.0 - t) * yp[k] + t * yp[(k + 1) % n]
+        smallest = min(smallest, abs(slope))
+        out.append(Orientation.UP if slope * direction > 0 else Orientation.DOWN)
+    return out, smallest
+
+
+ORIENTATION_CASES = {
+    # demo.front's circ, cos(1) and sin(1), balanced
+    "demo-circle": lambda: lifting.lift(lifting.balance_closure(circle_cover(1, 4096))),
+    "model3": lambda: models.model_front(3, seed=0, samples=4096),
+    **{"degree8-seed%d" % seed: (lambda seed=seed: lifting.lift(corpus_generator(seed)))
+       for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORIENTATION_CASES))
+def test_counted_orientations_match_finite_differences_and_placed_cusps(case):
+    loop = ORIENTATION_CASES[case]()
+    counted = [root.orientation for root in loop.cusp_roots]
+    want, smallest = _finite_difference_orientations(loop)
+    # The differences are O(1/n^2) off y'; the signs are far from that.
+    assert smallest > 1e-3
+    assert counted == want
+    assert counted == [c.orientation for c in loop.cusps]
+    ups = counted.count(Orientation.UP)
+    assert invariants.classify_cusps(loop) == (ups, len(counted) - ups)

@@ -212,6 +212,31 @@ def test_crossing_hits_keep_segments_two_apart():
     assert (0, 2) in zip(want[0].tolist(), want[1].tolist())
 
 
+def test_sweep_order_does_not_reach_the_candidates(monkeypatch):
+    # The sweep hands its pairs over in no set order; the coarse passes
+    # sort what they keep, so a shuffled sweep changes nothing.
+    rng = np.random.default_rng(0)
+    real = pairscan._overlapping_pairs
+
+    def shuffled(lo, hi):
+        a, b = real(lo, hi)
+        order = rng.permutation(len(a))
+        return a[order], b[order]
+
+    monkeypatch.setattr(pairscan, "_overlapping_pairs", shuffled)
+    for make in (lambda: mirror_loop(512), lambda: models.model_front(0, samples=1024)):
+        assert coarse_matches_oracle(*coarse_inputs(make()))
+    for name in sorted(LOOPS):
+        loop = LOOPS[name]()
+        g = loop.generator
+        idx, _, stride = pairscan._coarse_indices(g.n)
+        q = np.stack([g.x[idx + stride // 2], np.asarray(loop.z)[idx + stride // 2]], axis=1)
+        got = pairscan._crossing_hits(q)
+        want = dense_crossing_hits(q, pairscan.EXCLUDE_COARSE_CELLS)
+        for a, b in zip(got, want):
+            assert a.tolist() == b.tolist()
+
+
 def test_sweeps_expand_a_small_share_of_all_pairs(monkeypatch):
     loop = models.model_front(3, samples=16384)
     expanded = []
