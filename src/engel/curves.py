@@ -219,13 +219,12 @@ class HorizontalLoop:
     The front is the (x, z) picture, and it exists once z closes.  Its
     cusps, double points and self-tangencies are found on first read and
     kept on the loop, so a caller that wants only the cusps pays for
-    neither pair scan.  cusp_roots keeps find_cusps' list, each cusp's
-    parameter and orientation; cusps places them in (x, z) as Cusp
-    records, which reads z_interp, only when read.  So a caller that
-    counts cusps by orientation, as the rotation numbers do, places none
-    and never builds z_interp.  Off-grid values come from z_interp, or
-    from curve for (x, y, z) together, through .value(s, order).  Loops
-    compare and hash by identity.
+    neither pair scan.  cusps keeps find_cusps' list of Cusp records,
+    each a parameter, direction and orientation, unplaced: a caller that
+    counts cusps by orientation, as the rotation numbers do, never builds
+    z_interp.  Off-grid values come from z_interp, or from curve for
+    (x, y, z) together, through .value(s, order).  Loops compare and hash
+    by identity.
     """
 
     def __init__(self, generator: LegendrianGenerator):
@@ -289,9 +288,8 @@ class HorizontalLoop:
         return fourier.Interpolant.stack((g.x_interp, g.y_interp, self.z_interp))
 
     @functools.cached_property
-    def cusp_roots(self) -> list:
-        """find_cusps' list for the front: each cusp's parameter and
-        orientation, unplaced.
+    def cusps(self) -> list:
+        """find_cusps' list of Cusp records for the front.
 
         The front needs only z to close; a loop whose w stays open still
         has one, so this tests z_closed, not `closed`.
@@ -302,15 +300,6 @@ class HorizontalLoop:
                 % (TOL_CLOSURE, self.closure_defect_z)
             )
         return find_cusps(self.generator)  # never empty: x' of a periodic x changes sign
-
-    @functools.cached_property
-    def cusps(self) -> list:
-        """The front's cusps as Cusp records: cusp_roots placed in (x, z)."""
-        roots = self.cusp_roots
-        s = np.array([s_c for s_c, _ in roots])
-        x, z = self.generator.x_interp.value(s), self.z_interp.value(s)
-        return [Cusp(root[0], (float(px), float(pz)), root.orientation)
-                for root, px, pz in zip(roots, x, z)]
 
     @functools.cached_property
     def double_points(self) -> list:
@@ -330,20 +319,12 @@ class Orientation(enum.Enum):
 
 @dataclass(frozen=True)
 class Cusp:
+    """A root s of x', direction the sign of x' just after it, and the
+    cusp's orientation."""
+
     s: float
-    position: tuple  # (x, z)
+    direction: float
     orientation: Orientation
-
-
-class CuspRoot(tuple):
-    """A root of x' as find_cusps returns it: the pair (s, direction),
-    direction the sign of x' just after the root, as which it compares
-    and unpacks, with the cusp's orientation attached."""
-
-    def __new__(cls, s: float, direction: float, orientation: Orientation):
-        root = super().__new__(cls, (s, direction))
-        root.orientation = orientation
-        return root
 
 
 def sample_generator(description, n: int) -> LegendrianGenerator:
@@ -373,15 +354,15 @@ def sample_generator(description, n: int) -> LegendrianGenerator:
 def find_cusps(g: LegendrianGenerator):
     """Locate and classify the roots of x'.
 
-    Returns a list of CuspRoot pairs (s_c, direction) with direction the
-    sign of x' just after the root, each carrying its orientation.  A cusp
-    points Up when the front crosses its tangent line upward there, i.e.
-    when y'(s_c) * direction > 0, read from the y' that the genericity
-    test below evaluates.  A sign scan of the grid brackets the roots and
-    a bracketed Newton iteration refines them.  Guarantee: every grid cell
-    holds at most one root of x', and one only where the scan found it
-    (certify_cells, on the chopped x_interp), or this raises Unresolved;
-    a root that is not a generic cusp raises DegenerateCusp.
+    Returns a list of Cusp records (s, direction, orientation), direction
+    the sign of x' just after the root.  A cusp points Up when the front
+    crosses its tangent line upward there, i.e. when y'(s) * direction > 0,
+    read from the y' that the genericity test below evaluates.  A sign
+    scan of the grid brackets the roots and a bracketed Newton iteration
+    refines them.  Guarantee: every grid cell holds at most one root of
+    x', and one only where the scan found it (certify_cells, on the
+    chopped x_interp), or this raises Unresolved; a root that is not a
+    generic cusp raises DegenerateCusp.
     """
     n, xi = g.n, g.x_interp
     rows = xi.samples((1, 2)).copy()
@@ -451,7 +432,7 @@ def find_cusps(g: LegendrianGenerator):
             raise DegenerateCusp("cusp refinement stalled at s=%.6f" % s[i])
         raise DegenerateCusp("|y'| = %.3e at cusp s=%.6f violates genericity" % (ypc[i], s[i]))
     up = (yp * direction > 0).tolist()
-    return [CuspRoot(s_c, d, Orientation.UP if u else Orientation.DOWN)
+    return [Cusp(s_c, d, Orientation.UP if u else Orientation.DOWN)
             for s_c, d, u in zip(s.tolist(), direction.tolist(), up)]
 
 

@@ -98,7 +98,7 @@ def _step_count(move: Move) -> int:
 
 def _cusps_in_window(g: LegendrianGenerator, center: float, width: float):
     """Cusp parameters of g within circular distance `width` of `center`."""
-    return [s for s, _ in find_cusps(g) if abs(math.remainder(s - center, 1.0)) <= width]
+    return [c.s for c in find_cusps(g) if abs(math.remainder(c.s - center, 1.0)) <= width]
 
 
 def _bump_derivative(s, center: float, width: float) -> np.ndarray:

@@ -60,10 +60,10 @@ def rot_winding(g: LegendrianGenerator) -> int:
 
 def classify_cusps(loop: HorizontalLoop):
     """(c_plus, c_minus): the front's cusp counts by orientation, read
-    off loop.cusp_roots, so no cusp is placed."""
-    roots = loop.cusp_roots
-    c_plus = sum(1 for root in roots if root.orientation is Orientation.UP)
-    return c_plus, len(roots) - c_plus
+    off loop.cusps, so no cusp is placed in (x, z)."""
+    cusps = loop.cusps
+    c_plus = sum(1 for c in cusps if c.orientation is Orientation.UP)
+    return c_plus, len(cusps) - c_plus
 
 
 def rot_cusp(loop: HorizontalLoop) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fourier
 from .curves import TOL_CLOSURE, HorizontalLoop, LegendrianGenerator
-from .errors import NotClosed, SingularSystem
+from .errors import BadDescription, NotClosed, SingularSystem
 
 TOL_EMBED = 1e-7
 BUMP_WIDTH = 0.08
@@ -204,13 +204,16 @@ def balancing_system(g: LegendrianGenerator, supports=None):
     """(phi1, phi2, M): the two balancing bumps sampled on g's grid and
     the 2x2 matrix whose columns are their closure functionals.
 
-    supports defaults to balance_supports(g).  Raises SingularSystem when
-    the bumps decouple from the closure constraints (M numerically zero)
-    or M is too ill-conditioned to solve.
+    supports defaults to balance_supports(g).  Raises BadDescription when
+    M leaves the float range, SingularSystem when the bumps decouple from
+    the closure constraints (M numerically zero) or M is too
+    ill-conditioned to solve.
     """
     s = fourier.grid(g.n)
     phis = np.stack([bump_samples(s, c, w) for c, w in supports or balance_supports(g)])
     matrix = np.array(closure_functionals(g, phis))
+    if not np.isfinite(matrix).all():
+        raise BadDescription("closure functionals of the balancing bumps must be finite")
     scale = max(1.0, float(np.max(np.abs(g.xp))))
     if float(np.max(np.abs(matrix))) <= 1e-12 * scale:
         raise SingularSystem(

@@ -90,6 +90,11 @@ def loop_csv_lines(loop, kept=None):
     return itertools.chain((_CSV_HEADER,), lines)
 
 
+def _placed(loop, s):
+    """(x, z) at the front parameters s, one evaluation of each."""
+    return loop.generator.x_interp.value(s), loop.z_interp.value(s)
+
+
 def front_svg_text(loop) -> str:
     """SVG for the front of a closed loop: polyline, cusp glyphs, meeting marks.
 
@@ -99,7 +104,6 @@ def front_svg_text(loop) -> str:
     """
     x = np.asarray(loop.x, dtype=float)
     z = np.asarray(loop.z, dtype=float)
-    x_of, z_of = loop.generator.x_interp.value, loop.z_interp.value
 
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
     z_lo, z_hi = float(np.min(z)), float(np.max(z))
@@ -128,8 +132,8 @@ def front_svg_text(loop) -> str:
     parts.append('<path class="front" d="%s"/>' % (steps % tuple(points.tolist())))
 
     r = 0.018 * span
-    for cusp in loop.cusps:
-        cx, cz = cusp.position
+    cusps = loop.cusps
+    for cusp, cx, cz in zip(cusps, *_placed(loop, [c.s for c in cusps])):
         kind = cusp.orientation.value
         d = _GLYPH[kind].format(
             x=_fmt(cx), xl=_fmt(cx - r), xr=_fmt(cx + r),
@@ -137,14 +141,12 @@ def front_svg_text(loop) -> str:
         )
         parts.append('<path class="cusp-%s" d="%s"/>' % (kind, d))
 
-    for s0, _s1 in loop.double_points:
-        cx, cz = x_of(s0), z_of(s0)
+    for cx, cz in zip(*_placed(loop, [s0 for s0, _s1 in loop.double_points])):
         parts.append(
             '<circle class="crossing" cx="%s" cy="%s" r="%s"/>'
             % (_fmt(cx), _fmt(-cz), _fmt(r))
         )
-    for s0, _s1 in loop.self_tangencies:
-        cx, cz = x_of(s0), z_of(s0)
+    for cx, cz in zip(*_placed(loop, [s0 for s0, _s1 in loop.self_tangencies])):
         parts.append(
             '<path class="tangency" d="M %s %s L %s %s L %s %s L %s %s Z"/>'
             % (

@@ -222,18 +222,14 @@ def count_ffts(monkeypatch):
     return calls
 
 
-def count_cusp_placement(monkeypatch):
-    """A dict counting, from now on, the Cusp records built ("Cusp") and
-    the z interpolants made ("z_interp"): the work of placing cusps in
-    (x, z), which counting them by orientation does not need."""
+def count_z_interps(monkeypatch):
+    """A dict counting, from now on, the z interpolants made
+    ("z_interp"): the work of placing cusps in (x, z), which counting
+    them by orientation does not need."""
     from engel import curves
 
-    calls = {"Cusp": 0, "z_interp": 0}
-    real_cusp, real_z = curves.Cusp, curves.HorizontalLoop.z_interp.func
-
-    def cusp(*args):
-        calls["Cusp"] += 1
-        return real_cusp(*args)
+    calls = {"z_interp": 0}
+    real_z = curves.HorizontalLoop.z_interp.func
 
     def z_interp(loop):
         calls["z_interp"] += 1
@@ -241,7 +237,6 @@ def count_cusp_placement(monkeypatch):
 
     prop = functools.cached_property(z_interp)
     prop.__set_name__(curves.HorizontalLoop, "z_interp")
-    monkeypatch.setattr(curves, "Cusp", cusp)
     monkeypatch.setattr(curves.HorizontalLoop, "z_interp", prop)
     return calls
 

@@ -19,7 +19,7 @@ import pytest
 import engel
 from engel import cli, curves, frontlang, homotopy, lifting, pairscan
 
-from helpers import count_cusp_placement, dense_winding, golden_text, trig_series_derivative
+from helpers import count_z_interps, dense_winding, golden_text, trig_series_derivative
 
 DEMO = str(resources.files("engel.data").joinpath("demo.front"))
 ZERO_AREA = str(resources.files("engel.data").joinpath("zero_area.front"))
@@ -158,10 +158,10 @@ def test_model_builds_one_front(tmp_path, capsys, monkeypatch):
                          ids=["demo-circ", "zero-area-mirror"])
 def test_reports_count_cusps_without_placing_them(tmp_path, capsys, monkeypatch,
                                                   command, doc, name):
-    # The reports read each cusp's orientation alone: no Cusp record and,
-    # short of a pair scan (lift's embedding check of a closed loop reads
-    # z through loop.curve), no z interpolant.
-    calls = count_cusp_placement(monkeypatch)
+    # The reports read each cusp's orientation alone: short of a pair
+    # scan (lift's embedding check of a closed loop reads z through
+    # loop.curve), no z interpolant.
+    calls = count_z_interps(monkeypatch)
     argv = [command, doc, name] + (["--out", str(tmp_path)] if command == "lift" else [])
     code, out, _ = run_cli(capsys, *argv)
     assert code == (3 if (command, name) == ("lift", "circ") else 0)
@@ -170,18 +170,20 @@ def test_reports_count_cusps_without_placing_them(tmp_path, capsys, monkeypatch,
         report = report.get("invariants", report)
         assert report["rot_cusp"] == report["rot_winding"] == 1
     scans = int(command == "lift" and name == "mirror")
-    assert calls == {"Cusp": 0, "z_interp": scans}
+    assert calls == {"z_interp": scans}
 
 
 def test_model_places_its_cusps_for_the_picture_alone(tmp_path, capsys, monkeypatch):
     # model's candidate checks count cusps; only the SVG places them, once.
-    calls = count_cusp_placement(monkeypatch)
+    calls = count_z_interps(monkeypatch)
     code, out, _ = run_cli(
         capsys, "model", "-n", "3", "--samples", "2048", "--out", str(tmp_path)
     )
     assert code == 0
     report = json.loads(out)["invariants"]
-    assert calls == {"Cusp": report["c_plus"] + report["c_minus"], "z_interp": 1}
+    svg, = tmp_path.glob("*.svg")
+    assert svg.read_text().count('class="cusp-') == report["c_plus"] + report["c_minus"]
+    assert calls == {"z_interp": 1}
 
 
 def test_env_seed_is_ignored(tmp_path, capsys, monkeypatch):
@@ -683,18 +685,24 @@ def test_a_width_no_bump_can_take_is_a_usage_error(tmp_path, capsys, move, width
     assert not (tmp_path / "s_trace").exists()
 
 
-@pytest.mark.parametrize("move", [
-    "deform at=0.3 width=0.1 ax=1e308 frames=2;",
-    "tangency_pass at=0.55 width=0.08 amplitude=1e308 frames=2;",
-])
+# Each move, and what of its second frame leaves the float range.
+OVERFLOWING_MOVES = {
+    "deform at=0.3 width=0.1 ax=1e308 frames=2;": "x' and y' samples",
+    "tangency_pass at=0.55 width=0.08 amplitude=1e308 frames=2;": "x' and y' samples",
+    # finite samples and derivatives, whose balancing functionals overflow
+    "deform at=0.3 width=0.1 ax=1e300 frames=2;": "closure functionals of the balancing bumps",
+}
+
+
+@pytest.mark.parametrize("move", list(OVERFLOWING_MOVES))
 def test_a_move_that_overflows_a_frame_is_a_usage_error(tmp_path, capsys, move):
-    # The frame's samples are not finite: the document is at fault, not a
-    # certificate, wherever in the run that is found.  Frame 0 was built
-    # and written before frame 1 overflowed.
+    # The frame's numbers leave the float range: the document is at
+    # fault, not a certificate, wherever in the run that is found.
+    # Frame 0 was built and written before frame 1 overflowed.
     code, out, err = run_script_doc(tmp_path, capsys, move)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: x' and y' samples must be finite")
+    assert err == "error: %s must be finite\n" % OVERFLOWING_MOVES[move]
     assert [p.name for p in (tmp_path / "s_trace").iterdir()] == ["frame_0000.csv"]
 
 

@@ -1,3 +1,4 @@
+import re
 from importlib import resources
 
 import numpy as np
@@ -172,14 +173,11 @@ def test_curve_keeps_each_channel_bit_for_bit(make):
     lambda: lifting.lift(lifting.balance_closure(LegendrianGenerator(*fish_arrays(1024)[:2]))),
 ], ids=["open_z", "lifted"])
 def test_curve_reads_the_spectra_its_channels_keep(make, monkeypatch):
-    # The cusps transform x, y and z's periodic part; curve then stacks
-    # those three spectra with no FFT of its own, and keeps the bits of
-    # one 3-row transform of the samples, drift removed.
+    # The interpolants transform x, y and z's periodic part; curve then
+    # stacks those three spectra with no FFT of its own, and keeps the
+    # bits of one 3-row transform of the samples, drift removed.
     loop = make()
-    if loop.z_closed:
-        loop.cusps
-    else:  # no front: read the three interpolants the cusps would read
-        loop.generator.x_interp, loop.generator.y_interp, loop.z_interp
+    loop.generator.x_interp, loop.generator.y_interp, loop.z_interp
     ffts = count_ffts(monkeypatch)
     curve = loop.curve
     assert ffts["ffts"] == 0
@@ -192,7 +190,7 @@ def test_curve_reads_the_spectra_its_channels_keep(make, monkeypatch):
 
 def test_find_cusps_circle_is_exact():
     g = sample_generator((TrigSeries(cos={1: 1.0}), TrigSeries(sin={1: 1.0})), 256)
-    assert find_cusps(g) == [(0.0, -1.0), (0.5, 1.0)]
+    assert [(c.s, c.direction) for c in find_cusps(g)] == [(0.0, -1.0), (0.5, 1.0)]
 
 
 def test_find_cusps_off_grid_roots():
@@ -202,10 +200,10 @@ def test_find_cusps_off_grid_roots():
     g = sample_generator((x, y), 256)
     got = find_cusps(g)
     assert len(got) == 2
-    (s0, d0), (s1, d1) = got
-    assert s0 == pytest.approx(delta, abs=1e-10)
-    assert s1 == pytest.approx(delta + 0.5, abs=1e-10)
-    assert (d0, d1) == (-1.0, 1.0)
+    c0, c1 = got
+    assert c0.s == pytest.approx(delta, abs=1e-10)
+    assert c1.s == pytest.approx(delta + 0.5, abs=1e-10)
+    assert (c0.direction, c1.direction) == (-1.0, 1.0)
 
 
 def test_find_cusps_rejects_flat_slope_at_cusp():
@@ -278,7 +276,7 @@ def test_find_cusps_matches_companion_matrix_oracle(case, arg):
     else:
         g = models.model_front(arg, seed=0, samples=4096).generator
     want = companion_derivative_roots(g.x)
-    got = [s_c for s_c, _ in find_cusps(g)]
+    got = [c.s for c in find_cusps(g)]
     assert len(got) == len(want)
     assert np.max(_circular_distance(np.sort(got), want)) < 1e-9
 
@@ -296,7 +294,7 @@ def test_find_cusps_matches_the_bisection_oracle(case, arg):
     else:
         g = models.model_front(arg, seed=0, samples=16384).generator
     want = bisected_derivative_roots(g)
-    got = [s_c for s_c, _ in find_cusps(g)]
+    got = [c.s for c in find_cusps(g)]
     assert len(got) == len(want)
     assert np.max(_circular_distance(np.sort(got), want)) <= 1e-14
 
@@ -370,7 +368,7 @@ def test_find_cusps_finds_known_roots_or_refuses(drawn):
     for n in 2 ** np.arange(8, 15):
         g, every = _known_root_generator(roots, n)
         try:
-            got = np.array([s_c for s_c, _ in find_cusps(g)])
+            got = np.array([c.s for c in find_cusps(g)])
         except (DegenerateCusp, Unresolved):
             assert split is not None, n  # a refusal, never a wrong answer
             continue
@@ -515,7 +513,7 @@ def _swallowtail_refusals(width, n):
     for j, (_, loop, _) in enumerate(homotopy.script_frames(g0, [move])):
         g = loop.generator
         try:
-            got = np.array([s_c for s_c, _ in find_cusps(g)])
+            got = np.array([c.s for c in find_cusps(g)])
         except (DegenerateCusp, Unresolved):
             refused.append(j)
             continue
@@ -570,8 +568,15 @@ def test_front_of_mirror_fixture_census():
         sigma = np.sign(mirror_xp(cusp.s + 1e-4))
         expect_up = mirror_yp(cusp.s) * sigma > 0
         assert (cusp.orientation is Orientation.UP) == expect_up
-        assert cusp.position[0] == pytest.approx(mirror_x(cusp.s), abs=1e-9)
-        assert cusp.position[1] == pytest.approx(mirror_z(cusp.s), abs=1e-9)
+    # Position oracle: each cusp glyph of the picture is centred on the
+    # closed forms at its cusp, (x, -z) to six decimals.
+    glyphs = re.findall(r'class="cusp-(?:up|down)" d="([^"]*)"', render.front_svg_text(front))
+    assert len(glyphs) == len(front.cusps)
+    for cusp, d in zip(front.cusps, glyphs):
+        numbers = [float(v) for v in re.findall(r"-?[0-9.]+", d)]
+        x, heights = numbers[0], numbers[1::2]
+        assert x == pytest.approx(mirror_x(cusp.s), abs=1e-6)
+        assert (min(heights) + max(heights)) / 2 == pytest.approx(-mirror_z(cusp.s), abs=1e-6)
     ups = sum(c.orientation is Orientation.UP for c in front.cusps)
     downs = len(front.cusps) - ups
     assert downs - ups == 2

@@ -1,12 +1,13 @@
+import re
 import types
 
 import numpy as np
 import pytest
 
-from engel import fourier, invariants, lifting, models, pairscan
+from engel import fourier, invariants, lifting, models, pairscan, render
 from engel.curves import (
+    Cusp,
     LegendrianGenerator,
-    CuspRoot,
     Orientation,
     TrigSeries,
     sample_generator,
@@ -15,8 +16,8 @@ from engel.errors import BadDescription, OddCuspImbalance, Unresolved
 
 from helpers import (
     TAU,
-    count_cusp_placement,
     count_ffts,
+    count_z_interps,
     dense_winding,
     fish_arrays,
     mirror_x,
@@ -145,10 +146,10 @@ def test_fish_front_consistency():
 
 def test_rot_cusp_rejects_odd_imbalance():
     fake = types.SimpleNamespace(
-        cusp_roots=[
-            CuspRoot(0.1, 1.0, Orientation.UP),
-            CuspRoot(0.5, -1.0, Orientation.DOWN),
-            CuspRoot(0.9, 1.0, Orientation.DOWN),
+        cusps=[
+            Cusp(0.1, 1.0, Orientation.UP),
+            Cusp(0.5, -1.0, Orientation.DOWN),
+            Cusp(0.9, 1.0, Orientation.DOWN),
         ],
     )
     assert invariants.classify_cusps(fake) == (1, 2)
@@ -188,12 +189,11 @@ def test_a_corpus_item_transforms_each_sample_array_once(monkeypatch):
     # and no one places a cusp, so z is never interpolated: at most 9 FFT
     # calls.  Evaluations: the cusp search's three Newton steps, then x'
     # and y' once at the roots, whose y' the orientations read, and two
-    # halvings of the winding certificate at two channels each: 9, where
-    # placing the cusps took three more.
+    # halvings of the winding certificate at two channels each: 9.
     balanced = corpus_generator(1)
     g = LegendrianGenerator(balanced.x, balanced.y)
     ffts = count_ffts(monkeypatch)
-    placed = count_cusp_placement(monkeypatch)
+    placed = count_z_interps(monkeypatch)
     values = {"calls": 0}
     real_value = fourier.Interpolant.value
 
@@ -207,7 +207,7 @@ def test_a_corpus_item_transforms_each_sample_array_once(monkeypatch):
     assert report["rot_winding"] == report["rot_cusp"]
     assert ffts["ffts"] <= 9
     assert values["calls"] <= 9
-    assert placed == {"Cusp": 0, "z_interp": 0}
+    assert placed == {"z_interp": 0}
 
 
 def _finite_difference_orientations(loop):
@@ -218,12 +218,12 @@ def _finite_difference_orientations(loop):
     n, y = loop.n, loop.y
     yp = (np.roll(y, -1) - np.roll(y, 1)) * (n / 2.0)
     out, smallest = [], np.inf
-    for s_c, direction in loop.cusp_roots:
-        k = int(np.floor(s_c * n)) % n
-        t = s_c * n - np.floor(s_c * n)
+    for cusp in loop.cusps:
+        k = int(np.floor(cusp.s * n)) % n
+        t = cusp.s * n - np.floor(cusp.s * n)
         slope = (1.0 - t) * yp[k] + t * yp[(k + 1) % n]
         smallest = min(smallest, abs(slope))
-        out.append(Orientation.UP if slope * direction > 0 else Orientation.DOWN)
+        out.append(Orientation.UP if slope * cusp.direction > 0 else Orientation.DOWN)
     return out, smallest
 
 
@@ -239,11 +239,12 @@ ORIENTATION_CASES = {
 @pytest.mark.parametrize("case", sorted(ORIENTATION_CASES))
 def test_counted_orientations_match_finite_differences_and_placed_cusps(case):
     loop = ORIENTATION_CASES[case]()
-    counted = [root.orientation for root in loop.cusp_roots]
+    counted = [c.orientation for c in loop.cusps]
     want, smallest = _finite_difference_orientations(loop)
     # The differences are O(1/n^2) off y'; the signs are far from that.
     assert smallest > 1e-3
     assert counted == want
-    assert counted == [c.orientation for c in loop.cusps]
+    drawn = re.findall(r'class="cusp-(up|down)"', render.front_svg_text(loop))
+    assert [o.value for o in counted] == drawn
     ups = counted.count(Orientation.UP)
     assert invariants.classify_cusps(loop) == (ups, len(counted) - ups)

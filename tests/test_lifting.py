@@ -10,7 +10,7 @@ from engel.curves import (
     TrigSeries,
     sample_generator,
 )
-from engel.errors import NotClosed, SingularSystem
+from engel.errors import BadDescription, NotClosed, SingularSystem
 from engel.homotopy import tangency_profile
 
 from helpers import (
@@ -333,6 +333,16 @@ def test_balance_closure_decoupled_supports_raise():
     # tangency profiles solve the same system and share its guards
     with pytest.raises(SingularSystem):
         tangency_profile(g, 0.25, 0.08, supports=supports)
+
+
+def test_balance_closure_refuses_functionals_past_the_float_range():
+    # A 1e200 circle has finite samples and derivatives, but its closure
+    # functionals overflow: refused by name before any solve of the
+    # system, a usage error rather than numpy's SVD failure.
+    s = fourier.grid(1024)
+    huge = LegendrianGenerator(1e200 * np.cos(TAU * s), 1e200 * np.sin(TAU * s))
+    with pytest.raises(BadDescription, match="balancing bumps must be finite"):
+        lifting.balance_closure(huge)
 
 
 def test_balance_closure_symmetric_centers_raise():
