@@ -4,11 +4,12 @@ All curve data in this package lives on the grid s_k = k/N with period 1.
 Smooth periodic samples are identified with their trigonometric interpolant,
 and every operation here (differentiation, antiderivatives and off-grid
 evaluation) is exact for that interpolant.  Each of them starts from the
-samples' rfft, and each takes that rfft as an optional `spectrum`: a
-caller holding one array's transform (a LegendrianGenerator holds x's and
-y's) passes it to all of them, so the array is transformed once.  An FFT
-row depends on its input alone, so the results keep their bits whether
-the spectrum is passed or made inside.
+samples' rfft, and each takes that rfft as `spectrum` (optional, but
+antiderivative_evaluator takes nothing else): a caller holding one
+array's transform (a LegendrianGenerator holds those of x, y and z x')
+passes it to them all, so the array is transformed once.  An FFT row
+depends on its input alone, so the results keep their bits whether the
+spectrum is passed or made inside.
 
 Every grid size N is a power of two, at least 16; check_size holds that
 rule, and every entry point here that takes a size or samples applies it.
@@ -229,19 +230,16 @@ def antiderivative(values, spectrum=None) -> tuple[np.ndarray, float]:
     return mean[..., None] * grid(n) + (p - p[..., :1]), mean
 
 
-def antiderivative_evaluator(values: np.ndarray, spectrum=None):
-    """The integral of the interpolant from 0 to s, as a function of real s
-    (a float, or an array of them).  `spectrum`, when given, is
-    np.fft.rfft(values).
+def antiderivative_evaluator(spectrum: np.ndarray):
+    """The integral from 0 to s of the interpolant whose rfft is
+    `spectrum`, as a function of real s (a float, or an array of them).
+    The grid size is the one the spectrum's length implies (check_size).
 
     The FFTs run once, here: the function holds the Interpolant of the
     antiderivative samples and the Nyquist sine they miss.
     """
-    values = np.asarray(values, dtype=float)
-    n = check_size(values.shape[0])
-    if spectrum is None:
-        spectrum = np.fft.rfft(values)
-    f_samples, mean = antiderivative(values, spectrum)
+    n = check_size(2 * spectrum.shape[0] - 2)
+    f_samples, mean = antiderivative(None, spectrum)
     interp = Interpolant(f_samples, drift=mean)
     nyquist = spectrum[-1].real / n
     return lambda s: interp.value(s) + nyquist * np.sin(np.pi * n * s) / (np.pi * n)

@@ -5,10 +5,11 @@ for z to close up) and ∮ z dx (likewise for w).  Each has one formula,
 the rfft mean of its integrand against x' (fourier.antiderivative's
 mean), held by the generator's y_dx and z_dx: the lift's defects, the
 two closure_defect functions and the balancing bumps' functionals all
-read it.  When z carries a defect ramp m·s, integrands of the form z x'
-are split exactly as m (s x') + (periodic) x', using the identity
-∫₀¹ s x' ds = x(0) - mean(x), so nothing is ever integrated through the
-parameter seam (LegendrianGenerator.iterated_integral).
+read it; the lift's w and the embedding test's w-gaps both integrate
+z_dx's one rfft.  When z carries a defect ramp m·s, integrands of the
+form z x' are split exactly as m (s x') + (periodic) x', using the
+identity ∫₀¹ s x' ds = x(0) - mean(x), so nothing is ever integrated
+through the parameter seam (LegendrianGenerator.iterated_integral).
 """
 
 from __future__ import annotations
@@ -61,18 +62,20 @@ def lift(g: LegendrianGenerator) -> HorizontalLoop:
 
 
 def area_integral(loop, s0: float, s1: float) -> float:
-    """∫_{s0}^{s1} z dx along a HorizontalLoop; (0, 1) gives ∮ z dx.
-    Only x and z enter: w and its defect are never read."""
+    """∫_{s0}^{s1} z dx along the lift of the loop's generator g; (0, 1)
+    gives ∮ z dx.  Only g's transforms enter: g.z_dx's rfft of z x', which
+    the loop's w is integrated from, and g.x_rfft for the z ramp's term;
+    a z assigned to the loop by hand does not."""
     s0, s1 = float(s0), float(s1)
     if not (s0 <= s1 <= s0 + 1.0 + 1e-9):
         raise ValueError("need s0 <= s1 within one period, got (%r, %r)" % (s0, s1))
-    g, m, ends = loop.generator, loop.closure_defect_z, np.array([s0, s1])
-    z_periodic = loop.z - m * fourier.grid(g.n)
-    area = fourier.antiderivative_evaluator(z_periodic * g.xp)(ends)
+    g, ends = loop.generator, np.array([s0, s1])
+    m = g.y_dx[1]
+    area = fourier.antiderivative_evaluator(g.z_dx[0])(ends)
     total = area[1] - area[0]
     if m != 0.0:  # ∫ s x' ds = s x - ∫ x, entering through the z ramp
         sx = ends * g.x_interp.value(ends)
-        x_area = fourier.antiderivative_evaluator(g.x, g.x_rfft)(ends)
+        x_area = fourier.antiderivative_evaluator(g.x_rfft)(ends)
         total += m * (sx[1] - sx[0] - (x_area[1] - x_area[0]))
     return float(total)
 
@@ -207,23 +210,29 @@ def balancing_system(g: LegendrianGenerator, supports=None):
     supports defaults to balance_supports(g).  Raises BadDescription when
     M leaves the float range, SingularSystem when the bumps decouple from
     the closure constraints (M numerically zero) or M is too
-    ill-conditioned to solve.
+    ill-conditioned to solve.  Both tests judge M's shape, not its size:
+    they read M with its z row divided by max|x'| and its w row by the
+    square, the powers of the curve's scale that the two rows carry.
     """
     s = fourier.grid(g.n)
     phis = np.stack([bump_samples(s, c, w) for c, w in supports or balance_supports(g)])
     matrix = np.array(closure_functionals(g, phis))
     if not np.isfinite(matrix).all():
         raise BadDescription("closure functionals of the balancing bumps must be finite")
-    scale = max(1.0, float(np.max(np.abs(g.xp))))
-    if float(np.max(np.abs(matrix))) <= 1e-12 * scale:
+    scale = float(np.max(np.abs(g.xp)))
+    with np.errstate(invalid="ignore"):  # 0 / 0 where x', and so M, vanishes
+        shape = matrix / scale
+        shape[1] /= scale
+    if not float(np.max(np.abs(shape))) > 1e-12:
         raise SingularSystem(
             "bump supports decouple from the closure constraints "
             "(functional matrix is numerically zero)"
         )
-    if np.linalg.cond(matrix) > CONDITION_LIMIT:
+    cond = np.linalg.cond(shape)
+    if cond > CONDITION_LIMIT:
         raise SingularSystem(
             "closure system condition number %.3e exceeds %g; "
-            "move the bump supports" % (np.linalg.cond(matrix), CONDITION_LIMIT)
+            "move the bump supports" % (cond, CONDITION_LIMIT)
         )
     return (*phis, matrix)
 

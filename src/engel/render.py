@@ -30,39 +30,28 @@ def _fmt(v: float) -> str:
 
 _CSV_HEADER = "s,x,y,z,w\n"
 
-# Column formatters; the last one ends the row.
-_CSV_FORMATS = (repr, repr, repr, repr, "{!r}\n".format)
-
-# Rows of a table written alone formatted at a time: no later table
-# reuses its text, so it is formatted as it is read and never held whole.
+# Rows joined into one string at a time.  A table written alone is also
+# formatted a block at a time, as it is read: no later table reuses its
+# text, so it is never held whole.
 _CSV_BLOCK = 1024
 
 
-def _column_text(fmt, values, bits=None, old=None):
+def _column_text(values, bits=None, old=None):
     """One column's text as an object array: the previous table's text
-    where the bits did not move, fmt(value) elsewhere.  `old` is that
+    where the bits did not move, repr(value) elsewhere.  `old` is that
     column's (text, bits), or None to format every value."""
     if old is None:
         text, moved = np.empty(values.size, dtype=object), slice(None)
     else:
         text, moved = old[0].copy(), np.flatnonzero(bits != old[1])
-    text[moved] = list(map(fmt, values[moved].tolist()))
+    text[moved] = list(map(repr, values[moved].tolist()))
     return text
 
 
-def _lines(text):
-    return map(",".join, zip(*(t.tolist() for t in text)))
-
-
-def _block_lines(columns):
-    for start in range(0, columns[0].size, _CSV_BLOCK):
-        rows = slice(start, start + _CSV_BLOCK)
-        yield from _lines([_column_text(fmt, c[rows]) for fmt, c in zip(_CSV_FORMATS, columns)])
-
-
 def loop_csv_lines(loop, kept=None):
-    """An iterator over the lines of the loop's CSV table s,x,y,z,w
-    (header first, each line ending in a newline).
+    """An iterator over the text of the loop's CSV table s,x,y,z,w: the
+    header line, then one string per block of rows, each row ending in
+    a newline.
 
     A value is written as the `repr` of its float64.  Without `kept` the
     table is formatted a block of rows at a time as it is read.  `kept`
@@ -76,18 +65,20 @@ def loop_csv_lines(loop, kept=None):
         np.asarray(c, dtype=np.float64)
         for c in (fourier.grid(loop.n), loop.x, loop.y, loop.z, loop.w)
     ]
-    if kept is None:
-        lines = _block_lines(columns)
-    else:
+    text = None
+    if kept is not None:
         bits = [c.view(np.int64).copy() for c in columns]
         old = kept if kept and kept[0][1].shape == bits[0].shape else [None] * 5
-        text = [
-            _column_text(fmt, c, b, o)
-            for fmt, c, b, o in zip(_CSV_FORMATS, columns, bits, old)
-        ]
+        text = [_column_text(c, b, o) for c, b, o in zip(columns, bits, old)]
         kept[:] = zip(text, bits)
-        lines = _lines(text)
-    return itertools.chain((_CSV_HEADER,), lines)
+
+    def block(rows):
+        """The rows' lines as one string: one format over their interleaved cells."""
+        cells = [_column_text(c[rows]) for c in columns] if text is None else [t[rows] for t in text]
+        return ("%s,%s,%s,%s,%s\n" * cells[0].size) % tuple(np.stack(cells, axis=1).ravel().tolist())
+
+    starts = range(0, columns[0].size, _CSV_BLOCK)
+    return itertools.chain((_CSV_HEADER,), (block(slice(k, k + _CSV_BLOCK)) for k in starts))
 
 
 def _placed(loop, s):

@@ -19,7 +19,7 @@ from engel import cli, curves, fourier, frontlang, invariants, lifting, models
 from engel.errors import FrontSyntaxError
 from engel.homotopy import Move, script_frames, tangency_profile, verify_isotopy
 
-from helpers import hand_loop, horizontality_residual
+from helpers import horizontality_residual
 
 TAU = fourier.TAU
 
@@ -202,8 +202,9 @@ def test_criterion_4_quadrature_matches_the_frozen_riemann_oracle():
     x = np.cos(TAU * s)
     z = np.sin(TAU * s)
     direct = float(np.mean(z * fourier.derivative(x)))
-    loop = hand_loop(curves.LegendrianGenerator(x, np.zeros(n)), z, 0.0, np.zeros(n), float("nan"))
-    routed = lifting.area_integral(loop, 0.0, 1.0)
+    # area_integral reads the lift: that of x = cos, y = sin, whose
+    # ∮ z dx is z(1) x(1) - ∮ x y dx = -pi as well.
+    routed = lifting.area_integral(lifting.lift(circle_generator(n)), 0.0, 1.0)
     for label, value in (("mean of z x'", direct), ("area_integral", routed)):
         if abs(value - RIEMANN_ORACLE) > QUADRATURE_TOL:
             problems.append("%s vs oracle: %.3e" % (label, value - RIEMANN_ORACLE))

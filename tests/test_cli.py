@@ -866,3 +866,18 @@ def test_model_svg_and_report_match_golden(tmp_path, capsys):
     svg = (tmp_path / "model_rot3_seed0.svg").read_bytes()
     assert svg.count(b'class="crossing"') == 5
     assert hashlib.sha256(svg).hexdigest() + "\n" == golden_text(stem + ".svg.sha256")
+
+
+@pytest.mark.parametrize("n", [-3, 0, 3, 5])
+def test_the_16384_sample_models_match_golden(tmp_path, capsys, n):
+    # The large models the benchmark writes, pinned like the 1024-sample
+    # one: the report verbatim, the CSV and the SVG through their sha256.
+    code, out, err = run_cli(
+        capsys, "model", "-n", str(n), "--samples", "16384", "--seed", "0", "--out", str(tmp_path)
+    )
+    stem = "model_n%d_samples16384_seed0" % n
+    assert (code, err) == (0, "")
+    assert out == golden_text(stem + ".out")
+    for suffix in ("csv", "svg"):
+        data = (tmp_path / ("model_rot%d_seed0.%s" % (n, suffix))).read_bytes()
+        assert hashlib.sha256(data).hexdigest() + "\n" == golden_text("%s.%s.sha256" % (stem, suffix))

@@ -1,10 +1,12 @@
+import itertools
 import math
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from engel import fourier, invariants, lifting, pairscan
+from engel import curves, fourier, frontlang, homotopy, invariants, lifting, pairscan
 from engel.curves import (
     LegendrianGenerator,
     TrigSeries,
@@ -16,6 +18,7 @@ from engel.homotopy import tangency_profile
 from helpers import (
     TAU,
     ExactLift,
+    count_ffts,
     fish_arrays,
     hand_loop,
     mirror_loop,
@@ -129,12 +132,13 @@ def test_area_integral_trivial_cases():
 
 
 def test_area_integral_planar_circle_against_riemann_oracle():
-    # Enclosed-area benchmark: x = cos, z = sin traversed once.
+    # Enclosed-area benchmark.  The lift of the unit circle x = cos,
+    # y = sin has z = -pi s + sin(4 pi s)/4, and by parts its ∮ z dx is
+    # z(1) x(1) - ∮ x y dx = -pi: the area that x = cos, z = sin encloses,
+    # whose midpoint sum is the oracle.
     oracle = riemann(lambda s: np.sin(TAU * s) * (-TAU * np.sin(TAU * s)), 0.0, 1.0)
     assert abs(oracle - (-np.pi)) < 1e-10
-    n = 4096
-    s = fourier.grid(n)
-    loop = raw_loop(np.cos(TAU * s), np.zeros(n), np.sin(TAU * s))
+    loop = lifting.lift(circle(4096))
     area = lifting.area_integral(loop, 0.0, 1.0)
     assert area == pytest.approx(oracle, abs=1e-10)
 
@@ -182,6 +186,49 @@ def test_area_integral_rejects_reversed_interval():
     loop = mirror_loop(512)
     with pytest.raises(ValueError):
         lifting.area_integral(loop, 0.7, 0.2)
+
+
+def _demo_frame_32():
+    """The demo's middle frame of the strand passage, where the strands touch."""
+    doc = frontlang.parse(resources.files("engel.data").joinpath("demo.front").read_text())
+    desc = doc.generator("circ")
+    g0 = curves.sample_generator((desc.x, desc.y), 4096)
+    frames = homotopy.script_frames(g0, doc.script("pass_and_fold").moves)
+    return next(itertools.islice(frames, 32, None))[1]
+
+
+def _zero_area_mirror():
+    doc = frontlang.parse(resources.files("engel.data").joinpath("zero_area.front").read_text())
+    desc = doc.generator("mirror")
+    return lifting.lift(curves.sample_generator((desc.x, desc.y), 4096))
+
+
+def _exact_lift():
+    rng = np.random.default_rng(2)
+    exact = ExactLift(random_rational_series(rng, 6), random_rational_series(rng, 6))
+    s = fourier.grid(1024)
+    return lifting.lift(LegendrianGenerator(series_value(exact.x, s), series_value(exact.y, s)))
+
+
+@pytest.mark.parametrize("make", [_demo_frame_32, _zero_area_mirror, _exact_lift],
+                         ids=["demo frame 32", "zero-area mirror", "exact lift"])
+def test_dw_between_grid_points_is_the_step_of_the_w_column(make, monkeypatch):
+    # area_integral reads the transform of z x' that w is integrated from
+    # (g.z_dx), so between grid parameters dw is w's step up to rounding:
+    # the worst measured gap is 1.0e-14, on demo frame 32.  Once w is
+    # read, each call makes 4 FFTs: two for ∫ z x' and two for the ramp
+    # term's ∫ x, which every loop here takes (its z defect is not 0.0).
+    loop = make()
+    w, n = loop.w, loop.n
+    assert loop.closure_defect_z != 0.0
+    rng = np.random.default_rng(0)
+    spans = [np.sort(rng.choice(n, 2, replace=False)) for _ in range(8)]
+    ffts = count_ffts(monkeypatch)
+    got = [lifting.area_integral(loop, k0 / n, k1 / n) for k0, k1 in spans]
+    assert ffts["ffts"] == 4 * len(spans)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(w))))
+    for (k0, k1), dw in zip(spans, got):
+        assert abs(dw - (w[k1] - w[k0])) <= tol
 
 
 def test_self_tangencies_spec_examples():
@@ -343,6 +390,21 @@ def test_balance_closure_refuses_functionals_past_the_float_range():
     huge = LegendrianGenerator(1e200 * np.cos(TAU * s), 1e200 * np.sin(TAU * s))
     with pytest.raises(BadDescription, match="balancing bumps must be finite"):
         lifting.balance_closure(huge)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_balancing_system_judges_the_shape_of_its_matrix_not_its_size(scale):
+    # The z row of the functional matrix scales as the curve and the w row
+    # as its square: on the circle scaled by 1e-8 or 1e8 the raw matrix's
+    # condition number is 2.5e8 or 2.9e8, past the limit, while the rows
+    # divided by max|x'| and its square read 16.01 at every scale.
+    s = fourier.grid(1024)
+    g = LegendrianGenerator(scale * np.cos(TAU * s), scale * np.sin(TAU * s))
+    phi1, phi2, matrix = lifting.balancing_system(g)
+    assert np.linalg.cond(matrix) > lifting.CONDITION_LIMIT
+    psi = tangency_profile(g, 0.55, 0.08, supports=lifting.balance_supports(g))
+    dz, dw = lifting.closure_functionals(g, psi)
+    assert abs(dz) <= 1e-15 * scale and abs(dw) <= 1e-15 * scale ** 2
 
 
 def test_balance_closure_symmetric_centers_raise():

@@ -267,13 +267,12 @@ def test_csv_sequence_writer_formats_only_the_moved_values(monkeypatch):
     second = _hand_loop(first.x, y, z, s)
     calls = []
 
-    def counted(fmt):
-        def wrapper(v):
-            calls.append(v)
-            return fmt(v)
-        return wrapper
+    def counted(v):
+        calls.append(v)
+        return repr(v)
 
-    monkeypatch.setattr(render, "_CSV_FORMATS", tuple(map(counted, render._CSV_FORMATS)))
+    # Every value is formatted by repr, looked up in the module's globals.
+    monkeypatch.setattr(render, "repr", counted, raising=False)
     for loops in ([first, second], [first, second, second]):
         calls.clear()
         for lines in csv_tables(loops):
