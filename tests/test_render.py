@@ -265,28 +265,66 @@ def test_csv_sequence_writer_formats_only_the_moved_values(monkeypatch):
     z = np.zeros(n)
     z[::7] = -0.0
     second = _hand_loop(first.x, y, z, s)
-    calls = []
+    formatted = []
+    float_cells = render._float_cells
 
-    def counted(v):
-        calls.append(v)
-        return repr(v)
+    def counted(values):
+        formatted.append(len(values))
+        return float_cells(values)
 
-    # Every value is formatted by repr, looked up in the module's globals.
-    monkeypatch.setattr(render, "repr", counted, raising=False)
+    # Every value is formatted by _float_cells, looked up in the module's globals.
+    monkeypatch.setattr(render, "_float_cells", counted)
     for loops in ([first, second], [first, second, second]):
-        calls.clear()
+        formatted.clear()
         for lines in csv_tables(loops):
             "".join(lines)
-        assert len(calls) == 5 * n + 200 + len(z[::7])
-    calls.clear()
+        assert sum(formatted) == 5 * n + 200 + len(z[::7])
+    formatted.clear()
     "".join(render.loop_csv_lines(second))
-    assert len(calls) == 5 * n
+    assert sum(formatted) == 5 * n
+
+
+def _float_cells_text(values):
+    cells, lengths = render._float_cells(values)
+    return [bytes(cell[:length]).decode("ascii") for cell, length in zip(cells, lengths)]
+
+
+def test_float_cells_are_the_repr_of_each_value(monkeypatch):
+    rng = np.random.default_rng(20261021)
+    patterns = rng.integers(-(2**63), 2**63, size=100_000, dtype=np.int64).view(np.float64)
+    tens = np.array([10.0**k for k in range(-30, 31)])
+    values = np.concatenate([
+        patterns, _EDGES, _NON_FINITE,
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        np.arange(-4 * 4096, 4 * 4096 + 1) / 4096,
+        # Every power of two: the gap below it is half the gap above.
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+    ])
+    oracle = [repr(float(v)) for v in values]
+    fallbacks = []
+
+    def counted(v):
+        fallbacks.append(v)
+        return repr(v)
+
+    # The formatter's fallback calls repr, looked up in the module's globals.
+    monkeypatch.setattr(render, "repr", counted, raising=False)
+    assert _float_cells_text(values) == oracle
+    # Zeros, non-finite values and magnitudes outside [1e-280, 1e280] fall
+    # back.  Of the others, under 1% do: large integral values whose
+    # interval ends land on integers.
+    a = np.abs(values)
+    assert 0 <= len(fallbacks) - np.sum(~((a >= 1e-280) & (a <= 1e280))) < 0.01 * values.size
+    fallbacks.clear()
+    assert _float_cells_text(np.array([5e-324, -0.0, 1.0])) == ["5e-324", "-0.0", "1.0"]
+    assert _bits(fallbacks[0]) == _bits(5e-324) and _bits(fallbacks[1]) == _bits(-0.0)
+    assert len(fallbacks) == 2
 
 
 def test_a_table_written_alone_is_never_held_whole():
-    # Under tracemalloc, 16384 rows peak at about 7.6 MB when their text
-    # is held whole (as a kept table is) and at about 0.6 MB a block at a
-    # time.
+    # Under tracemalloc, 16384 rows peak at about 5.2 MB when their cells
+    # are held whole (as a kept table's are) and at about 1.7 MB a block
+    # at a time.
     n = 16384
     s = fourier.grid(n)
     loop = _hand_loop(np.cos(fourier.TAU * s), np.sin(fourier.TAU * s), s / 3.0, s / 7.0)
@@ -298,3 +336,23 @@ def test_a_table_written_alone_is_never_held_whole():
         tracemalloc.stop()
     assert size > 16384 * 50
     assert peak < 4_000_000
+
+
+def test_a_kept_table_is_held_as_bytes():
+    # Under tracemalloc, two 16384-row tables written with one kept list
+    # peaked at 9.9 MB when a kept table was held as str objects, and
+    # peak at about 7.6 MB with its bits and cells held as bytes.
+    n = 16384
+    s = fourier.grid(n)
+    first = _hand_loop(np.cos(fourier.TAU * s), np.sin(fourier.TAU * s), s / 3.0, s / 7.0)
+    second = _hand_loop(first.x, first.y, s / 5.0, s / 7.0)
+    kept = []
+    tracemalloc.start()
+    try:
+        # Each table is read before the next is made, as the CLI writes frames.
+        sizes = [sum(map(len, render.loop_csv_lines(loop, kept))) for loop in (first, second)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert min(sizes) > 16384 * 50
+    assert peak < 8_500_000
