@@ -101,13 +101,6 @@ def _cusps_in_window(g: LegendrianGenerator, center: float, width: float):
     return [c.s for c in find_cusps(g) if abs(math.remainder(c.s - center, 1.0)) <= width]
 
 
-def _bump_derivative(s, center: float, width: float) -> np.ndarray:
-    p = lifting.bump_power(width)
-    u = fourier.TAU * (np.asarray(s, dtype=float) - center)
-    base = (1.0 + np.cos(u)) / 2.0
-    return -p * (fourier.TAU / 2.0) * np.sin(u) * base ** (p - 1)
-
-
 def _shaped_ramp(j: int, k: int, crossing: float, final: float) -> float:
     """Piecewise-linear amplitude: 0, then `crossing` exactly at the
     middle frame, then on to `final`."""
@@ -122,7 +115,7 @@ def _birth_threshold(g: LegendrianGenerator, center: float, width: float) -> flo
     """Smallest a > 0 at which x' - a B' develops a root in the support."""
     ss = center + np.linspace(-0.75 * width, 0.75 * width, 1601)
     xp = g.x_interp.value(ss, 1)
-    bp = _bump_derivative(ss, center, width)
+    bp = lifting.bump_slope(ss, center, width)
     moving = bp != 0.0
     ratio = xp[moving] / bp[moving]
     positive = ratio[ratio > 0.0]
@@ -147,7 +140,7 @@ def _death_threshold(g, center: float, width: float, cusps):
 
     inner = np.linspace(s1, s2, 801)[1:-1]
     xp_in = sign_out * g.x_interp.value(inner, 1)
-    bp_in = sign_out * _bump_derivative(inner, center, width)
+    bp_in = sign_out * lifting.bump_slope(inner, center, width)
     if np.any(bp_in <= 0.0):
         raise MoveRefused(
             "support cannot annihilate the cusp pair; recenter it so the "
@@ -160,7 +153,7 @@ def _death_threshold(g, center: float, width: float, cusps):
     span = np.linspace(center - 0.75 * width, center + 0.75 * width, 1601)
     outside = (span < s1) | (span > s2)
     xp_out = sign_out * g.x_interp.value(span[outside], 1)
-    bp_out = sign_out * _bump_derivative(span[outside], center, width)
+    bp_out = sign_out * lifting.bump_slope(span[outside], center, width)
     falling = bp_out < 0.0
     if np.any(falling):
         ceiling = float(np.min(xp_out[falling] / -bp_out[falling]))

@@ -10,6 +10,7 @@ z_dx's one rfft.  When z carries a defect ramp m·s, integrands of the
 form z x' are split exactly as m (s x') + (periodic) x', using the
 identity ∫₀¹ s x' ds = x(0) - mean(x), so nothing is ever integrated
 through the parameter seam (LegendrianGenerator.iterated_integral).
+Balancing returns input that its own loop already calls closed as is.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from .errors import BadDescription, NotClosed, SingularSystem
 TOL_EMBED = 1e-7
 BUMP_WIDTH = 0.08
 CONDITION_LIMIT = 1e8
-# Defects at or below this are treated as exact zeros: balancing such a
-# generator returns it untouched, bit for bit.
-EXACT_CLOSURE = 1e-13
 
 
 def z_closure_defect(g: LegendrianGenerator) -> float:
@@ -141,6 +139,14 @@ def bump_samples(s, center: float, width: float) -> np.ndarray:
     return ((1.0 + np.cos(fourier.TAU * (s - center))) / 2.0) ** p
 
 
+def bump_slope(s, center: float, width: float) -> np.ndarray:
+    """d/ds of bump_samples, in closed form."""
+    p = bump_power(width)
+    u = fourier.TAU * (np.asarray(s, dtype=float) - center)
+    base = (1.0 + np.cos(u)) / 2.0
+    return -p * (fourier.TAU / 2.0) * np.sin(u) * base ** (p - 1)
+
+
 def _refine_edge(g: LegendrianGenerator, s_in: float, s_out: float, half: float) -> float:
     """Continuous support-edge location: bisect |x'| - half between a
     sample inside the region and its neighbor outside.  It stops at the
@@ -241,18 +247,17 @@ def balance_closure(g: LegendrianGenerator, supports=None) -> LegendrianGenerato
     """Adjust y by two localized bumps so both closure integrals vanish.
 
     x is untouched, so the front keeps its cusps; the correction is the
-    exact solution of the 2x2 linear system the two bumps span.  Already
-    balanced input (both defects at rounding level) is returned as-is.
+    exact solution of the 2x2 linear system the two bumps span.  Input
+    whose loop is already closed (HorizontalLoop.closed) is returned as is.
     Raises SingularSystem when the bump functionals cannot reach the
-    defects, or leave one above TOL_CLOSURE, the tolerance by which a
-    loop judges itself closed; NotImmersed if the corrected curve stalls.
+    defects, or leave one above TOL_CLOSURE; NotImmersed if the
+    corrected curve stalls.
     """
-    defect_z, defect_w = z_closure_defect(g), w_closure_defect(g)
-    if abs(defect_z) <= EXACT_CLOSURE and abs(defect_w) <= EXACT_CLOSURE:
+    if HorizontalLoop(g).closed:
         return g
 
     phi1, phi2, matrix = balancing_system(g, supports)
-    a, b = np.linalg.solve(matrix, -np.array([defect_z, defect_w]))
+    a, b = np.linalg.solve(matrix, -np.array([z_closure_defect(g), w_closure_defect(g)]))
 
     out = g.with_y(g.y + a * phi1 + b * phi2).require_immersed()
     if not HorizontalLoop(out).closed:

@@ -91,7 +91,8 @@ def _refine_pairs(loop, seeds, rows):
     damping matters: a meeting whose two velocities are parallel or
     anti-parallel has a rank-1 Jacobian, and the plain normal equations
     are singular there.  Each pair carries its own damping weight; a pair
-    that fails to improve eight times in a row is abandoned where it is.
+    that fails to improve eight times in a row is abandoned where it is,
+    and so is a pair whose step is not finite, never evaluated there.
     Returns a list of (s0, s1, |gap|).
 
     A pair's last bits depend on the seeds that share its batch:
@@ -128,10 +129,16 @@ def _refine_pairs(loop, seeds, rows):
         a01 = -np.einsum("ij,ij->i", v0, v1)
         g0 = np.einsum("ij,ij->i", v0, d)
         g1 = -np.einsum("ij,ij->i", v1, d)
-        det = a00 * a11 - a01 * a01  # positive: lam keeps both rows alive
-        step0 = -(a11 * g0 - a01 * g1) / det
-        step1 = -(a00 * g1 - a01 * g0) / det
-        u_try = u[active] + np.stack([step0, step1], axis=1)
+        det = a00 * a11 - a01 * a01  # 0 once lam is below one ulp of |v|^2
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = -np.stack([a11 * g0 - a01 * g1, a00 * g1 - a01 * g0], axis=1) / det[:, None]
+        if not np.isfinite(step).all():  # such a pair retires where it stands
+            finite = np.isfinite(step).all(axis=1)
+            fails[active[~finite]] = 8
+            active, step = active[finite], step[finite]
+            if active.size == 0:
+                continue
+        u_try = u[active] + step
         v_t, d_t, c_t = batch(u_try)
         better = c_t < cost[active]
         # An accepted step that barely moves the cost is a stall, not

@@ -365,6 +365,33 @@ def test_balance_closure_identity_on_balanced_input():
     assert lifting.balance_closure(m) is m
 
 
+@pytest.mark.parametrize("eps", [1e-11, 1e-8])
+def test_balance_closure_skips_exactly_what_its_loop_calls_closed(eps):
+    # eps sin 2 pi s added to a balanced circle's y moves both defects
+    # by about -eps.  At 1e-11 the loop calls itself closed, and the
+    # input comes back as the same object; at 1e-8 it does not, and it
+    # is balanced.
+    g0 = lifting.balance_closure(circle(1024))
+    g = g0.with_y(g0.y + eps / np.pi * np.sin(TAU * fourier.grid(1024)))
+    loop = lifting.lift(g)
+    assert 0.5 * eps < abs(loop.closure_defect_z) < 2.0 * eps
+    assert 0.5 * eps < abs(loop.closure_defect_w) < 2.0 * eps
+    out = lifting.balance_closure(g)
+    assert (out is g) == loop.closed == (eps < curves.TOL_CLOSURE)
+    assert lifting.lift(out).closed
+
+
+@pytest.mark.parametrize("width", [0.08, 0.3])
+def test_bump_slope_is_the_derivative_of_the_bump(width):
+    # Oracle: a centred difference of bump_samples, whose error at
+    # h = 1e-6 is about 2e-9 of max|slope| for p = 285 and 20.
+    s, h = np.linspace(0.0, 1.0, 2001), 1e-6
+    slope = lifting.bump_slope(s, 0.3, width)
+    ahead, behind = (lifting.bump_samples(s + d, 0.3, width) for d in (h, -h))
+    diff = (ahead - behind) / (2 * h)
+    assert np.max(np.abs(slope - diff)) <= 1e-7 * np.max(np.abs(slope))
+
+
 def test_balance_closure_decoupled_supports_raise():
     # x' made of two localized humps; explicit supports far away from
     # them give numerically zero functional columns.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,20 @@ def test_mirror_coincidence_survives_the_symmetry_breaking_term():
         s0 == pytest.approx(0.0, abs=1e-6) and s1 == pytest.approx(0.5, abs=1e-6)
         for s0, s1 in pairs
     )
+
+
+def test_refinement_retires_a_pair_whose_step_is_not_finite():
+    # With y scaled by 2^20 the damping of some mirror seeds falls below
+    # one ulp of |v|^2: det is 0 and the step infinite.  Such a pair
+    # retires where it stands, so nothing divides by zero and the
+    # interpolant is never asked for a nan parameter.  The double point
+    # itself is lost at this scale (ROADMAP item 20).
+    s = np.arange(1024) / 1024
+    loop = lifting.lift(LegendrianGenerator(mirror_x(s), 2.0**20 * mirror_y(s)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pairs = pairscan.coincident_pairs(loop)
+    assert np.isfinite(np.reshape(pairs, (-1, 2))).all()
 
 
 def test_front_crossings_exclude_equal_slope_pairs():
