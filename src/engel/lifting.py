@@ -165,22 +165,34 @@ def _refine_edge(g: LegendrianGenerator, s_in: float, s_out: float, half: float)
 
 
 def _half_max_runs(g: LegendrianGenerator):
-    """Maximal circular runs where |x'| >= max|x'| / 2, with edges
-    refined off the grid so the answer does not depend on N."""
+    """The maximal circular runs where |x'| >= max|x'| / 2 that can be
+    among the two widest, widest first (a stable sort, so ties keep the
+    order of the runs' first samples), with edges refined off the grid
+    so the answer does not depend on N.
+
+    Run k0..k1 is (k1 - k0)/n wide on the grid, and its refined edges
+    each move outward by at most one cell, so its refined width lies in
+    [(k1 - k0)/n, (k1 - k0 + 2)/n].  Padded by one cell on each side for
+    rounding, a run whose widest case falls short of the second largest
+    narrowest case cannot place in the top two, and only the others get
+    their edges bisected.
+    """
     n = g.n
     half = 0.5 * float(np.max(np.abs(g.xp)))
     inside = np.abs(g.xp) >= half
     if np.all(inside):
         return [(0.0, 1.0)]
-    starts = np.nonzero(inside & ~fourier.roll(inside, 1))[0]
+    starts = np.flatnonzero(inside & ~fourier.roll(inside, 1))
+    ends = np.flatnonzero(inside & ~fourier.roll(inside, -1))
+    if ends[0] < starts[0]:  # the last run crosses the seam: its end passes n - 1
+        ends = np.append(ends[1:], ends[0] + n)
+    second = np.sort(ends - starts)[-2:][0]
     runs = []
-    for k0 in starts.tolist():
-        k1 = k0  # passes n - 1 on a run across the seam, so hi >= lo always
-        while inside[(k1 + 1) % n]:
-            k1 += 1
-        lo = _refine_edge(g, k0 / n, (k0 - 1) / n, half)
-        hi = _refine_edge(g, k1 / n, (k1 + 1) / n, half)
-        runs.append((lo, hi))
+    for k0, k1 in zip(starts.tolist(), ends.tolist()):
+        if k1 - k0 + 3 >= second - 1:
+            lo = _refine_edge(g, k0 / n, (k0 - 1) / n, half)
+            hi = _refine_edge(g, k1 / n, (k1 + 1) / n, half)
+            runs.append((lo, hi))
     runs.sort(key=lambda r: r[1] - r[0], reverse=True)
     return runs
 

@@ -1,24 +1,41 @@
 """Deterministic SVG pictures of fronts and CSV tables of lifted loops.
 
 Output is a pure function of the input data: no timestamps, no
-randomness, so identical inputs give byte-identical files.  SVG
-coordinates are fixed-point with six decimals.  CSV values are Python's
-shortest round-trip `repr` of each float64 sample, byte for byte, found
-for a whole block of values at once by one vectorized formatter that
-writes each value's text into a fixed-width byte cell; a value whose
-digits its arithmetic cannot decide (zeros, non-finite values, a rare
-near-tie) is formatted by `repr` itself.  The text of a value is a
-function of its 64 bits alone, so a caller that writes a run of tables
-(the frames of a homotopy) keeps each table's bits and cells and the
-next table reuses them at every value whose bits are unchanged,
-formatting only the values that moved.  A table written alone is
-formatted a block of rows at a time as it is read.  The z axis is
-flipped when mapping to SVG user units (SVG y grows downward).
+randomness, so identical inputs give byte-identical files.  Every number
+written here goes through one bulk fixed-point layout, _fixed_rows: a
+block of values, each an integer over a power of ten, becomes one row of
+4-byte ASCII words per value, made by one gather from a table of words
+("0000" to "9999", and ".000" to ".999" for the word after the whole
+part), with no per-value Python and no loop over digits.  Two digit
+sources feed it:
+
+- CSV values are the shortest round-trip `repr` of each float64, byte
+  for byte: _shortest_digits finds the digits, and each value's cell is
+  the window of its row from its text's first byte (_fixed_cells).  A
+  value whose digits that arithmetic cannot decide (zeros, non-finite
+  values, a rare near-tie) is formatted by `repr` itself.
+- SVG numbers (the path, the viewBox, the stroke widths and the glyphs)
+  are `"%.6f" %` of each value, exact by construction: 10^6 is a double,
+  so Dekker's product gives v * 10^6 exactly as p + e, which is rounded
+  half to even with the sign bit kept, so -0.0 and small negatives print
+  "-0.000000".  The text is read straight from the rows.  A block
+  holding a non-finite value, or one whose v * 10^6 reaches 2^53, is
+  formatted by `%` whole.
+
+Blocks hold at most _CHUNK values, so a table's temporaries stay near
+1.5 MB whatever its size.  The text of a value is a function of its 64
+bits alone, so a caller that writes a run of tables (the frames of a
+homotopy) keeps each table's bits and cells and the next table reuses
+them at every value whose bits are unchanged, formatting only the values
+that moved.  A table written alone is formatted a block of rows at a
+time as it is read.  The z axis is flipped when mapping to SVG user
+units (SVG y grows downward).
 """
 
 import itertools
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import fourier
 
@@ -27,24 +44,32 @@ _GLYPH = {
     "down": "M {x} {yb} L {xl} {yt} L {xr} {yt} Z",
 }
 
-
-def _fmt(v: float) -> str:
-    return "%.6f" % float(v)
-
-
 _CSV_HEADER = "s,x,y,z,w\n"
 
 # Rows joined into one string at a time.  A table written alone is also
 # formatted a block at a time, as it is read: no later table reuses its
 # text, so it is never held whole.
 _CSV_BLOCK = 1024
-_CSV_CHUNK = 5 * _CSV_BLOCK  # values formatted per call: temporaries stay near 1.5 MB
-_CSV_SEPARATORS = np.frombuffer(b",,,,\n", dtype=np.uint8)
+_CHUNK = 5 * _CSV_BLOCK  # values formatted per call: temporaries stay near 1.5 MB
 
 # A cell holds a value's text and the separator after it.  `repr` of a
 # float64 is at most 24 bytes ("-2.2250738585072014e-308").
-_CELL = 26
-_CELL_COLUMNS = np.arange(_CELL, dtype=np.int8)
+_CELL = 25
+_CELL_COLUMNS = np.arange(_CELL, dtype=np.uint8)
+_CSV_SEPARATORS = np.frombuffer(b",,,,\n", dtype=np.uint8)
+
+# A value's row is 4-byte words of ASCII, one gather from this table:
+# "0000" to "9999", then ".000" to ".999" for the word that carries the
+# point.
+_POINT = 10**4
+_WORDS = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+for _place in range(4):
+    _WORDS[..., _place] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - _place))
+_WORDS = _WORDS.reshape(_POINT, 4)
+_WORDS = np.concatenate([_WORDS, _WORDS[:1000]])
+_WORDS[_POINT:, 0] = ord(".")
+_WORDS = _WORDS.view(np.uint32).ravel()
+del _place
 
 # Magnitudes outside [_LEAST, _MOST] go to `repr`: scaled by 10^k, both
 # they and their neighbours stay normal floats.
@@ -52,6 +77,70 @@ _LEAST, _MOST = 1e-280, 1e280
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a float64 into two 26-bit halves
 _UNDECIDED = 1e-9  # the scaled values' computed error is below 1e-13
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _quads(x, out):
+    """The last len(out) four-digit groups of the integers x, most
+    significant first, into the rows of `out`."""
+    for j in range(len(out) - 1, 0, -1):
+        q = x // 10**4
+        np.subtract(x, q * 10**4, out=out[j])
+        x = q
+    out[0] = x
+
+
+def _fixed_rows(neg, number, scale, fraction_words):
+    """Fixed-point text of the values -number / 10^scale where the bool
+    `neg` is set and number / 10^scale elsewhere, one row of table words
+    per value: a (values + 1) x R uint8 matrix whose last row is spare,
+    the column of the point, and each text's first column.
+
+    number is below 10^17 and its whole part below 10^16, scale is 0 to
+    23 and fraction_words 1 to 6.  A row holds the whole part in as many
+    words as the block's widest needs, with a leading zero to spare for
+    the "-", then the point and 4 * fraction_words - 1 places: the
+    fraction's integer (number mod 10^scale) shifted to the left of 23
+    places, split at place 15 so that each half fits an int64.  The
+    groups of four digits are worked out a word at a time over the
+    block, and one gather from _WORDS writes every row.
+    """
+    n = number.size
+    unit = _POW10[np.minimum(scale, 17)]
+    whole = number // unit
+    fraction = number - whole * unit
+    shift = 23 - scale  # the fraction's places past its last digit
+    cut = _POW10[np.maximum(8 - shift, 0)]
+    top = fraction // cut
+    low = (fraction - top * cut) * _POW10[np.minimum(shift, 8)]  # places 16 to 23
+    top *= _POW10[np.maximum(shift - 8, 0)]  # places 1 to 15
+    width = 1 + np.searchsorted(_POW10[1:16], whole, side="right")
+    whole_words = 1 + int(width.max(initial=0)) // 4
+    groups = np.empty((whole_words + 6, n), dtype=np.intp)
+    _quads(whole, groups[:whole_words])
+    _quads(top, groups[whole_words : whole_words + 4])
+    _quads(low, groups[whole_words + 4 :])
+    groups[whole_words] += _POINT
+    groups = groups[: whole_words + fraction_words]
+    rows = np.empty((n + 1, groups.shape[0]), dtype=np.uint32)
+    rows[:-1] = np.take(_WORDS, groups).T
+    rows = rows.view(np.uint8)
+    point = 4 * whole_words
+    digit = np.arange(point - 1, point - 1 + rows.shape[1] * n, rows.shape[1]) - width
+    rows.reshape(-1)[digit] = np.where(neg, ord("-"), ord("0"))  # a zero's place
+    return rows, point, point - width - neg
+
+
+def _fixed_cells(neg, number, scale, places):
+    """_fixed_rows' text of the values with `places` digits after the
+    point (and no point where `places` is 0), at most 23: a
+    (values x _CELL) uint8 cell matrix and the length of each cell's
+    text.  Each cell is the _CELL bytes from its text's first, a window
+    that the spare row keeps inside the rows."""
+    rows, point, first = _fixed_rows(neg, number, scale, 6)
+    flat = rows.reshape(-1)
+    windows = as_strided(flat, (flat.size - _CELL + 1, _CELL), (1, 1), writeable=False)
+    cells = windows[np.arange(0, rows.shape[1] * number.size, rows.shape[1]) + first]
+    return cells, point - first + (places > 0) + places
 
 
 def _interval(a):
@@ -139,66 +228,27 @@ def _shortest_digits(a):
     return digits * _POW10[17 - width], width - trailing, width - k, ok
 
 
-def _blend(mask, a, b):
-    """a where the uint8 mask is 0xFF, b where it is 0."""
-    return b ^ ((a ^ b) & mask)
-
-
 def _float_cells(values):
     """The text of each float64 of `values`, byte for byte its `repr`, as
     a (values x _CELL) uint8 cell matrix and the length of each cell's text.
 
-    The digits are _shortest_digits', laid out as `repr` does: exponent
-    form when the decimal point would sit at or below -4 or past 16, a
-    two-digit minimum exponent, and ".0" on integral fixed values.  A
-    value _shortest_digits cannot decide is formatted by `repr` itself,
-    as are zeros, non-finite values and magnitudes outside
-    [_LEAST, _MOST].
+    The digits are _shortest_digits', laid out by _fixed_cells as `repr`
+    does: exponent form when the decimal point would sit at or below -4
+    or past 16, a two-digit minimum exponent, and ".0" on integral fixed
+    values.  A value _shortest_digits cannot decide is formatted by
+    `repr` itself, as are zeros, non-finite values and magnitudes
+    outside [_LEAST, _MOST].
     """
     v = np.asarray(values, dtype=np.float64)
-    n = v.size
     a = np.abs(v)
     ok = (a >= _LEAST) & (a <= _MOST)
     digits, count, decpt, decided = _shortest_digits(np.where(ok, a, 1.0))
     ok &= decided
     fixed = (decpt > -4) & (decpt <= 16)
-    zeros = np.where(fixed & (decpt < 1), 1 - decpt, 0)  # the leading "0.00"
-    dot = np.where(fixed, np.maximum(decpt, 1), 1)
-
-    # The digits shifted right by `zeros` in a 27-place field of three
-    # 9-digit limbs, then written out a place at a time.
-    head, tail = np.divmod(digits, 10**8)
-    first, carry = np.divmod(head, _POW10[zeros])
-    second, third = np.divmod(tail * _POW10[10 - zeros], 10**9)
-    second += carry * _POW10[9 - zeros]
-    limbs = np.stack([first, second, third], axis=1).astype(np.int32)
-    field = np.empty((n, 3, 9), dtype=np.uint8)
-    for place in range(8, -1, -1):
-        q = limbs // 10
-        field[:, :, place] = limbs - q * 10
-        limbs = q
-    field = field.reshape(n, 27)[:, :_CELL]
-    field += ord("0")
-
-    # Columns before `dot` keep the field, `dot` takes the point and the
-    # columns after it the field one byte on; negative values shift
-    # right behind a "-".  A shift moves the whole flat matrix one byte.
-    flat = np.empty(n * _CELL + 1, dtype=np.uint8)
-    flat[1:] = field.ravel()
-    rel = _CELL_COLUMNS - dot.astype(np.int8)[:, None]
-    cells = _blend((rel >> 7).view(np.uint8), field, flat[:-1].reshape(n, _CELL))
-    cells = _blend((rel == 0).view(np.uint8) * np.uint8(255), np.uint8(ord(".")), cells)
-    neg = np.signbit(v)
-    if neg.any():
-        flat[1:] = cells.ravel()
-        shifted = flat[:-1].reshape(n, _CELL)
-        shifted[:, 0] = ord("-")
-        cells = _blend(neg.view(np.uint8)[:, None] * np.uint8(255), shifted, cells)
-    # A fixed value's text has at least one digit after its point; a lone
-    # digit before an exponent has no point.
-    lengths = neg + np.where(
-        fixed, dot + 1 + np.maximum(count + zeros - dot, 1), count + (count > 1)
-    )
+    # An exponent form's mantissa is laid out with its point after one digit.
+    point = np.where(fixed, decpt, 1)
+    places = np.where(fixed, np.maximum(count - decpt, 1), count - 1)
+    cells, lengths = _fixed_cells(np.signbit(v), digits, 17 - point, places)
 
     # Exponent form: "e", the sign and two or three digits after the mantissa.
     at = np.flatnonzero(~fixed & ok)
@@ -232,7 +282,73 @@ def _csv_cells(values, at):
 
 def _text(cells, lengths):
     """The text of a run of cells: each cell's first `lengths` bytes."""
-    return cells[_CELL_COLUMNS < lengths[:, None]].tobytes().decode("ascii")
+    return cells[_CELL_COLUMNS < lengths.astype(np.uint8)[:, None]].tobytes().decode("ascii")
+
+
+def _six_place_rows(values):
+    """`"%.6f" % v` of each float64 v of `values` as _fixed_rows' rows
+    with three fraction words, the point's column, each text's first
+    column, and where the rows hold the value: False for a non-finite
+    value or one whose v * 10^6 rounds to 2^53 or more.
+
+    10^6 is a double, so Dekker's product gives |v| * 10^6 exactly as
+    p + err.  Rounding half to even, the integer nearest p + err is p's
+    own, r = rint(p), unless p lies half way (|p - r| = 1/2) and err
+    leans away from r.  From 2^52 up p is itself an integer and
+    |err| <= 1/2, and where err = ±1/2 the product's own rounding has
+    already taken the even neighbour.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    a = np.abs(v)
+    ok = a < 1e10  # finite, and kept from overflowing the split
+    a = np.where(ok, a, 0.0)
+    p = a * 1e6
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    err = (a_hi * 1e6 - p) + (a - a_hi) * 1e6  # 10^6 splits as itself and 0
+    r = np.rint(p)
+    off = p - r
+    number = r.astype(np.int64)
+    number += (off == 0.5) & (err > 0.0)
+    number -= (off == -0.5) & (err < 0.0)
+    ok &= p < 2.0**53
+    return (*_fixed_rows(np.signbit(v), number, 6, 3), ok)
+
+
+def _six_places(values, separators):
+    """The text of each value as `"%.6f" %` writes it, each followed by
+    a separator of at most five bytes (value i by separators[i % k] of
+    the k), formatted _CHUNK values at a time.  A block holding a value
+    its rows cannot hold is formatted by `%` whole."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    count = len(separators)
+    out = []
+    for k in range(0, values.size, _CHUNK):
+        block = values[k : k + _CHUNK]
+        rows, point, first, ok = _six_place_rows(block)
+        if not ok.all():
+            out.append("".join(
+                "%.6f%s" % (v, separators[i % count]) for i, v in enumerate(block.tolist(), k)
+            ))
+            continue
+        # Each separator goes after the sixth place, where the row has
+        # room for five bytes; the text is read straight from the rows.
+        rows = rows[:-1]
+        ends = np.full(block.size, point + 7, dtype=np.uint8)
+        for j, mark in enumerate(separators):
+            at = slice((j - k) % count, None, count)
+            mark = np.frombuffer(mark.encode("ascii"), dtype=np.uint8)
+            rows[at, point + 7 : point + 7 + mark.size] = mark
+            ends[at] += mark.size
+        columns = np.arange(rows.shape[1], dtype=np.uint8)
+        text = (columns >= first.astype(np.uint8)[:, None]) & (columns < ends[:, None])
+        out.append(rows[text].tobytes().decode("ascii"))
+    return "".join(out)
+
+
+def _six_place_texts(values):
+    """`"%.6f" %` of each value, as a list of strings."""
+    return _six_places(values, (" ",)).split(" ")[:-1]
 
 
 def loop_csv_lines(loop, kept=None):
@@ -241,7 +357,7 @@ def loop_csv_lines(loop, kept=None):
     a newline.
 
     A value is written as the `repr` of its float64, made by
-    _float_cells: up to _CSV_CHUNK values at a time become a matrix of
+    _float_cells: up to _CHUNK values at a time become a matrix of
     fixed-width cells, and a block's text is the compaction of its cells
     to their lengths.  A value that formatter's arithmetic cannot
     decide, and every zero and non-finite value, is formatted by `repr`
@@ -274,8 +390,8 @@ def loop_csv_lines(loop, kept=None):
             moved = np.arange(bits.size)
             cells = np.empty((bits.size, _CELL), dtype=np.uint8)
             lengths = np.empty(bits.size, dtype=np.uint8)
-        for k in range(0, moved.size, _CSV_CHUNK):
-            at = moved[k : k + _CSV_CHUNK]
+        for k in range(0, moved.size, _CHUNK):
+            at = moved[k : k + _CHUNK]
             cells[at], lengths[at] = _csv_cells(values[at], at)
         kept[:] = (bits, cells, lengths)
 
@@ -309,47 +425,43 @@ def front_svg_text(loop) -> str:
     # z flips sign so that larger z is drawn higher
     vb = (x_lo - pad, -(z_hi + pad), (x_hi - x_lo) + 2 * pad, (z_hi - z_lo) + 2 * pad)
 
-    parts = []
-    parts.append(
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%s %s %s %s">'
-        % tuple(_fmt(v) for v in vb)
-    )
-    parts.append(
+    texts = _six_place_texts([*vb, 0.006 * span, 0.004 * span])
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%s %s %s %s">' % tuple(texts[:4]),
         "<style>path.front{fill:none;stroke:#1b3b6f;stroke-width:%s}"
         ".cusp-up{fill:#b3001b}.cusp-down{fill:#0a7d33}"
         ".crossing{fill:none;stroke:#444;stroke-width:%s}"
-        ".tangency{fill:#e0a800}</style>"
-        % (_fmt(0.006 * span), _fmt(0.004 * span))
-    )
+        ".tangency{fill:#e0a800}</style>" % tuple(texts[4:]),
+    ]
 
-    # One format over the interleaved x, -z values, each as _fmt writes it.
+    # The interleaved x, -z values, each followed by " " or " L ".
     points = np.empty(2 * x.shape[0])
     points[0::2], points[1::2] = x, -z
-    steps = "M %.6f %.6f" + " L %.6f %.6f" * (x.shape[0] - 1) + " Z"
-    parts.append('<path class="front" d="%s"/>' % (steps % tuple(points.tolist())))
+    steps = _six_places(points, (" ", " L "))
+    parts.append('<path class="front" d="M %s Z"/>' % steps[: -len(" L ")])
 
     r = 0.018 * span
     cusps = loop.cusps
-    for cusp, cx, cz in zip(cusps, *_placed(loop, [c.s for c in cusps])):
+    cx, cz = _placed(loop, [c.s for c in cusps])
+    texts = _six_place_texts(np.stack([cx, cx - r, cx + r, -cz - r, -cz + r], axis=1))
+    for k, cusp in enumerate(cusps):
         kind = cusp.orientation.value
-        d = _GLYPH[kind].format(
-            x=_fmt(cx), xl=_fmt(cx - r), xr=_fmt(cx + r),
-            yt=_fmt(-cz - r), yb=_fmt(-cz + r),
-        )
+        x0, xl, xr, yt, yb = texts[5 * k : 5 * k + 5]
+        d = _GLYPH[kind].format(x=x0, xl=xl, xr=xr, yt=yt, yb=yb)
         parts.append('<path class="cusp-%s" d="%s"/>' % (kind, d))
 
-    for cx, cz in zip(*_placed(loop, [s0 for s0, _s1 in loop.double_points])):
-        parts.append(
-            '<circle class="crossing" cx="%s" cy="%s" r="%s"/>'
-            % (_fmt(cx), _fmt(-cz), _fmt(r))
-        )
-    for cx, cz in zip(*_placed(loop, [s0 for s0, _s1 in loop.self_tangencies])):
+    cx, cz = _placed(loop, [s0 for s0, _s1 in loop.double_points])
+    texts = _six_place_texts(np.stack([cx, -cz, np.full_like(cx, r)], axis=1))
+    for k in range(0, len(texts), 3):
+        parts.append('<circle class="crossing" cx="%s" cy="%s" r="%s"/>' % tuple(texts[k : k + 3]))
+    cx, cz = _placed(loop, [s0 for s0, _s1 in loop.self_tangencies])
+    texts = _six_place_texts(
+        np.stack([cx - r, -cz, cx, -cz - r, cx + r, -cz, cx, -cz + r], axis=1)
+    )
+    for k in range(0, len(texts), 8):
         parts.append(
             '<path class="tangency" d="M %s %s L %s %s L %s %s L %s %s Z"/>'
-            % (
-                _fmt(cx - r), _fmt(-cz), _fmt(cx), _fmt(-cz - r),
-                _fmt(cx + r), _fmt(-cz), _fmt(cx), _fmt(-cz + r),
-            )
+            % tuple(texts[k : k + 8])
         )
 
     parts.append("</svg>")

@@ -608,3 +608,47 @@ class ExactLift:
                 + TAU * float(self.ramp) * s
                 - float(self.q) * series_value(self.x_periodic, s)
                 + series_value(self.w_periodic, s))
+
+
+def all_half_max_runs(g, refine_edge):
+    """Every maximal circular run of samples where |x'| >= max|x'| / 2,
+    as grid cells (k0, k1) with k1 past n - 1 on a run across the seam,
+    and every run's edges refined by refine_edge(g, inside, outside,
+    half), widest first by a stable sort: the all-runs form the lazy
+    balancing search must agree with."""
+    n = g.n
+    speed = np.abs(g.xp)
+    half = 0.5 * float(np.max(speed))
+    inside = speed >= half
+    cells = []
+    for k0 in range(n):
+        if inside[k0] and not inside[k0 - 1]:
+            k1 = k0
+            while inside[(k1 + 1) % n]:
+                k1 += 1
+            cells.append((k0, k1))
+    refined = [
+        (refine_edge(g, k0 / n, (k0 - 1) / n, half), refine_edge(g, k1 / n, (k1 + 1) / n, half))
+        for k0, k1 in cells
+    ]
+    refined.sort(key=lambda r: r[1] - r[0], reverse=True)
+    return cells, refined
+
+
+def all_runs_supports(g, refine_edge, width=0.08):
+    """The two bump placements of the two widest refined runs, or of the
+    halves of the only one: a width of min(width, 0.9 span), centered
+    0.7 of the way along, pulled in to end 0.05 width short of the run's
+    end, mod 1."""
+    cells, runs = all_half_max_runs(g, refine_edge)
+    if not cells:
+        runs = [(0.0, 1.0)]
+    if len(runs) == 1:
+        lo, hi = runs[0]
+        runs = [(lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)]
+    picks = []
+    for lo, hi in runs[:2]:
+        span = hi - lo
+        w = min(width, 0.9 * span)
+        picks.append((float(np.mod(min(lo + 0.7 * span, hi - 0.55 * w), 1.0)), float(w)))
+    return tuple(picks)

@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from engel import curves, fourier, frontlang, homotopy, invariants, lifting, pairscan
+from engel import curves, fourier, frontlang, homotopy, invariants, lifting, models, pairscan
 from engel.curves import (
     LegendrianGenerator,
     TrigSeries,
@@ -18,6 +18,8 @@ from engel.homotopy import tangency_profile
 from helpers import (
     TAU,
     ExactLift,
+    all_half_max_runs,
+    all_runs_supports,
     count_ffts,
     fish_arrays,
     hand_loop,
@@ -466,6 +468,80 @@ def test_balance_supports_move_with_the_samples(k):
     out = lifting.balance_closure(g, supports=supports)
     assert abs(lifting.z_closure_defect(out)) <= 1e-16
     assert abs(lifting.w_closure_defect(out)) <= 1e-16
+
+
+def _counted_refine_edge(monkeypatch):
+    """A list that counts lifting's _refine_edge calls from now on."""
+    calls = []
+    refine_edge = lifting._refine_edge
+
+    def counted(*args):
+        calls.append(args)
+        return refine_edge(*args)
+
+    monkeypatch.setattr(lifting, "_refine_edge", counted)
+    return calls
+
+
+def _check_lazy_supports(g, monkeypatch):
+    """balance_supports(g) against the all-runs oracle, bit for bit, and
+    the number of edges it refined: both edges of each run whose refined
+    width, at most two cells over its grid width and padded by a cell,
+    can reach the second widest grid width less a cell.  Returns the
+    number of runs and of refined edges."""
+    cells, runs = all_half_max_runs(g, lifting._refine_edge)
+    want = all_runs_supports(g, lifting._refine_edge)
+    calls = _counted_refine_edge(monkeypatch)
+    got_runs = lifting._half_max_runs(g)
+    refined = len(calls)
+    assert lifting.balance_supports(g) == want
+    monkeypatch.undo()
+    assert got_runs[:2] == runs[:2]
+    spans = sorted((k1 - k0 for k0, k1 in cells), reverse=True)
+    assert refined == 2 * sum(k1 - k0 + 3 >= spans[:2][-1] - 1 for k0, k1 in cells)
+    return len(cells), refined
+
+
+@pytest.mark.parametrize("rot, runs", [(-3, 8), (0, 4), (3, 8), (5, 13)])
+def test_the_models_refine_only_the_runs_that_can_be_widest(rot, runs, monkeypatch):
+    # The four 16384-sample models of the benchmark have 33 half-maximum
+    # runs between them; only the two widest of each get their edges
+    # bisected, and the supports are the all-runs oracle's, bit for bit.
+    g = models.model_front(rot, seed=0, samples=16384).generator
+    assert _check_lazy_supports(g, monkeypatch) == (runs, 4)
+
+
+def _many_runs(seed, n=2048):
+    """A generator whose |x'| clears half its maximum on many runs: x'
+    is a random trigonometric polynomial of degree 24."""
+    rng = np.random.default_rng(seed)
+    s = fourier.grid(n)
+    k = np.arange(1, 25)[:, None]
+    amplitude = rng.normal(size=(24, 1))
+    xp = np.sum(amplitude * np.cos(TAU * k * s + rng.uniform(0, TAU, (24, 1))), axis=0)
+    x, _ = fourier.antiderivative(xp)
+    return x, np.sin(TAU * s)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_balance_supports_match_the_all_runs_oracle(seed, monkeypatch):
+    x, y = _many_runs(seed)
+    runs, refined = _check_lazy_supports(LegendrianGenerator(x, y), monkeypatch)
+    assert runs >= 8 and refined < 2 * runs
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_widest_run_across_the_seam_is_refined_and_placed(seed, monkeypatch):
+    # Rolled so that the widest run's middle sits at sample 0, that run
+    # crosses the seam: its end passes n - 1.
+    x, y = _many_runs(seed)
+    cells, runs = all_half_max_runs(LegendrianGenerator(x, y), lifting._refine_edge)
+    k0, k1 = max(cells, key=lambda c: c[1] - c[0])
+    k = len(x) - (k0 + k1) // 2
+    g = LegendrianGenerator(np.roll(x, k), np.roll(y, k))
+    cells, runs = all_half_max_runs(g, lifting._refine_edge)
+    assert runs[0][0] < 1.0 < runs[0][1]
+    _check_lazy_supports(g, monkeypatch)
 
 
 def test_balance_closure_fixes_w_only_defect():

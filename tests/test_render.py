@@ -191,7 +191,7 @@ def _loop_sequences(draw):
     return loops
 
 
-@settings(max_examples=200, deadline=None)
+@settings(deadline=None)  # examples: the profile's, from tests/conftest.py
 @given(_loop_sequences())
 def test_csv_sequence_writer_matches_the_per_loop_oracle(loops):
     # Every table is taken from the writer before any is read, so a table
@@ -323,7 +323,7 @@ def test_float_cells_are_the_repr_of_each_value(monkeypatch):
 
 def test_a_table_written_alone_is_never_held_whole():
     # Under tracemalloc, 16384 rows peak at about 5.2 MB when their cells
-    # are held whole (as a kept table's are) and at about 1.7 MB a block
+    # are held whole (as a kept table's are) and at about 1.6 MB a block
     # at a time.
     n = 16384
     s = fourier.grid(n)
@@ -341,7 +341,7 @@ def test_a_table_written_alone_is_never_held_whole():
 def test_a_kept_table_is_held_as_bytes():
     # Under tracemalloc, two 16384-row tables written with one kept list
     # peaked at 9.9 MB when a kept table was held as str objects, and
-    # peak at about 7.6 MB with its bits and cells held as bytes.
+    # peak at about 7.3 MB with its bits and cells held as bytes.
     n = 16384
     s = fourier.grid(n)
     first = _hand_loop(np.cos(fourier.TAU * s), np.sin(fourier.TAU * s), s / 3.0, s / 7.0)
@@ -356,3 +356,81 @@ def test_a_kept_table_is_held_as_bytes():
         tracemalloc.stop()
     assert min(sizes) > 16384 * 50
     assert peak < 8_500_000
+
+
+def _six_oracle(values, separators):
+    """The "%.6f" text of each value and its separator, one at a time."""
+    k = len(separators)
+    return "".join("%.6f%s" % (float(v), separators[i % k]) for i, v in enumerate(values))
+
+
+# Exact ties of the sixth place: k/2^7 is half way between two of its
+# sixth places for odd k, and its neighbours are not; from 2^52 / 10^6 on,
+# v * 10^6 = p + 1/2 with p already an integer.  Then negatives that round
+# to zero, carries into a new digit, and both sides of 2^53 / 10^6, past
+# which a block is formatted by "%".
+_TIES = [k / 2**7 for k in (1, 3, 5, 127, 129, 1001, 576460752305, 576460752307, 1152921504605)]
+_SIX_EDGES = [
+    *_TIES, *np.nextafter(_TIES, 0.0), *np.nextafter(_TIES, np.inf), *(-t for t in _TIES),
+    -0.0, -1e-7, -4.9999999e-7, -5e-7, -5.000001e-7, -1e-300, -5e-324,
+    0.9999995, 0.99999949999, 9.9999995, 999999.9999995, -999999.9999995,
+    2.0**53 / 1e6, np.nextafter(2.0**53 / 1e6, 0.0), np.nextafter(2.0**53 / 1e6, np.inf),
+    2.0**52 / 1e6, np.nextafter(2.0**52 / 1e6, 0.0), np.nextafter(2.0**52 / 1e6, np.inf),
+    1e10, np.nextafter(1e10, 0.0),
+]
+_BITS = st.integers(-(2**63), 2**63 - 1).map(_float_of_bits)
+_SIX_ANY = st.one_of(st.sampled_from(_EDGES + _NON_FINITE + _SIX_EDGES), st.floats(), _BITS)
+# Finite values below 2^53 / 10^6, which the rows always hold.
+_SIX_HELD = st.one_of(
+    st.sampled_from([v for v in _EDGES + _SIX_EDGES if abs(v) < 9e9]),
+    st.floats(-9e9, 9e9),
+    st.integers(-1152921504605, 1152921504605).map(lambda k: k / 2**7),
+    # Random bits below 2^33: a sign, an exponent field up to 1023 + 32
+    # (subnormals included) and any mantissa.
+    st.builds(
+        lambda sign, exponent, mantissa: sign * _float_of_bits((exponent << 52) | mantissa),
+        st.sampled_from([1.0, -1.0]), st.integers(0, 1023 + 32), st.integers(0, 2**52 - 1),
+    ),
+)
+_SIX_SEPARATORS = st.sampled_from([(" ",), (" ", " L "), (",", ", ", "\n")])
+
+
+@settings(deadline=None)  # examples: the profile's, from tests/conftest.py
+@given(st.lists(_SIX_ANY, min_size=1, max_size=24), _SIX_SEPARATORS)
+def test_six_places_match_the_percent_oracle(values, separators):
+    assert render._six_places(values, separators) == _six_oracle(values, separators)
+
+
+@settings(deadline=None)  # examples: the profile's, from tests/conftest.py
+@given(st.lists(_SIX_HELD, min_size=1, max_size=24), _SIX_SEPARATORS)
+def test_six_place_rows_hold_every_value_below_two_to_the_53(values, separators):
+    # No block of these falls back to "%": the rows make every byte.
+    assert render._six_place_rows(np.array(values))[-1].all()
+    assert render._six_places(values, separators) == _six_oracle(values, separators)
+
+
+def test_six_places_match_the_percent_oracle_on_a_hundred_thousand_values():
+    rng = np.random.default_rng(20261022)
+    patterns = rng.integers(-(2**63), 2**63, size=40_000, dtype=np.int64).view(np.float64)
+    held = patterns[np.abs(patterns) < 9e9]
+    values = np.concatenate([
+        held, rng.uniform(-1.0, 1.0, 20_000) * 10.0 ** rng.integers(-8, 10, 20_000),
+        np.arange(-20_000, 20_000) / 2**7, np.arange(576460752300, 576460752400) / 2**7,
+        np.array(_SIX_EDGES),
+    ])
+    values = values[np.abs(values) < 9e9]
+    assert render._six_place_rows(values[: render._CHUNK])[-1].all()
+    assert render._six_places(values, (" ", " L ")) == _six_oracle(values, (" ", " L "))
+    assert render._six_place_texts(values[:100]) == ["%.6f" % v for v in values[:100]]
+
+
+def test_a_block_past_the_rows_is_formatted_whole_by_percent():
+    # 2^53 / 10^6 and up, and non-finite values, send their block to "%";
+    # the block before keeps the rows.
+    n = render._CHUNK
+    values = np.linspace(-3.0, 3.0, 2 * n)
+    values[n + 5] = 1e300
+    values[n + 9] = -math.inf
+    assert render._six_place_rows(values[:n])[-1].all()
+    assert not render._six_place_rows(values[n:])[-1].all()
+    assert render._six_places(values, (" ",)) == _six_oracle(values, (" ",))
